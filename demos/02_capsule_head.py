@@ -8,13 +8,12 @@ import numpy as np
 
 from textcaps.capsule import (
     CapsuleHeadConfig,
-    CapsuleStack,
-    class_probabilities,
-    dynamic_routing,
+    class_probabilities_batch,
+    dynamic_routing_batch,
     predict,
     squash,
 )
-from textcaps.tensor import Parameter, Tensor
+from textcaps.tensor import Tensor
 
 # squash keeps direction and maps norm r to r^2 / (1 + r^2): short vectors
 # shrink toward zero, long vectors saturate just below 1.
@@ -26,17 +25,18 @@ for r in (0.1, 0.5, 1.0, 2.0, 10.0, 1000.0):
 
 # Dynamic routing: condensed capsules vote for class capsules through
 # learned transforms; couplings (softmax over classes per input capsule)
-# sharpen toward whichever class capsule agrees with the votes.
+# sharpen toward whichever class capsule agrees with the votes. One
+# document is a batch of one: every array below has a leading axis of 1.
 rng = np.random.default_rng(4)
 config = CapsuleHeadConfig(n_pc=2, n_cc=5, d=4, routing_iterations=3)
-condensed = CapsuleStack(count=5, dim=4, data=Tensor(rng.normal(size=(5, 4))))
-transform = Parameter(Tensor(rng.normal(size=(5, 2, 4, 4))), "head.routing.w")
+condensed = Tensor(rng.normal(size=(1, 5, 4)))
+transform = Tensor(rng.normal(size=(5, 2, 4, 4)))
 
-class_caps, state = dynamic_routing(condensed, transform, config)
+class_caps, state = dynamic_routing_batch(condensed, transform, config)
 print("\ncoupling rows after each iteration (sum to 1 across classes):")
 for i, couplings in enumerate(state.coupling_history):
-    print(f"  iteration {i}: first row = {np.round(couplings.values[0], 4)}")
+    print(f"  iteration {i}: first row = {np.round(couplings.values[0, 0], 4)}")
 
-probs = class_probabilities(class_caps)
-print("\nclass-capsule norms:", np.round(np.linalg.norm(class_caps.data.values, axis=1), 4))
-print("class probabilities:", np.round(probs.values, 4), "-> predicted label", predict(probs))
+probs = class_probabilities_batch(class_caps).values[0]
+print("\nclass-capsule norms:", np.round(np.linalg.norm(class_caps.values[0], axis=1), 4))
+print("class probabilities:", np.round(probs, 4), "-> predicted label", predict(probs))

@@ -118,27 +118,17 @@ def augment_dataset(
     policy: PerturbationPolicy,
     base_seed: int,
     epoch: int,
-    threads: int = 1,
 ) -> List[Document]:
     """One adversarial copy per document, reproducible per (seed, epoch).
 
     Document i draws from an rng seeded by SeedSequence([base_seed, epoch, i]),
     so augmentation is deterministic for a fixed epoch yet varies across
-    epochs, and per-document seeding makes parallel augmentation identical
-    to sequential.
+    epochs.
     """
-
-    def one(index_doc) -> Document:
-        index, doc = index_doc
+    out: List[Document] = []
+    for index, doc in enumerate(docs):
         rng = SeededRng.from_mix(base_seed, epoch, index)
         sentences = [perturb_sentence(s, policy, rng) for s in doc.sentences if s]
-        return Document(raw_text=render_document(sentences),
-                        sentences=sentences, label=doc.label)
-
-    items = list(enumerate(docs))
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+        out.append(Document(raw_text=render_document(sentences),
+                            sentences=sentences, label=doc.label))
+    return out

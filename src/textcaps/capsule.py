@@ -9,7 +9,8 @@ as a weighted sum over all primary capsules (weights per output/input
 pair), and dynamic routing with agreement updates maps condensed capsules
 to one capsule per class. Class probabilities are the softmax of the
 class-capsule norms; a mean-pool + dense + softmax baseline head covers
-the no-capsule ablation arm.
+the no-capsule ablation arm. Every stage works on a batch: a single
+document is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .encoders import FeatureMap
 from .tensor import (
     Parameter,
     ShapeMismatchError,
@@ -43,20 +43,6 @@ class CapsuleHeadConfig:
             raise ValueError("capsule head extents must all be >= 1")
         if self.n_cls < 2:
             raise ValueError("n_cls must be >= 2")
-
-
-@dataclass
-class CapsuleStack:
-    count: int
-    dim: int
-    data: Tensor
-
-    def __post_init__(self) -> None:
-        if self.count < 1 or self.dim < 1:
-            raise ValueError("capsule stack extents must be >= 1")
-        if self.data.shape != (self.count, self.dim):
-            raise ShapeMismatchError(
-                f"capsule stack data {self.data.shape} != ({self.count}, {self.dim})")
 
 
 @dataclass
@@ -99,16 +85,6 @@ def primary_capsules_batch(fm: Tensor, projection: Tensor,
     return squash(grouped)
 
 
-def primary_capsules(fm: FeatureMap, params: Parameter,
-                     config: CapsuleHeadConfig) -> CapsuleStack:
-    """Single-document surface over :func:`primary_capsules_batch`."""
-    data = fm.data.reshape((1, fm.positions, fm.channels))
-    out = primary_capsules_batch(data, params.tensor, config)
-    count = fm.positions * config.n_pc
-    return CapsuleStack(count=count, dim=config.d,
-                        data=out.reshape((count, config.d)))
-
-
 def compress_batch(primary: Tensor, weights: Tensor) -> Tensor:
     """(B, count, d) -> (B, n_cc, d): condensed_j = sum_i w_ji * p_i."""
     _, count, _ = primary.shape
@@ -116,15 +92,6 @@ def compress_batch(primary: Tensor, weights: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"compression weights {weights.shape} incompatible with {count} primaries")
     return weights @ primary
-
-
-def compress(primary: CapsuleStack, weights: Parameter,
-             config: CapsuleHeadConfig) -> CapsuleStack:
-    """Weighted sums over all primary capsules; no squash is applied."""
-    data = primary.data.reshape((1, primary.count, primary.dim))
-    out = compress_batch(data, weights.tensor)
-    return CapsuleStack(count=config.n_cc, dim=primary.dim,
-                        data=out.reshape((config.n_cc, primary.dim)))
 
 
 def dynamic_routing_batch(condensed: Tensor, transform: Tensor,
@@ -167,29 +134,9 @@ def dynamic_routing_batch(condensed: Tensor, transform: Tensor,
                            coupling_history=history)
 
 
-def dynamic_routing(condensed: CapsuleStack, transform: Parameter,
-                    config: CapsuleHeadConfig) -> Tuple[CapsuleStack, RoutingState]:
-    data = condensed.data.reshape((1, condensed.count, condensed.dim))
-    v, state = dynamic_routing_batch(data, transform.tensor, config)
-    class_caps = CapsuleStack(count=config.n_cls, dim=condensed.dim,
-                              data=v.reshape((config.n_cls, condensed.dim)))
-    squeezed = RoutingState(
-        logits=state.logits.reshape((condensed.count, config.n_cls)),
-        couplings=state.couplings.reshape((condensed.count, config.n_cls)),
-        coupling_history=[c.reshape((condensed.count, config.n_cls))
-                          for c in state.coupling_history],
-    )
-    return class_caps, squeezed
-
-
 def class_probabilities_batch(class_caps: Tensor) -> Tensor:
     """Softmax over the class-capsule norms: (B, n_cls, d) -> (B, n_cls)."""
     return softmax(l2_norm(class_caps, axis=-1), axis=-1)
-
-
-def class_probabilities(class_caps: CapsuleStack) -> Tensor:
-    data = class_caps.data.reshape((1, class_caps.count, class_caps.dim))
-    return class_probabilities_batch(data).reshape((class_caps.count,))
 
 
 def predict(p: Union[Tensor, np.ndarray]) -> int:
@@ -206,12 +153,6 @@ def baseline_head_batch(fm: Tensor, dense: Tensor) -> Tensor:
             f"baseline dense weights {dense.shape} incompatible with {c} channels")
     pooled = fm.sum(axis=1).scale(1.0 / l)
     return softmax(pooled @ dense, axis=-1)
-
-
-def baseline_head(fm: FeatureMap, params: Parameter) -> Tensor:
-    data = fm.data.reshape((1, fm.positions, fm.channels))
-    out = baseline_head_batch(data, params.tensor)
-    return out.reshape((out.shape[-1],))
 
 
 def init_capsule_head(config: CapsuleHeadConfig, positions: int, channels: int,

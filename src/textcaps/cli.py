@@ -4,7 +4,7 @@ representation export, and synthetic-corpus generation.
 Exit codes: 0 success, 1 runtime failure (single-line diagnostic on
 stderr), 2 flag/usage errors (argparse). Every command touches only its
 declared output paths, and fixed seeds reproduce output files
-byte-for-byte in single-threaded mode.
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +62,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_config(path, threads=None):
+def _load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]  # a manifest also works as a config source
-    config = config_from_dict(data)
-    if threads is not None:
-        config = replace(config, threads=threads)
-    return config
+    return config_from_dict(data)
 
 
 def _read_docs(args):
@@ -83,7 +79,7 @@ def _read_docs(args):
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config, threads=args.threads)
+    config = _load_config(args.config)
     docs = _read_docs(args)
     table = load_embeddings(args.embeddings)
     out_dir = Path(args.out)
@@ -135,14 +131,13 @@ def cmd_eval(args) -> int:
 
 def cmd_augment(args) -> int:
     docs = read_dataset(args.data)
-    augmented = augment_dataset(docs, PerturbationPolicy(), args.seed, epoch=0,
-                                threads=args.threads)
+    augmented = augment_dataset(docs, PerturbationPolicy(), args.seed, epoch=0)
     write_dataset(args.out, augmented)
     return 0
 
 
 def cmd_ablation(args) -> int:
-    config = _load_config(args.config, threads=args.threads)
+    config = _load_config(args.config)
     docs = _read_docs(args)
     table = load_embeddings(args.embeddings)
     rows = run_ablation(config, docs, table)
@@ -156,7 +151,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config, threads=args.threads)
+    config = _load_config(args.config)
     docs = _read_docs(args)
     table = load_embeddings(args.embeddings)
     cells = run_sweep(config, args.n_pc, args.n_cc, args.repeats, docs, table)
@@ -221,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--max-docs", type=_positive_int, default=None,
                        help="truncate the dataset to its first N documents")
-        p.add_argument("--threads", type=_positive_int, default=None,
-                       help="data-parallel encoding/augmentation threads (1 = reference)")
 
     p_train = sub.add_parser("train", help="train a model and write outputs")
     add_io(p_train)
@@ -238,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_aug.add_argument("--data", required=True)
     p_aug.add_argument("--seed", type=int, required=True)
     p_aug.add_argument("--out", required=True)
-    p_aug.add_argument("--threads", type=_positive_int, default=1)
     p_aug.set_defaults(func=cmd_augment)
 
     p_abl = sub.add_parser("ablation", help="baseline/+Adv/+Capsule/+Adv+Capsule grid")

@@ -33,7 +33,6 @@ from .tensor import (
     sigmoid,
     tanh,
 )
-from .text import EncodedDoc
 
 ENCODER_KINDS = ("cnn", "gru", "bigru", "cnn-bigru", "lstm", "bilstm", "cnn-bilstm")
 
@@ -67,13 +66,6 @@ class EncoderConfig:
     @property
     def bidirectional(self) -> bool:
         return self.kind.startswith("bi") or self.kind.startswith("cnn-bi")
-
-
-@dataclass
-class FeatureMap:
-    positions: int
-    channels: int
-    data: Tensor
 
 
 def encoder_output_shape(config: EncoderConfig, t: int, e_d: int) -> Tuple[int, int]:
@@ -229,13 +221,3 @@ def encoder_forward_batch(config: EncoderConfig, params: Dict[str, Parameter],
         per_pos = _recurrent_direction(config, params, x, base, reverse=False)
     return concat(per_pos, axis=1) if len(per_pos) > 1 else per_pos[0]
 
-
-def encoder_forward(config: EncoderConfig, params: Dict[str, Parameter],
-                    encoded: EncodedDoc) -> FeatureMap:
-    """Single-document forward: EncodedDoc -> FeatureMap of shape (L, C)."""
-    n_s, n_w, e_d = encoded.block.shape
-    t = n_s * n_w
-    x = encoded.block.reshape((1, t, e_d))
-    fm = encoder_forward_batch(config, params, x)
-    _, l, c = fm.shape
-    return FeatureMap(positions=l, channels=c, data=fm.reshape((l, c)))

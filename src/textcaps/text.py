@@ -2,9 +2,9 @@
 
 Documents are split into a sentence/word grid, truncated to the first
 ``n_s`` sentences and ``n_w`` words per sentence, and embedded into a
-dense block with an accompanying padding mask. Out-of-vocabulary tokens
-map to the table's OOV vector (all zeros by default) so they stay
-gradient-inert.
+dense block by one gather from the embedding table's matrix.
+Out-of-vocabulary tokens and padding both embed as the matrix's zero row,
+so they stay gradient-inert.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-from .tensor import Tensor
 
 SENTENCE_TERMINATORS = ".!?;"
 
@@ -107,18 +105,23 @@ def tokenize(raw_text: str) -> List[List[str]]:
 
 @dataclass
 class EmbeddingTable:
-    """Token -> fixed-length vector map with an out-of-vocabulary fallback."""
+    """Token -> fixed-length vector map, stacked once into a dense matrix.
+
+    ``matrix`` is (V + 1, dimension): row ``ids[token]`` holds the token's
+    vector and the last row, index ``V``, is the zero vector shared by
+    out-of-vocabulary tokens and padding.
+    """
 
     dimension: int
     entries: Dict[str, np.ndarray]
-    oov_vector: np.ndarray = field(default=None)  # type: ignore[assignment]
+    ids: Dict[str, int] = field(init=False, repr=False)
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.oov_vector is None:
-            self.oov_vector = np.zeros(self.dimension)
-
-    def lookup(self, token: str) -> np.ndarray:
-        return self.entries.get(token, self.oov_vector)
+        self.ids = {token: row for row, token in enumerate(self.entries)}
+        self.matrix = np.zeros((len(self.entries) + 1, self.dimension))
+        for row, vector in enumerate(self.entries.values()):
+            self.matrix[row] = vector
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -132,7 +135,7 @@ def load_embeddings(path) -> EmbeddingTable:
 
     The file may start with a "vocab_count dimension" header line; otherwise
     the dimension is inferred from the first data line. Duplicate tokens keep
-    their first occurrence and the OOV vector is all zeros.
+    their first occurrence; unknown tokens embed as zeros.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -177,60 +180,32 @@ def load_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(dimension=dimension, entries=entries)
 
 
-@dataclass
-class EncodedDoc:
-    """Embedded n_s x n_w x E_d block with its padding mask."""
-
-    block: Tensor
-    mask: Tensor
-    label: int
-
-
-def encode_document(doc: Document, table: EmbeddingTable, n_s: int, n_w: int) -> EncodedDoc:
-    """Embed a document into a fixed n_s x n_w x E_d block.
-
-    Keeps the first n_s sentences and first n_w words per sentence; missing
-    positions are zero vectors with mask 0.
-    """
-    if n_s < 1 or n_w < 1:
-        raise ValueError(f"n_s and n_w must be >= 1, got {n_s}, {n_w}")
-    block = np.zeros((n_s, n_w, table.dimension))
-    mask = np.zeros((n_s, n_w))
-    for si, sentence in enumerate(doc.sentences[:n_s]):
-        for wi, token in enumerate(sentence[:n_w]):
-            block[si, wi] = table.lookup(token)
-            mask[si, wi] = 1.0
-    return EncodedDoc(block=Tensor(block), mask=Tensor(mask), label=doc.label)
-
-
 def encode_batch(
     docs: Sequence[Document],
     table: EmbeddingTable,
     n_s: int,
     n_w: int,
-    threads: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Encode documents into a (batch, n_s * n_w, E_d) block plus labels.
 
-    The grid is flattened in reading order; results are identical for any
-    thread count because documents are independent.
+    Keeps the first n_s sentences and the first n_w words of each, flattened
+    in reading order. Tokens become row ids of ``table.matrix`` and the block
+    is one gather; missing positions take the zero row, like unknown tokens.
     """
-    t = n_s * n_w
-
-    def one(doc: Document) -> np.ndarray:
-        return encode_document(doc, table, n_s, n_w).block.values.reshape(t, table.dimension)
-
-    if threads > 1 and len(docs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(one, docs))
-    else:
-        blocks = [one(doc) for doc in docs]
+    if n_s < 1 or n_w < 1:
+        raise ValueError(f"n_s and n_w must be >= 1, got {n_s}, {n_w}")
+    zero_row = len(table.ids)
+    ids: List[int] = []
+    for doc in docs:
+        kept = doc.sentences[:n_s]
+        for sentence in kept:
+            words = sentence[:n_w]
+            ids.extend(table.ids.get(token, zero_row) for token in words)
+            ids.extend([zero_row] * (n_w - len(words)))
+        ids.extend([zero_row] * (n_w * (n_s - len(kept))))
+    rows = np.array(ids, dtype=np.intp).reshape(len(docs), n_s * n_w)
     labels = np.array([doc.label for doc in docs], dtype=np.int64)
-    if not blocks:
-        return np.zeros((0, t, table.dimension)), labels
-    return np.stack(blocks), labels
+    return table.matrix[rows], labels
 
 
 def read_dataset(path) -> List[Document]:

@@ -1,12 +1,11 @@
 """Training engine: Adam, binary cross-entropy, linear LR decay, splits,
 metrics, and the ablation / hyperparameter-sweep harnesses.
 
-Runs are deterministic for a fixed seed in single-threaded mode: parameter
-initialization, dataset splitting, per-epoch shuffling, and adversarial
-augmentation all derive their randomness from the config seed. Model
-selection keeps the parameters of the epoch with the highest validation
-accuracy (earliest epoch on ties), with validation always computed on
-clean data.
+Runs are deterministic for a fixed seed: parameter initialization,
+dataset splitting, per-epoch shuffling, and adversarial augmentation all
+derive their randomness from the config seed. Model selection keeps the
+parameters of the epoch with the highest validation accuracy (earliest
+epoch on ties), with validation always computed on clean data.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class TrainConfig:
     n_w: int = 60
     lr_decay: str = "epoch"  # "epoch" or "step"
     adversarial_resample: bool = True  # fresh perturbations each epoch
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -76,8 +74,8 @@ class TrainConfig:
             raise ValueError(f"split fractions must sum to 1, got {sum(self.split)}")
         if self.lr_decay not in ("epoch", "step"):
             raise ValueError("lr_decay must be 'epoch' or 'step'")
-        if self.n_s < 1 or self.n_w < 1 or self.threads < 1:
-            raise ValueError("n_s, n_w, threads must be >= 1")
+        if self.n_s < 1 or self.n_w < 1:
+            raise ValueError("n_s and n_w must be >= 1")
 
 
 @dataclass
@@ -141,16 +139,21 @@ def compute_metrics(labels: np.ndarray, preds: np.ndarray,
 
 def split_dataset(docs: Sequence[Document], split: Sequence[float],
                   seed: int) -> Tuple[List[Document], List[Document], List[Document]]:
-    """Seeded shuffle, then floor-boundary partition; train takes the remainder."""
-    if len(docs) < 3:
-        raise TooFewDocumentsError(f"need at least 3 documents, got {len(docs)}")
+    """Seeded shuffle, then floor-boundary partition; train takes the remainder.
+
+    Raises TooFewDocumentsError when any of the three parts would be empty.
+    """
     if len(split) != 3 or any(f <= 0 for f in split) or abs(sum(split) - 1.0) > 1e-9:
         raise ValueError(f"invalid split fractions {split}")
-    order = SeededRng(seed).generator.permutation(len(docs))
-    shuffled = [docs[i] for i in order]
     n_valid = math.floor(split[1] * len(docs))
     n_test = math.floor(split[2] * len(docs))
     n_train = len(docs) - n_valid - n_test
+    if min(n_train, n_valid, n_test) < 1:
+        raise TooFewDocumentsError(
+            f"{len(docs)} documents split into empty parts: train {n_train}, "
+            f"valid {n_valid}, test {n_test}")
+    order = SeededRng(seed).generator.permutation(len(docs))
+    shuffled = [docs[i] for i in order]
     return (shuffled[:n_train],
             shuffled[n_train:n_train + n_valid],
             shuffled[n_train + n_valid:])
@@ -165,14 +168,8 @@ def _clamped_log(t: Tensor) -> Tensor:
     return log(relu(t - floor_const) + floor_const)
 
 
-def bce_loss(p: Tensor, label: int) -> Tensor:
-    """-log(p[label]) with the probability clamped at 1e-12."""
-    picked = p.reshape((1, p.size)).slice(axis=1, start=label, stop=label + 1)
-    return _clamped_log(picked).sum().scale(-1.0)
-
-
 def bce_loss_batch(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over a batch of probability rows."""
+    """Mean of -log(probs[b, labels[b]]), each probability clamped at 1e-12."""
     b, n_cls = probs.shape
     onehot = np.zeros((b, n_cls))
     onehot[np.arange(b), labels] = 1.0
@@ -243,8 +240,7 @@ def evaluate(params: Dict[str, Parameter], docs: Sequence[Document],
              split: str = "test") -> Metrics:
     if not docs:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
-    blocks, labels = encode_batch(docs, table, config.n_s, config.n_w,
-                                  threads=config.threads)
+    blocks, labels = encode_batch(docs, table, config.n_s, config.n_w)
     return _forward_metrics(config.encoder, config.head, params, blocks,
                             labels, config.batch_size, split)
 
@@ -267,10 +263,8 @@ def train(config: TrainConfig, docs: Sequence[Document],
     state = AdamState()
     policy = PerturbationPolicy()
 
-    clean_blocks, clean_labels = encode_batch(train_docs, table, config.n_s,
-                                              config.n_w, threads=config.threads)
-    valid_blocks, valid_labels = encode_batch(valid_docs, table, config.n_s,
-                                              config.n_w, threads=config.threads)
+    clean_blocks, clean_labels = encode_batch(train_docs, table, config.n_s, config.n_w)
+    valid_blocks, valid_labels = encode_batch(valid_docs, table, config.n_s, config.n_w)
     adv_blocks = adv_labels = None
 
     stream_len = 2 * len(train_docs) if config.adversarial else len(train_docs)
@@ -286,10 +280,8 @@ def train(config: TrainConfig, docs: Sequence[Document],
         lr_epoch = lr_at(epoch, config)
         if config.adversarial and (adv_blocks is None or config.adversarial_resample):
             adv_docs = augment_dataset(train_docs, policy, config.seed,
-                                       epoch if config.adversarial_resample else 0,
-                                       threads=config.threads)
-            adv_blocks, adv_labels = encode_batch(adv_docs, table, config.n_s,
-                                                  config.n_w, threads=config.threads)
+                                       epoch if config.adversarial_resample else 0)
+            adv_blocks, adv_labels = encode_batch(adv_docs, table, config.n_s, config.n_w)
         if config.adversarial:
             blocks = np.concatenate([clean_blocks, adv_blocks])
             labels = np.concatenate([clean_labels, adv_labels])
@@ -433,7 +425,6 @@ def config_to_dict(config: TrainConfig) -> dict:
         "n_w": config.n_w,
         "lr_decay": config.lr_decay,
         "adversarial_resample": config.adversarial_resample,
-        "threads": config.threads,
     }
 
 
@@ -469,5 +460,4 @@ def config_from_dict(data: dict) -> TrainConfig:
         n_w=data.get("n_w", 60),
         lr_decay=data.get("lr_decay", "epoch"),
         adversarial_resample=data.get("adversarial_resample", True),
-        threads=data.get("threads", 1),
     )

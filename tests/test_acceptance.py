@@ -16,10 +16,8 @@ import pytest
 from textcaps.adversarial import PerturbationPolicy, SeededRng, perturb_sentence
 from textcaps.capsule import (
     CapsuleHeadConfig,
-    CapsuleStack,
     class_probabilities_batch,
     compress_batch,
-    dynamic_routing,
     dynamic_routing_batch,
     primary_capsules_batch,
     squash,
@@ -27,7 +25,7 @@ from textcaps.capsule import (
 from textcaps.cli import main as cli_main
 from textcaps.encoders import EncoderConfig, encoder_forward_batch, init_encoder
 from textcaps.capsule import init_capsule_head
-from textcaps.tensor import Parameter, Tensor, grad_check, log
+from textcaps.tensor import Tensor, grad_check, log
 from textcaps.text import read_dataset
 from textcaps.training import (
     TrainConfig,
@@ -143,9 +141,8 @@ def test_criterion_3_routing_invariants():
         u = rng.normal(size=(1, cfg.d))
         w = rng.normal(size=(1, 2, cfg.d, cfg.d))
         v_ref, _, _ = routing_oracle(u, w, 3)
-        stack = CapsuleStack(count=1, dim=cfg.d, data=Tensor(u))
-        caps, _ = dynamic_routing(stack, Parameter(Tensor(w), "w"), cfg)
-        oracle_gap = max(oracle_gap, float(np.max(np.abs(caps.data.values - v_ref))))
+        caps, _ = dynamic_routing_batch(Tensor(u[None]), Tensor(w), cfg)
+        oracle_gap = max(oracle_gap, float(np.max(np.abs(caps.values[0] - v_ref))))
     ok = row_sum_gap <= 1e-9 and oracle_gap <= 1e-9
     report(3, "routing invariants", ok,
            f"row-sum gap {row_sum_gap:.1e}, oracle gap {oracle_gap:.1e}")

@@ -132,8 +132,3 @@ class TestAugmentDataset:
         e0 = augment_dataset(docs, PerturbationPolicy(), 5, 0)
         e1 = augment_dataset(docs, PerturbationPolicy(), 5, 1)
         assert [d.raw_text for d in e0] != [d.raw_text for d in e1]
-
-    def test_threads_match_sequential(self):
-        seq = augment_dataset(_docs(), PerturbationPolicy(), 13, 2, threads=1)
-        par = augment_dataset(_docs(), PerturbationPolicy(), 13, 2, threads=4)
-        assert [d.raw_text for d in seq] == [d.raw_text for d in par]

@@ -13,22 +13,17 @@ import pytest
 from textcaps.adversarial import SeededRng
 from textcaps.capsule import (
     CapsuleHeadConfig,
-    CapsuleStack,
     baseline_head_batch,
-    class_probabilities,
     class_probabilities_batch,
-    compress,
     compress_batch,
-    dynamic_routing,
     dynamic_routing_batch,
     init_capsule_head,
     predict,
-    primary_capsules,
     primary_capsules_batch,
     squash,
 )
-from textcaps.encoders import EncoderConfig, FeatureMap, encoder_forward_batch, init_encoder
-from textcaps.tensor import Parameter, ShapeMismatchError, Tensor, grad_check
+from textcaps.encoders import EncoderConfig, encoder_forward_batch, init_encoder
+from textcaps.tensor import ShapeMismatchError, Tensor, grad_check
 
 
 def squash_oracle(x: np.ndarray) -> np.ndarray:
@@ -125,17 +120,16 @@ class TestPrimaryCapsules:
         # L=891 positions with 8 capsules each: 7128 primaries
         cfg = CapsuleHeadConfig(n_pc=8, n_cc=128, d=16)
         rng = np.random.default_rng(0)
-        fm = FeatureMap(positions=891, channels=12, data=Tensor(rng.normal(size=(891, 12))))
-        proj = Parameter(Tensor(rng.normal(size=(12, 8 * 16)) * 0.05), "head.primary.w")
-        stack = primary_capsules(fm, proj, cfg)
-        assert stack.count == 7128 and stack.dim == 16
+        fm = Tensor(rng.normal(size=(1, 891, 12)))
+        proj = Tensor(rng.normal(size=(12, 8 * 16)) * 0.05)
+        assert primary_capsules_batch(fm, proj, cfg).shape == (1, 7128, 16)
 
     def test_zero_projection_gives_zero_capsules(self):
         cfg = _head_config()
-        fm = FeatureMap(positions=5, channels=4, data=Tensor(np.ones((5, 4))))
-        proj = Parameter(Tensor(np.zeros((4, cfg.n_pc * cfg.d))), "head.primary.w")
-        stack = primary_capsules(fm, proj, cfg)
-        np.testing.assert_array_equal(stack.data.values, np.zeros((10, 3)))
+        fm = Tensor(np.ones((1, 5, 4)))
+        proj = Tensor(np.zeros((4, cfg.n_pc * cfg.d)))
+        out = primary_capsules_batch(fm, proj, cfg)
+        np.testing.assert_array_equal(out.values, np.zeros((1, 10, 3)))
 
     def test_norms_below_one(self):
         cfg = _head_config()
@@ -165,21 +159,18 @@ class TestPrimaryCapsules:
 
 class TestCompress:
     def test_one_hot_selects_primary(self):
-        cfg = _head_config(n_cc=2)
         rng = np.random.default_rng(2)
-        primary = CapsuleStack(count=5, dim=3, data=Tensor(rng.normal(size=(5, 3))))
+        primary = rng.normal(size=(1, 5, 3))
         w = np.zeros((2, 5))
         w[0, 3] = 1.0
         w[1, 1] = 1.0
-        out = compress(primary, Parameter(Tensor(w), "head.compress.w"), cfg)
-        np.testing.assert_array_equal(out.data.values[0], primary.data.values[3])
-        np.testing.assert_array_equal(out.data.values[1], primary.data.values[1])
+        out = compress_batch(Tensor(primary), Tensor(w)).values
+        np.testing.assert_array_equal(out[0, 0], primary[0, 3])
+        np.testing.assert_array_equal(out[0, 1], primary[0, 1])
 
     def test_zero_weights(self):
-        cfg = _head_config(n_cc=4)
-        primary = CapsuleStack(count=6, dim=3, data=Tensor(np.ones((6, 3))))
-        out = compress(primary, Parameter(Tensor(np.zeros((4, 6))), "w"), cfg)
-        np.testing.assert_array_equal(out.data.values, np.zeros((4, 3)))
+        out = compress_batch(Tensor(np.ones((1, 6, 3))), Tensor(np.zeros((4, 6))))
+        np.testing.assert_array_equal(out.values, np.zeros((1, 4, 3)))
 
     def test_full_scale_shape(self):
         cfg = CapsuleHeadConfig(n_pc=8, n_cc=128, d=16)
@@ -200,10 +191,8 @@ class TestCompress:
 
     def test_no_squash_applied(self):
         # a big weighted sum keeps norm > 1, which squash would forbid
-        cfg = _head_config(n_cc=1)
-        primary = CapsuleStack(count=4, dim=3, data=Tensor(np.ones((4, 3))))
-        out = compress(primary, Parameter(Tensor(np.full((1, 4), 2.0)), "w"), cfg)
-        assert np.linalg.norm(out.data.values[0]) > 1.0
+        out = compress_batch(Tensor(np.ones((1, 4, 3))), Tensor(np.full((1, 4), 2.0)))
+        assert np.linalg.norm(out.values[0, 0]) > 1.0
 
 
 class TestDynamicRouting:
@@ -239,11 +228,10 @@ class TestDynamicRouting:
             u = rng.normal(size=(cfg.n_cc, cfg.d))
             w = rng.normal(size=(cfg.n_cc, cfg.n_cls, cfg.d, cfg.d))
             v_ref, logits_ref, c_ref = routing_oracle(u, w, cfg.routing_iterations)
-            stack = CapsuleStack(count=cfg.n_cc, dim=cfg.d, data=Tensor(u))
-            caps, state = dynamic_routing(stack, Parameter(Tensor(w), "head.routing.w"), cfg)
-            np.testing.assert_allclose(caps.data.values, v_ref, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(state.logits.values, logits_ref, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(state.couplings.values, c_ref, rtol=0, atol=1e-9)
+            caps, state = dynamic_routing_batch(Tensor(u[None]), Tensor(w), cfg)
+            np.testing.assert_allclose(caps.values[0], v_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(state.logits.values[0], logits_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(state.couplings.values[0], c_ref, rtol=0, atol=1e-9)
 
     def test_single_condensed_capsule_closed_form(self):
         # One input capsule: couplings stay uniform (softmax of a zero row at
@@ -252,11 +240,10 @@ class TestDynamicRouting:
         rng = np.random.default_rng(9)
         u = rng.normal(size=(1, cfg.d))
         w = rng.normal(size=(1, 2, cfg.d, cfg.d))
-        stack = CapsuleStack(count=1, dim=cfg.d, data=Tensor(u))
-        caps, _ = dynamic_routing(stack, Parameter(Tensor(w), "w"), cfg)
+        caps, _ = dynamic_routing_batch(Tensor(u[None]), Tensor(w), cfg)
         for k in range(2):
             expected = squash_oracle(0.5 * (w[0, k] @ u[0]))
-            np.testing.assert_allclose(caps.data.values[k], expected, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(caps.values[0, k], expected, rtol=0, atol=1e-9)
 
     def test_uniform_coupling_closed_form_2x2(self):
         # 1 iteration on a 2-capsule / 2-class instance: couplings stay 1/2,
@@ -265,11 +252,10 @@ class TestDynamicRouting:
         rng = np.random.default_rng(10)
         u = rng.normal(size=(2, 2))
         w = rng.normal(size=(2, 2, 2, 2))
-        stack = CapsuleStack(count=2, dim=2, data=Tensor(u))
-        caps, _ = dynamic_routing(stack, Parameter(Tensor(w), "w"), cfg)
+        caps, _ = dynamic_routing_batch(Tensor(u[None]), Tensor(w), cfg)
         for k in range(2):
             s_k = 0.5 * (w[0, k] @ u[0]) + 0.5 * (w[1, k] @ u[1])
-            np.testing.assert_allclose(caps.data.values[k], squash_oracle(s_k),
+            np.testing.assert_allclose(caps.values[0, k], squash_oracle(s_k),
                                        rtol=0, atol=1e-12)
 
     def test_class_capsule_norms_in_unit_interval(self):
@@ -284,16 +270,15 @@ class TestDynamicRouting:
 
 class TestClassProbabilities:
     def test_equal_norms_uniform(self):
-        caps = CapsuleStack(count=2, dim=3, data=Tensor(np.array(
-            [[0.3, 0.0, 0.0], [0.0, 0.3, 0.0]])))
-        p = class_probabilities(caps).values
-        np.testing.assert_allclose(p, [0.5, 0.5], rtol=0, atol=1e-15)
+        caps = Tensor(np.array([[[0.3, 0.0, 0.0], [0.0, 0.3, 0.0]]]))
+        p = class_probabilities_batch(caps).values
+        np.testing.assert_allclose(p, [[0.5, 0.5]], rtol=0, atol=1e-15)
 
     def test_hand_softmax_evaluation(self):
         data = np.zeros((2, 4))
         data[0, 0] = 0.9
         data[1, 1] = 0.1
-        p = class_probabilities(CapsuleStack(count=2, dim=4, data=Tensor(data))).values
+        p = class_probabilities_batch(Tensor(data[None])).values[0]
         expected0 = math.exp(0.9) / (math.exp(0.9) + math.exp(0.1))
         np.testing.assert_allclose(p, [expected0, 1.0 - expected0], rtol=0, atol=1e-12)
         assert round(p[0], 3) == 0.690 and round(p[1], 3) == 0.310
@@ -302,8 +287,7 @@ class TestClassProbabilities:
         rng = np.random.default_rng(12)
         for _ in range(25):
             data = rng.normal(size=(2, 5)) * 0.4
-            caps = CapsuleStack(count=2, dim=5, data=Tensor(data))
-            p = class_probabilities(caps).values
+            p = class_probabilities_batch(Tensor(data[None])).values[0]
             assert int(np.argmax(p)) == int(np.argmax(np.linalg.norm(data, axis=1)))
 
 

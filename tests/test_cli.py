@@ -129,14 +129,16 @@ class TestTrain:
         assert (out / "metrics.csv").read_bytes() == (trained / "metrics.csv").read_bytes()
         assert (out / "model.caps").read_bytes() == (trained / "model.caps").read_bytes()
 
-    def test_threads_flag_keeps_outputs_identical(self, trained, workspace):
-        out = workspace / "run_threads"
+    def test_empty_validation_split_is_one_line_error(self, workspace, tmp_path, capsys):
+        # 3 documents at split (0.7, 0.2, 0.1) leave validation and test empty
         code = run_cli(["train", "--config", str(workspace / "config.json"),
                         "--data", str(workspace / "corpus.jsonl"),
                         "--embeddings", str(workspace / "emb.txt"),
-                        "--out", str(out), "--threads", "3"])
-        assert code == 0
-        assert (out / "metrics.csv").read_bytes() == (trained / "metrics.csv").read_bytes()
+                        "--out", str(tmp_path / "tiny"), "--max-docs", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_max_docs_truncates(self, workspace, tmp_path):
         out = tmp_path / "trunc"

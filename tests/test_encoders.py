@@ -7,13 +7,11 @@ from textcaps.adversarial import SeededRng
 from textcaps.encoders import (
     ENCODER_KINDS,
     EncoderConfig,
-    encoder_forward,
     encoder_forward_batch,
     encoder_output_shape,
     init_encoder,
 )
 from textcaps.tensor import Parameter, ShapeMismatchError, Tensor, grad_check
-from textcaps.text import EncodedDoc
 
 
 def _toy_config(kind):
@@ -131,14 +129,15 @@ class TestForwardSemantics:
             assert p.tensor.values.tobytes() == before[name].tobytes()
 
     def test_single_document_surface(self):
+        # one 2x3-token document is a batch of one; its map is its row of a batch
         cfg = _toy_config("gru")
         params = init_encoder(cfg, 3, SeededRng(2))
         rng = np.random.default_rng(2)
-        block = Tensor(rng.uniform(-1, 1, size=(2, 3, 3)))
-        mask = Tensor(np.ones((2, 3)))
-        fm = encoder_forward(cfg, params, EncodedDoc(block=block, mask=mask, label=0))
-        assert (fm.positions, fm.channels) == (6, 3)
-        assert fm.data.shape == (6, 3)
+        block = rng.uniform(-1, 1, size=(2, 6, 3))
+        fm = encoder_forward_batch(cfg, params, Tensor(block[:1]))
+        assert fm.shape == (1, 6, 3)
+        both = encoder_forward_batch(cfg, params, Tensor(block))
+        np.testing.assert_allclose(fm.values[0], both.values[0], rtol=0, atol=1e-14)
 
     def test_missing_parameter_named(self):
         cfg = _toy_config("gru")

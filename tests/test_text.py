@@ -10,8 +10,8 @@ from textcaps.text import (
     MalformedLineError,
     RaggedLineError,
     UnparseableNumberError,
+    EmbeddingTable,
     encode_batch,
-    encode_document,
     load_embeddings,
     read_dataset,
     render_document,
@@ -20,6 +20,27 @@ from textcaps.text import (
 )
 
 SENTENCE_TERMINATORS = ".!?;"
+
+
+def encode_reference(doc, table, n_s, n_w):
+    """The per-token loop that encode_batch's gather replaced, kept as its oracle.
+
+    Embeds one document into an (n_s * n_w, E_d) block: the first n_s
+    sentences and first n_w words, unknown tokens and padding as zeros.
+    """
+    block = np.zeros((n_s, n_w, table.dimension))
+    for si, sentence in enumerate(doc.sentences[:n_s]):
+        for wi, token in enumerate(sentence[:n_w]):
+            block[si, wi] = table.entries.get(token, np.zeros(table.dimension))
+    return block.reshape(n_s * n_w, table.dimension)
+
+
+def _encode_one(doc, table, n_s, n_w):
+    """A single document is a batch of one: (n_s, n_w, E_d) view of its block."""
+    blocks, labels = encode_batch([doc], table, n_s, n_w)
+    assert blocks.shape == (1, n_s * n_w, table.dimension)
+    assert labels.tolist() == [doc.label]
+    return blocks[0].reshape(n_s, n_w, table.dimension)
 
 
 class TestTokenize:
@@ -60,11 +81,17 @@ class TestEmbeddings:
     def test_header_and_lookup(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
         assert table.dimension == 3
-        np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(table.entries["a"], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(table.matrix[table.ids["a"]], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(table.matrix[table.ids["b"]], [0.0, 1.0, 0.0])
 
     def test_oov_is_zero(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "a 1 0 0\n"))
-        np.testing.assert_array_equal(table.lookup("zzz"), [0.0, 0.0, 0.0])
+        assert "zzz" not in table
+        assert table.matrix.shape == (2, 3)
+        np.testing.assert_array_equal(table.matrix[-1], [0.0, 0.0, 0.0])
+        blocks, _ = encode_batch([Document("", [["zzz"]], 0)], table, 1, 1)
+        np.testing.assert_array_equal(blocks, [[[0.0, 0.0, 0.0]]])
 
     def test_headerless_dimension_inference(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "a 1 2\nb 3 4\n"))
@@ -72,7 +99,8 @@ class TestEmbeddings:
 
     def test_duplicates_keep_first(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "a 1 2\na 9 9\n"))
-        np.testing.assert_array_equal(table.lookup("a"), [1.0, 2.0])
+        np.testing.assert_array_equal(table.matrix[table.ids["a"]], [1.0, 2.0])
+        assert table.matrix.shape == (2, 2)
 
     def test_ragged_line_reports_line_number(self, tmp_path):
         with pytest.raises(RaggedLineError) as exc:
@@ -97,21 +125,22 @@ def small_table(tmp_path):
 
 class TestEncodeDocument:
     def test_sentence_truncation(self, small_table):
-        doc = Document("", [[f"s{i}"] for i in range(7)], 0)
-        enc = encode_document(doc, small_table, n_s=5, n_w=4)
-        assert enc.block.shape == (5, 4, 3)
-        assert enc.mask.values.sum() == 5.0
+        doc = Document("", [["a"] for _ in range(7)], 0)
+        block = _encode_one(doc, small_table, n_s=5, n_w=4)
+        assert block.shape == (5, 4, 3)
+        assert np.count_nonzero(np.any(block != 0.0, axis=-1)) == 5
 
     def test_padding_mask(self, small_table):
         doc = Document("", [["a", "b"]], 1)
-        enc = encode_document(doc, small_table, n_s=2, n_w=3)
-        np.testing.assert_array_equal(enc.mask.values, [[1, 1, 0], [0, 0, 0]])
-        np.testing.assert_array_equal(enc.block.values[0, 2], np.zeros(3))
+        block = _encode_one(doc, small_table, n_s=2, n_w=3)
+        filled = np.any(block != 0.0, axis=-1)
+        np.testing.assert_array_equal(filled, [[1, 1, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(block[0, 2], np.zeros(3))
 
     def test_lookup_passthrough(self, small_table):
         doc = Document("", [["a"]], 0)
-        enc = encode_document(doc, small_table, n_s=1, n_w=1)
-        np.testing.assert_array_equal(enc.block.values[0, 0], [1.0, 0.0, 0.0])
+        block = _encode_one(doc, small_table, n_s=1, n_w=1)
+        np.testing.assert_array_equal(block[0, 0], [1.0, 0.0, 0.0])
 
     def test_total_shape_for_any_document(self, small_table):
         rng = np.random.default_rng(5)
@@ -123,24 +152,58 @@ class TestEncodeDocument:
                 for _ in range(n_sent)
             ]
             doc = Document("", sentences, int(rng.integers(2)))
-            enc = encode_document(doc, small_table, n_s=3, n_w=5)
-            assert enc.block.shape == (3, 5, 3)
+            block = _encode_one(doc, small_table, n_s=3, n_w=5)
+            assert block.shape == (3, 5, 3)
             # kept in-vocabulary tokens round-trip exactly
             for si, sentence in enumerate(sentences[:3]):
                 for wi, token in enumerate(sentence[:5]):
                     if token in small_table:
                         np.testing.assert_array_equal(
-                            enc.block.values[si, wi], small_table.lookup(token))
+                            block[si, wi], small_table.entries[token])
 
     def test_encode_batch_matches_single(self, small_table):
         docs = [Document("", [["a", "b"], ["b"]], 1), Document("", [["zz"]], 0)]
         blocks, labels = encode_batch(docs, small_table, n_s=2, n_w=3)
         assert blocks.shape == (2, 6, 3)
         np.testing.assert_array_equal(labels, [1, 0])
-        single = encode_document(docs[0], small_table, 2, 3).block.values.reshape(6, 3)
-        np.testing.assert_array_equal(blocks[0], single)
-        threaded, _ = encode_batch(docs, small_table, n_s=2, n_w=3, threads=4)
-        assert threaded.tobytes() == blocks.tobytes()
+        for row, doc in zip(blocks, docs):
+            single = _encode_one(doc, small_table, 2, 3).reshape(6, 3)
+            assert single.tobytes() == row.tobytes()
+
+
+class TestEncodeReference:
+    """encode_batch's gather against the per-token reference loop, bit for bit."""
+
+    def test_matches_reference_on_random_documents(self):
+        rng = np.random.default_rng(11)
+        vocab = [f"w{i}" for i in range(12)]
+        table = EmbeddingTable(dimension=4, entries={
+            tok: rng.normal(size=4) for tok in vocab[:8]})  # w8..w11 are OOV
+        docs = []
+        for _ in range(60):
+            sentences = [
+                [vocab[int(rng.integers(len(vocab)))] for _ in range(int(rng.integers(1, 9)))]
+                for _ in range(int(rng.integers(0, 7)))  # 0 sentences happens
+            ]
+            docs.append(Document("", sentences, int(rng.integers(2))))
+        assert any(not doc.sentences for doc in docs)
+        for n_s, n_w in [(3, 5), (1, 1), (6, 8), (2, 12)]:
+            blocks, labels = encode_batch(docs, table, n_s, n_w)
+            expected = np.stack([encode_reference(d, table, n_s, n_w) for d in docs])
+            assert blocks.shape == expected.shape
+            assert blocks.dtype == expected.dtype
+            assert blocks.tobytes() == expected.tobytes()
+            assert labels.tolist() == [d.label for d in docs]
+
+    def test_empty_document_list(self, small_table):
+        blocks, labels = encode_batch([], small_table, n_s=2, n_w=3)
+        assert blocks.shape == (0, 6, 3)
+        assert labels.shape == (0,)
+
+    @pytest.mark.parametrize("n_s,n_w", [(0, 3), (2, 0), (-1, -1)])
+    def test_nonpositive_extents_rejected(self, small_table, n_s, n_w):
+        with pytest.raises(ValueError):
+            encode_batch([Document("", [["a"]], 0)], small_table, n_s, n_w)
 
 
 class TestReadDataset:

@@ -17,7 +17,6 @@ from textcaps.training import (
     TooFewDocumentsError,
     TrainConfig,
     adam_step,
-    bce_loss,
     bce_loss_batch,
     compute_metrics,
     config_from_dict,
@@ -93,36 +92,46 @@ class TestSplitDataset:
         with pytest.raises(TooFewDocumentsError):
             split_dataset(_toy_corpus(2), (0.7, 0.2, 0.1), seed=0)
 
+    @pytest.mark.parametrize("n,sizes", [(3, "train 3, valid 0, test 0"),
+                                         (9, "train 8, valid 1, test 0")])
+    def test_empty_part_rejected(self, n, sizes):
+        with pytest.raises(TooFewDocumentsError) as exc:
+            split_dataset(_toy_corpus(n), (0.7, 0.2, 0.1), seed=0)
+        assert sizes in str(exc.value)
+
+    def test_smallest_nonempty_split(self):
+        parts = split_dataset(_toy_corpus(10), (0.7, 0.2, 0.1), seed=0)
+        assert [len(p) for p in parts] == [7, 2, 1]
+
 
 class TestBceLoss:
     def test_half_half(self):
-        loss = bce_loss(Tensor([0.5, 0.5]), label=1)
+        loss = bce_loss_batch(Tensor([[0.5, 0.5]]), np.array([1]))
         np.testing.assert_allclose(loss.item(), math.log(2.0), rtol=0, atol=1e-12)
 
     def test_perfect_confidence(self):
-        loss = bce_loss(Tensor([0.0, 1.0]), label=1)
+        loss = bce_loss_batch(Tensor([[0.0, 1.0]]), np.array([1]))
         assert loss.item() == 0.0
 
     def test_clamp_ceiling(self):
-        loss = bce_loss(Tensor([1.0, 1e-300]), label=1)
+        loss = bce_loss_batch(Tensor([[1.0, 1e-300]]), np.array([1]))
         np.testing.assert_allclose(loss.item(), -math.log(1e-12), rtol=0, atol=1e-9)
 
     def test_batch_mean_matches_singles(self):
         probs = np.array([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]])
         labels = np.array([0, 1, 1])
         batch = bce_loss_batch(Tensor(probs), labels).item()
-        singles = np.mean([bce_loss(Tensor(p), int(l)).item()
-                           for p, l in zip(probs, labels)])
+        singles = np.mean([bce_loss_batch(Tensor(probs[i:i + 1]), labels[i:i + 1]).item()
+                           for i in range(len(labels))])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
     def test_differentiable(self):
-        p = Tensor([0.4, 0.6])
+        p = Tensor([[0.4, 0.6]])  # already a distribution for this check
         with Tape() as tape:
-            sm = p  # already a distribution for this check
-            loss = bce_loss(sm, label=1)
+            loss = bce_loss_batch(p, np.array([1]))
         backward(loss, tape)
         # d(-log p1)/dp1 = -1/0.6
-        np.testing.assert_allclose(p.grad, [0.0, -1.0 / 0.6], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.grad, [[0.0, -1.0 / 0.6]], rtol=0, atol=1e-12)
 
 
 class TestAdam:
