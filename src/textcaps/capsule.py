@@ -61,16 +61,9 @@ def squash(x: Union[Tensor, np.ndarray]) -> Tensor:
     unchanged; the zero vector maps to the zero vector (the |x| -> 0 limit).
     """
     t = x if isinstance(x, Tensor) else Tensor(x)
-    rank1 = t.values.ndim == 1
-    if rank1:
-        t = t.reshape((1, t.values.shape[0]))
-    d = t.shape[-1]
-    norm = l2_norm(t, axis=-1)
-    one = Tensor(np.ones(norm.shape))
-    factor = div(norm, one + norm * norm)
-    expanded = factor.reshape(norm.shape + (1,)) @ Tensor(np.ones((1, d)))
-    out = t * expanded
-    return out.reshape((d,)) if rank1 else out
+    norm = l2_norm(t, axis=-1).reshape(t.shape[:-1] + (1,))
+    one = Tensor(np.ones((1,) * norm.values.ndim))
+    return t * div(norm, one + norm * norm)
 
 
 def primary_capsules_batch(fm: Tensor, projection: Tensor,
@@ -115,20 +108,16 @@ def dynamic_routing_batch(condensed: Tensor, transform: Tensor,
     u_hat = (condensed.reshape((b, n_cc, 1, 1, d)) @ w_t).reshape((b, n_cc, n_cls, d))
 
     logits = Tensor(np.zeros((b, n_cc, n_cls)))
-    ones_d = Tensor(np.ones((1, d)))
-    ones_cc = Tensor(np.ones((n_cc, 1)))
     history: List[Tensor] = []
     couplings = None
     v = None
     for iteration in range(config.routing_iterations):
         couplings = softmax(logits, axis=-1)
         history.append(couplings)
-        weighted = couplings.reshape((b, n_cc, n_cls, 1)) @ ones_d
-        s = (weighted * u_hat).sum(axis=1)
+        s = (couplings.reshape((b, n_cc, n_cls, 1)) * u_hat).sum(axis=1)
         v = squash(s)
         if iteration < config.routing_iterations - 1:
-            v_rows = (ones_cc @ v.reshape((b, 1, n_cls * d))).reshape((b, n_cc, n_cls, d))
-            agreement = (u_hat * v_rows).sum(axis=-1)
+            agreement = (u_hat * v.reshape((b, 1, n_cls, d))).sum(axis=-1)
             logits = logits + agreement
     return v, RoutingState(logits=logits, couplings=couplings,
                            coupling_history=history)

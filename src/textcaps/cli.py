@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .adversarial import PerturbationPolicy, augment_dataset
-from .model import forward_batch
+from .model import forward_batch, init_model
 from .serialize import (
     ModelFormatError,
     build_manifest,
@@ -105,10 +105,43 @@ def cmd_train(args) -> int:
     return 0
 
 
+class _ShapeOnlyRng:
+    """Stands in for SeededRng where only init_model's names and shapes count.
+
+    Uninitialised arrays take address space but no memory until written, so
+    metadata describing a huge model is rejected without filling RAM.
+    """
+
+    class generator:
+        @staticmethod
+        def uniform(low, high, size):
+            return np.empty(size)
+
+
 def _rebuild_from_checkpoint(model_path):
+    """Load a checkpoint and check its parameters against init_model's.
+
+    Raises ModelFormatError naming the first missing, unexpected, misshapen
+    or non-finite parameter.
+    """
     params, meta = load_model(model_path)
     encoder, head, n_s, n_w, e_d = config_parts_from_meta(meta)
     config = TrainConfig(encoder=encoder, head=head, n_s=n_s, n_w=n_w)
+    try:
+        expected = init_model(encoder, head, e_d, n_s * n_w, _ShapeOnlyRng())
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ModelFormatError(f"{model_path}: metadata describes no buildable model: {exc}")
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            raise ModelFormatError(f"{model_path}: parameter {name!r} is missing")
+        if name not in expected:
+            raise ModelFormatError(f"{model_path}: unexpected parameter {name!r}")
+        shape, want = params[name].tensor.shape, expected[name].tensor.shape
+        if shape != want:
+            raise ModelFormatError(
+                f"{model_path}: parameter {name!r} has shape {shape}, expected {want}")
+        if not np.isfinite(params[name].tensor.values).all():
+            raise ModelFormatError(f"{model_path}: parameter {name!r} holds non-finite values")
     return params, config, e_d
 
 

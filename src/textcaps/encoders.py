@@ -139,7 +139,7 @@ def _require(params: Dict[str, Parameter], name: str, shape: Tuple[int, ...]) ->
 
 
 def _cnn_forward(config: EncoderConfig, params: Dict[str, Parameter], x: Tensor) -> Tensor:
-    b, t, e = x.shape
+    _, t, e = x.shape
     maps: List[Tensor] = []
     for k in config.kernel_sizes:
         l_k = t - k + 1
@@ -147,8 +147,7 @@ def _cnn_forward(config: EncoderConfig, params: Dict[str, Parameter], x: Tensor)
         bias = _require(params, f"encoder.cnn.k{k}.b", (1, config.filters_per_kernel))
         # valid 1-d convolution as concatenated shifted slices + one matmul
         windows = concat([x.slice(axis=1, start=i, stop=l_k + i) for i in range(k)], axis=2)
-        ones = Tensor(np.ones((b, l_k, 1)))
-        maps.append(relu(windows @ w + ones @ bias))
+        maps.append(relu(windows @ w + bias.reshape((1, 1, config.filters_per_kernel))))
     return concat(maps, axis=1) if len(maps) > 1 else maps[0]
 
 
@@ -157,12 +156,11 @@ def _precompute_input_projections(x: Tensor, params, prefix: str,
     """x @ w_g + b_g for every gate, laid out (T, B, H) for cheap stepping."""
     b, t, e = x.shape
     flat = x.reshape((b * t, e))
-    ones = Tensor(np.ones((b * t, 1)))
     out = {}
     for gate in gates:
         w = _require(params, f"{prefix}.w_{gate}", (e, hidden))
         bias = _require(params, f"{prefix}.b_{gate}", (1, hidden))
-        out[gate] = (flat @ w + ones @ bias).reshape((b, t, hidden)).transpose((1, 0, 2))
+        out[gate] = (flat @ w + bias).reshape((b, t, hidden)).transpose((1, 0, 2))
     return out
 
 
@@ -181,7 +179,7 @@ def _recurrent_direction(config: EncoderConfig, params: Dict[str, Parameter],
     u = {g: _require(params, f"{prefix}.u_{g}", (hidden, hidden)) for g in gates}
 
     h = Tensor(np.zeros((b, hidden)))
-    ones = Tensor(np.ones((b, hidden)))
+    one = Tensor(np.ones((1, 1)))
     outputs: List[Tensor] = [None] * t  # type: ignore[list-item]
     cell = Tensor(np.zeros((b, hidden)))  # lstm only
     order = range(t - 1, -1, -1) if reverse else range(t)
@@ -190,7 +188,7 @@ def _recurrent_direction(config: EncoderConfig, params: Dict[str, Parameter],
             z = sigmoid(_step_slice(xproj["z"], step, b, hidden) + h @ u["z"])
             r = sigmoid(_step_slice(xproj["r"], step, b, hidden) + h @ u["r"])
             n = tanh(_step_slice(xproj["n"], step, b, hidden) + (r * h) @ u["n"])
-            h = z * h + (ones - z) * n
+            h = z * h + (one - z) * n
         else:
             i = sigmoid(_step_slice(xproj["i"], step, b, hidden) + h @ u["i"])
             f = sigmoid(_step_slice(xproj["f"], step, b, hidden) + h @ u["f"])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,26 +86,48 @@ def model_meta(config: TrainConfig, e_d: int) -> Dict[str, object]:
     return meta
 
 
+def _meta_int(meta: Dict[str, object], key: str) -> int:
+    if key not in meta:
+        raise ModelFormatError(f"checkpoint metadata lacks {key!r}")
+    value = meta[key]
+    if not isinstance(value, int):
+        raise ModelFormatError(f"checkpoint metadata {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def config_parts_from_meta(meta: Dict[str, object]) -> Tuple[
         EncoderConfig, Optional[CapsuleHeadConfig], int, int, int]:
-    """Rebuild (encoder, head, n_s, n_w, e_d) from checkpoint metadata."""
-    encoder = EncoderConfig(
-        kind=_CODE_KIND[int(meta["encoder_kind"])],
-        kernel_sizes=tuple(int(k) for k in meta["kernel_sizes"]),
-        filters_per_kernel=int(meta["filters_per_kernel"]),
-        hidden_dim=int(meta["hidden_dim"]),
-    )
-    if int(meta["head_type"]) == _HEAD_BASELINE:
-        head = None
-    else:
-        head = CapsuleHeadConfig(
-            n_pc=int(meta["n_pc"]),
-            n_cc=int(meta["n_cc"]),
-            d=int(meta["d"]),
-            n_cls=int(meta["n_cls"]),
-            routing_iterations=int(meta["routing_iterations"]),
-        )
-    return encoder, head, int(meta["n_s"]), int(meta["n_w"]), int(meta["e_d"])
+    """Rebuild (encoder, head, n_s, n_w, e_d) from checkpoint metadata.
+
+    Raises ModelFormatError for a missing key, a wrong type, an unknown
+    format version, encoder kind or head type code, or an invalid extent.
+    """
+    version = _meta_int(meta, "format_version")
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported checkpoint format version {version}")
+    kind_code = _meta_int(meta, "encoder_kind")
+    if kind_code not in _CODE_KIND:
+        raise ModelFormatError(f"unknown encoder kind code {kind_code}")
+    head_type = _meta_int(meta, "head_type")
+    if head_type not in (_HEAD_BASELINE, _HEAD_CAPSULE):
+        raise ModelFormatError(f"unknown head type code {head_type}")
+    kernel_sizes = meta.get("kernel_sizes")
+    if not isinstance(kernel_sizes, list) or not all(isinstance(k, int) for k in kernel_sizes):
+        raise ModelFormatError(
+            f"checkpoint metadata 'kernel_sizes' must be a list of integers, got {kernel_sizes!r}")
+    n_s, n_w, e_d, filters, hidden = (_meta_int(meta, key) for key in (
+        "n_s", "n_w", "e_d", "filters_per_kernel", "hidden_dim"))
+    head_extents = None if head_type == _HEAD_BASELINE else {
+        key: _meta_int(meta, key) for key in ("n_pc", "n_cc", "d", "n_cls", "routing_iterations")}
+    try:
+        encoder = EncoderConfig(kind=_CODE_KIND[kind_code], kernel_sizes=tuple(kernel_sizes),
+                                filters_per_kernel=filters, hidden_dim=hidden)
+        head = None if head_extents is None else CapsuleHeadConfig(**head_extents)
+    except ValueError as exc:
+        raise ModelFormatError(f"checkpoint metadata is invalid: {exc}") from exc
+    if min(n_s, n_w, e_d) < 1:
+        raise ModelFormatError("checkpoint metadata 'n_s', 'n_w' and 'e_d' must be >= 1")
+    return encoder, head, n_s, n_w, e_d
 
 
 def save_model(path, params: Dict[str, Parameter], meta: Dict[str, object]) -> None:
@@ -118,6 +141,12 @@ def save_model(path, params: Dict[str, Parameter], meta: Dict[str, object]) -> N
             _write_record(fh, name, params[name].tensor.values)
 
 
+def _meta_number(value) -> object:
+    """An integral metadata value as int; any other (NaN, inf too) as float."""
+    value = float(value)
+    return int(value) if value.is_integer() else value
+
+
 def load_model(path) -> Tuple[Dict[str, Parameter], Dict[str, object]]:
     """Read a checkpoint back into Parameters plus its metadata dict."""
     with open(path, "rb") as fh:
@@ -128,6 +157,7 @@ def load_model(path) -> Tuple[Dict[str, Parameter], Dict[str, object]]:
     offset = len(MAGIC)
     params: Dict[str, Parameter] = {}
     meta: Dict[str, object] = {}
+    seen = set()
 
     def take(count: int) -> bytes:
         nonlocal offset
@@ -139,18 +169,26 @@ def load_model(path) -> Tuple[Dict[str, Parameter], Dict[str, object]]:
 
     while offset < len(blob):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{path}: record name at byte {offset} is not UTF-8")
         (rank,) = struct.unpack("<I", take(4))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        values = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape).copy()
+        raw = take(math.prod(shape) * 8)
+        try:
+            values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # e.g. a zero extent beside huge ones
+            raise ModelFormatError(f"{path}: record {name!r} has an unusable shape ({exc})")
+        if name in seen:
+            raise ModelFormatError(f"{path}: duplicate record {name!r}")
+        seen.add(name)
         if name.startswith("meta."):
+            if values.ndim > 1:
+                raise ModelFormatError(f"{path}: metadata record {name!r} has rank {values.ndim}")
             key = name[len("meta."):]
-            if values.ndim == 0:
-                scalar = float(values)
-                meta[key] = int(scalar) if scalar == int(scalar) else scalar
-            else:
-                meta[key] = [int(v) if v == int(v) else float(v) for v in values]
+            meta[key] = (_meta_number(values) if values.ndim == 0
+                         else [_meta_number(v) for v in values])
         else:
             params[name] = Parameter(Tensor(values), name)
     if not meta and not params:

@@ -5,11 +5,12 @@ executed under an active :class:`Tape` records one node per primitive
 application; :func:`backward` replays the tape in reverse and accumulates
 gradients by summation wherever a tensor fans out into several consumers.
 
-Broadcasting is deliberately restricted: elementwise primitives require
-bitwise-equal shapes, and the only implicit alignment allowed is the batch
-broadcasting of ``matmul`` (numpy semantics on the leading axes) plus the
-scalar ``scale`` primitive. Shape alignment everywhere else is explicit,
-which keeps shape bugs loud in a from-scratch engine.
+Broadcasting is deliberately narrow: ``add``/``sub``/``mul``/``div`` take
+operands of equal rank whose extents are pairwise equal or 1, ``matmul``
+broadcasts its leading batch axes (numpy semantics) and ``scale`` takes a
+scalar. Ranks are never aligned implicitly, which keeps shape bugs loud in a
+from-scratch engine. Values are always C-contiguous, so ``reshape`` and an
+axis-0 ``slice`` are views while ``transpose`` copies.
 """
 
 from __future__ import annotations
@@ -180,7 +181,9 @@ def _shape_error(kind: str, message: str, *shapes) -> ShapeMismatchError:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast matmul gradient back down to the operand's shape."""
+    """Sum a gradient back down over the axes its operand was broadcast along."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -205,11 +208,11 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_same_shape(kind):
+def _check_broadcast(kind):
     def check(arrays, kw):
-        if arrays[0].shape != arrays[1].shape:
-            raise _shape_error(kind, "operand shapes must match exactly",
-                               arrays[0].shape, arrays[1].shape)
+        a, b = arrays[0].shape, arrays[1].shape
+        if len(a) != len(b) or any(x != y and x != 1 and y != 1 for x, y in zip(a, b)):
+            raise _shape_error(kind, "operands need equal rank and extents equal or 1", a, b)
     return check
 
 
@@ -218,7 +221,8 @@ def _op_add(arrays, kw):
 
 
 def _bw_add(arrays, out, kw):
-    return lambda g: (g, g)
+    a, b = arrays
+    return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
 
 
 def _op_sub(arrays, kw):
@@ -226,7 +230,8 @@ def _op_sub(arrays, kw):
 
 
 def _bw_sub(arrays, out, kw):
-    return lambda g: (g, -g)
+    a, b = arrays
+    return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
 
 
 def _op_mul(arrays, kw):
@@ -235,7 +240,7 @@ def _op_mul(arrays, kw):
 
 def _bw_mul(arrays, out, kw):
     a, b = arrays
-    return lambda g: (g * b, g * a)
+    return lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
 
 
 def _op_div(arrays, kw):
@@ -244,7 +249,7 @@ def _op_div(arrays, kw):
 
 def _bw_div(arrays, out, kw):
     a, b = arrays
-    return lambda g: (g / b, -g * a / (b * b))
+    return lambda g: (_unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape))
 
 
 def _check_matmul(arrays, kw):
@@ -341,7 +346,7 @@ def _op_slice(arrays, kw):
         slice(kw["start"], kw["stop"]) if ax == kw["axis"] else slice(None)
         for ax in range(arrays[0].ndim)
     )
-    return arrays[0][index].copy()
+    return arrays[0][index]
 
 
 def _bw_slice(arrays, out, kw):
@@ -361,7 +366,7 @@ def _check_reshape(arrays, kw):
 
 
 def _op_reshape(arrays, kw):
-    return arrays[0].reshape(kw["shape"]).copy()
+    return arrays[0].reshape(kw["shape"])
 
 
 def _bw_reshape(arrays, out, kw):
@@ -377,7 +382,7 @@ def _check_transpose(arrays, kw):
 
 
 def _op_transpose(arrays, kw):
-    return np.ascontiguousarray(np.transpose(arrays[0], kw["perm"]))
+    return np.transpose(arrays[0], kw["perm"])
 
 
 def _bw_transpose(arrays, out, kw):
@@ -506,10 +511,10 @@ def _check_unary(kind):
 
 _PRIMITIVES: dict = {
     "matmul": (_check_matmul, _op_matmul, _bw_matmul),
-    "add": (_check_same_shape("add"), _op_add, _bw_add),
-    "sub": (_check_same_shape("sub"), _op_sub, _bw_sub),
-    "mul": (_check_same_shape("mul"), _op_mul, _bw_mul),
-    "div": (_check_same_shape("div"), _op_div, _bw_div),
+    "add": (_check_broadcast("add"), _op_add, _bw_add),
+    "sub": (_check_broadcast("sub"), _op_sub, _bw_sub),
+    "mul": (_check_broadcast("mul"), _op_mul, _bw_mul),
+    "div": (_check_broadcast("div"), _op_div, _bw_div),
     "scale": (_check_scale, _op_scale, _bw_scale),
     "concat": (_check_concat, _op_concat, _bw_concat),
     "slice": (_check_slice, _op_slice, _bw_slice),

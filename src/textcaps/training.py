@@ -19,7 +19,7 @@ import numpy as np
 
 from .adversarial import PerturbationPolicy, SeededRng, augment_dataset
 from .capsule import CapsuleHeadConfig
-from .encoders import EncoderConfig
+from .encoders import ENCODER_KINDS, EncoderConfig
 from .model import forward_batch, init_model
 from .tensor import Parameter, Tape, Tensor, backward, log, relu
 from .text import Document, EmbeddingTable, encode_batch
@@ -48,6 +48,10 @@ class EpochOutOfRangeError(TrainingError):
 
 class MissingGradientError(TrainingError):
     pass
+
+
+class NonFiniteLossError(TrainingError):
+    """A training or validation loss became NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ _BCE_CLAMP = 1e-12
 
 def _clamped_log(t: Tensor) -> Tensor:
     # max(t, 1e-12) built from primitives: relu(t - c) + c
-    floor_const = Tensor(np.full(t.shape, _BCE_CLAMP))
+    floor_const = Tensor(np.full((1,) * t.values.ndim, _BCE_CLAMP))
     return log(relu(t - floor_const) + floor_const)
 
 
@@ -245,6 +249,18 @@ def evaluate(params: Dict[str, Parameter], docs: Sequence[Document],
                             labels, config.batch_size, split)
 
 
+def _diverged(params: Dict[str, Parameter], what: str, value: float,
+              epoch: int, step: int) -> NonFiniteLossError:
+    first = next((name for name in sorted(params)
+                  if not np.isfinite(params[name].tensor.values).all()), None)
+    culprit = (f"first non-finite parameter {first!r}" if first is not None
+               else "every parameter is finite")
+    return NonFiniteLossError(
+        f"{what} is {value} at epoch {epoch}, step {step}; {culprit}")
+
+
+# Overflow warnings would only repeat what the non-finite loss checks report.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config: TrainConfig, docs: Sequence[Document],
           table: EmbeddingTable) -> Tuple[Dict[str, Parameter], List[EpochRecord]]:
     """Mini-batch optimization; returns best-validation-epoch parameters.
@@ -252,6 +268,8 @@ def train(config: TrainConfig, docs: Sequence[Document],
     With config.adversarial, each epoch's training stream is the shuffled
     concatenation of the clean documents and their adversarial copies for
     that epoch (regenerated per epoch unless adversarial_resample is off).
+    A NaN or infinite training-step or validation loss stops the run with
+    NonFiniteLossError.
     """
     if not docs:
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -299,6 +317,9 @@ def train(config: TrainConfig, docs: Sequence[Document],
             with Tape() as tape:
                 out = forward_batch(config.encoder, config.head, params, xb)
                 loss = bce_loss_batch(out.probs, yb)
+            step_loss = loss.item()
+            if not math.isfinite(step_loss):
+                raise _diverged(params, "training loss", step_loss, epoch, global_step)
             backward(loss, tape)
             if config.lr_decay == "step":
                 lr = config.learning_rate * (1.0 - global_step / total_steps)
@@ -306,7 +327,7 @@ def train(config: TrainConfig, docs: Sequence[Document],
                 lr = lr_epoch
             adam_step(params, state, lr)
             global_step += 1
-            loss_sum += loss.item() * len(idx)
+            loss_sum += step_loss * len(idx)
             preds[start:start + len(idx)] = np.argmax(out.probs.values, axis=1)
         stream_labels = labels[order]
         train_metrics = compute_metrics(stream_labels, preds,
@@ -314,6 +335,8 @@ def train(config: TrainConfig, docs: Sequence[Document],
         valid_metrics = _forward_metrics(config.encoder, config.head, params,
                                          valid_blocks, valid_labels,
                                          config.batch_size, "valid")
+        if not math.isfinite(valid_metrics.loss):
+            raise _diverged(params, "validation loss", valid_metrics.loss, epoch, global_step)
         history.append(EpochRecord(epoch=epoch, train=train_metrics,
                                    valid=valid_metrics))
         if valid_metrics.accuracy > best_acc:
@@ -428,36 +451,67 @@ def config_to_dict(config: TrainConfig) -> dict:
     }
 
 
+_ENCODER_SCHEMA = {"kind": ENCODER_KINDS, "kernel_sizes": [int],
+                   "filters_per_kernel": int, "hidden_dim": int}
+_HEAD_SCHEMA = {"type": ("capsule", "baseline"), "n_pc": int, "n_cc": int, "d": int, "n_cls": int,
+                "routing_iterations": int}
+_TOP_SCHEMA = {"encoder": dict, "head": dict, "adversarial": bool, "learning_rate": float,
+               "epochs": int, "batch_size": int, "split": [float], "seed": int,
+               "n_s": int, "n_w": int, "lr_decay": ("epoch", "step"),
+               "adversarial_resample": bool}
+
+
+def _has_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(repr(k) for k in kind)
+    if isinstance(kind, list):
+        return "a list of " + {int: "integers", float: "numbers"}[kind[0]]
+    return {int: "an integer", float: "a number", bool: "true or false",
+            dict: "an object"}[kind]
+
+
+def _checked_section(data, schema: dict, prefix: str) -> dict:
+    """The keys of one config object, each checked against its schema kind."""
+    out = {}
+    for key, value in data.items():
+        if key not in schema:
+            raise ValueError(f"config key {prefix + key!r} is unknown")
+        if not _has_kind(value, schema[key]):
+            raise ValueError(f"config key {prefix + key!r} must be "
+                             f"{_describe(schema[key])}, got {value!r}")
+        out[key] = tuple(value) if isinstance(value, list) else value
+    return out
+
+
 def config_from_dict(data: dict) -> TrainConfig:
-    enc = data["encoder"]
-    encoder = EncoderConfig(
-        kind=enc["kind"],
-        kernel_sizes=tuple(enc.get("kernel_sizes", (3, 4, 5))),
-        filters_per_kernel=enc.get("filters_per_kernel", 300),
-        hidden_dim=enc.get("hidden_dim", 300),
-    )
-    head_data = data.get("head", {"type": "capsule"})
-    if head_data.get("type") == "baseline":
+    """Parse a config object strictly: unknown keys and wrong types raise
+    ValueError naming the key; absent keys take the dataclass defaults."""
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
+    top = _checked_section(data, _TOP_SCHEMA, "")
+    if "encoder" not in top:
+        raise ValueError("config key 'encoder' is missing")
+    enc = _checked_section(top.pop("encoder"), _ENCODER_SCHEMA, "encoder.")
+    if "kind" not in enc:
+        raise ValueError("config key 'encoder.kind' is missing")
+    head_data = _checked_section(top.pop("head", {}), _HEAD_SCHEMA, "head.")
+    if head_data.pop("type", "capsule") == "baseline":
+        if head_data:
+            raise ValueError(f"config key 'head.{min(head_data)}' does not apply "
+                             "to a baseline head")
         head = None
     else:
-        head = CapsuleHeadConfig(
-            n_pc=head_data.get("n_pc", 8),
-            n_cc=head_data.get("n_cc", 128),
-            d=head_data.get("d", 16),
-            n_cls=head_data.get("n_cls", 2),
-            routing_iterations=head_data.get("routing_iterations", 3),
-        )
-    return TrainConfig(
-        encoder=encoder,
-        head=head,
-        adversarial=data.get("adversarial", False),
-        learning_rate=data.get("learning_rate", 5e-5),
-        epochs=data.get("epochs", 20),
-        batch_size=data.get("batch_size", 32),
-        split=tuple(data.get("split", (0.7, 0.2, 0.1))),
-        seed=data.get("seed", 0),
-        n_s=data.get("n_s", 5),
-        n_w=data.get("n_w", 60),
-        lr_decay=data.get("lr_decay", "epoch"),
-        adversarial_resample=data.get("adversarial_resample", True),
-    )
+        head = CapsuleHeadConfig(**head_data)
+    return TrainConfig(encoder=EncoderConfig(**enc), head=head, **top)

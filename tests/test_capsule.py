@@ -23,7 +23,16 @@ from textcaps.capsule import (
     squash,
 )
 from textcaps.encoders import EncoderConfig, encoder_forward_batch, init_encoder
-from textcaps.tensor import ShapeMismatchError, Tensor, grad_check
+from textcaps.tensor import (
+    ShapeMismatchError,
+    Tape,
+    Tensor,
+    backward,
+    div,
+    grad_check,
+    l2_norm,
+    softmax,
+)
 
 
 def squash_oracle(x: np.ndarray) -> np.ndarray:
@@ -57,6 +66,105 @@ def routing_oracle(u: np.ndarray, w: np.ndarray, iterations: int):
                 for k in range(n_cls):
                     logits[j, k] += u_hat[j, k] @ v[k]
     return v, logits, couplings
+
+
+def squash_ones_reference(t: Tensor) -> Tensor:
+    """The squash that predates elementwise broadcasting: the scale factor is
+    expanded to the vector width by a matmul with a ones row."""
+    rank1 = t.values.ndim == 1
+    if rank1:
+        t = t.reshape((1, t.values.shape[0]))
+    d = t.shape[-1]
+    norm = l2_norm(t, axis=-1)
+    one = Tensor(np.ones(norm.shape))
+    factor = div(norm, one + norm * norm)
+    expanded = factor.reshape(norm.shape + (1,)) @ Tensor(np.ones((1, d)))
+    out = t * expanded
+    return out.reshape((d,)) if rank1 else out
+
+
+def routing_ones_reference(condensed: Tensor, transform: Tensor, iterations: int):
+    """The routing that predates elementwise broadcasting: couplings and class
+    capsules are expanded by matmuls with ones. Returns (v, logits, couplings)."""
+    b, n_cc, d = condensed.shape
+    n_cls = transform.shape[1]
+    w_t = transform.transpose((0, 1, 3, 2))
+    u_hat = (condensed.reshape((b, n_cc, 1, 1, d)) @ w_t).reshape((b, n_cc, n_cls, d))
+    logits = Tensor(np.zeros((b, n_cc, n_cls)))
+    ones_d = Tensor(np.ones((1, d)))
+    ones_cc = Tensor(np.ones((n_cc, 1)))
+    for iteration in range(iterations):
+        couplings = softmax(logits, axis=-1)
+        weighted = couplings.reshape((b, n_cc, n_cls, 1)) @ ones_d
+        v = squash_ones_reference((weighted * u_hat).sum(axis=1))
+        if iteration < iterations - 1:
+            v_rows = (ones_cc @ v.reshape((b, 1, n_cls * d))).reshape((b, n_cc, n_cls, d))
+            logits = logits + (u_hat * v_rows).sum(axis=-1)
+    return v, logits, couplings
+
+
+def _grads(fn, arrays):
+    """Gradients of the scalar fn(*tensors) with respect to each array."""
+    tensors = [Tensor(a.copy()) for a in arrays]
+    with Tape() as tape:
+        loss = fn(*tensors)
+    backward(loss, tape)
+    return [t.grad for t in tensors]
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestOnesMatmulReference:
+    """Broadcasting replaced ones-matmuls in squash and routing: the forward
+    values must not move by a single bit, the gradients only by rounding."""
+
+    SHAPES = [(5,), (1, 4), (3, 7, 4), (2, 3, 2, 6)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_squash_forward_bytes(self, shape):
+        x = np.random.default_rng(len(shape)).uniform(-3, 3, size=shape)
+        x.reshape(-1)[0] = 0.0
+        assert squash(Tensor(x)).values.tobytes() == \
+            squash_ones_reference(Tensor(x)).values.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_squash_gradient(self, shape):
+        rng = np.random.default_rng(10 + len(shape))
+        x, weights = rng.uniform(-3, 3, size=shape), rng.uniform(-1, 1, size=shape)
+        (got,) = _grads(lambda t: (squash(t) * Tensor(weights)).sum(), [x])
+        (want,) = _grads(lambda t: (squash_ones_reference(t) * Tensor(weights)).sum(), [x])
+        _assert_rel_close(got, want)
+
+    @pytest.mark.parametrize("b, n_cc, n_cls, d, iterations",
+                             [(1, 1, 2, 1, 1), (2, 4, 2, 3, 3), (3, 5, 3, 4, 2)])
+    def test_routing_forward_bytes_and_gradients(self, b, n_cc, n_cls, d, iterations):
+        cfg = _head_config(n_cc=n_cc, n_cls=n_cls, d=d, routing_iterations=iterations)
+        rng = np.random.default_rng(b * 100 + n_cc)
+        u = rng.normal(size=(b, n_cc, d))
+        w = rng.normal(size=(n_cc, n_cls, d, d))
+        v, state = dynamic_routing_batch(Tensor(u), Tensor(w), cfg)
+        v_ref, logits_ref, couplings_ref = routing_ones_reference(Tensor(u), Tensor(w),
+                                                                  iterations)
+        assert v.values.tobytes() == v_ref.values.tobytes()
+        assert state.logits.values.tobytes() == logits_ref.values.tobytes()
+        assert state.couplings.values.tobytes() == couplings_ref.values.tobytes()
+
+        wv = Tensor(rng.uniform(-1, 1, size=(b, n_cls, d)))
+        wl = Tensor(rng.uniform(-1, 1, size=(b, n_cc, n_cls)))
+
+        def loss(v, logits, *_):
+            return (v * wv).sum() + (logits * wl).sum()
+
+        def routed(cu, tw):
+            v, state = dynamic_routing_batch(cu, tw, cfg)
+            return v, state.logits
+
+        got = _grads(lambda cu, tw: loss(*routed(cu, tw)), [u, w])
+        want = _grads(lambda cu, tw: loss(*routing_ones_reference(cu, tw, iterations)), [u, w])
+        for g, r in zip(got, want):
+            _assert_rel_close(g, r)
 
 
 class TestSquash:

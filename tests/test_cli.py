@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from textcaps.cli import build_parser, main
+from textcaps.serialize import load_model, save_model
 from textcaps.text import read_dataset
 
 
@@ -182,6 +183,82 @@ class TestEval:
                         "--data", str(empty),
                         "--embeddings", str(workspace / "emb.txt")])
         assert code == 1
+
+
+def _assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestMalformedInputs:
+    def _eval(self, model, workspace):
+        return run_cli(["eval", "--model", str(model),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt")])
+
+    @pytest.mark.parametrize("change, fragment", [
+        ({"encoder_kind": 99}, "encoder kind code 99"),
+        ({"head_type": 7}, "head type code 7"),
+        ({"format_version": 2}, "format version 2"),
+        ({"n_pc": 2.5}, "'n_pc' must be an integer"),
+        ({"kernel_sizes": 2}, "'kernel_sizes' must be a list"),
+        ({"d": None}, "lacks 'd'"),
+        ({"n_s": 0}, "'n_s', 'n_w' and 'e_d' must be >= 1"),
+        ({"hidden_dim": 0}, "metadata is invalid"),
+    ])
+    def test_bad_metadata(self, trained, workspace, tmp_path, capsys, change, fragment):
+        params, meta = load_model(trained / "model.caps")
+        meta = {key: value for key, value in {**meta, **change}.items() if value is not None}
+        save_model(tmp_path / "m.caps", params, meta)
+        assert self._eval(tmp_path / "m.caps", workspace) == 1
+        _assert_one_line_error(capsys, fragment)
+
+    def test_missing_parameter(self, trained, workspace, tmp_path, capsys):
+        params, meta = load_model(trained / "model.caps")
+        del params["head.routing.w"]
+        save_model(tmp_path / "m.caps", params, meta)
+        assert self._eval(tmp_path / "m.caps", workspace) == 1
+        _assert_one_line_error(capsys, "'head.routing.w' is missing")
+
+    def test_misshapen_parameter(self, trained, workspace, tmp_path, capsys):
+        params, meta = load_model(trained / "model.caps")
+        save_model(tmp_path / "m.caps", params, {**meta, "n_cc": meta["n_cc"] + 1})
+        assert self._eval(tmp_path / "m.caps", workspace) == 1
+        _assert_one_line_error(capsys, "'head.compress.w' has shape")
+
+    @pytest.mark.parametrize("change", [{"n_cc": 10 ** 12},
+                                        {"kernel_sizes": [1e300], "e_d": 1e300}])
+    def test_meta_describing_a_huge_model(self, trained, workspace, tmp_path, capsys, change):
+        params, meta = load_model(trained / "model.caps")
+        save_model(tmp_path / "m.caps", params, {**meta, **change})
+        assert self._eval(tmp_path / "m.caps", workspace) == 1
+        _assert_one_line_error(capsys, "m.caps")  # rejected without filling memory
+
+    def test_config_typo(self, workspace, tmp_path, capsys):
+        config = json.loads((workspace / "config.json").read_text())
+        config["learning_rat"] = config.pop("learning_rate")
+        (tmp_path / "typo.json").write_text(json.dumps(config))
+        code = run_cli(["train", "--config", str(tmp_path / "typo.json"),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        _assert_one_line_error(capsys, "'learning_rat'")
+
+    def test_diverging_run_writes_no_model(self, workspace, tmp_path, capsys):
+        config = json.loads((workspace / "config.json").read_text())
+        config["learning_rate"] = 1e300
+        (tmp_path / "nan.json").write_text(json.dumps(config))
+        code = run_cli(["train", "--config", str(tmp_path / "nan.json"),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        _assert_one_line_error(capsys, "loss is nan at epoch 0")
+        assert not (tmp_path / "run" / "model.caps").exists()
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
 class TestAugment:

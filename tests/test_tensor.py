@@ -74,6 +74,15 @@ class TestErrors:
         msg = str(exc.value)
         assert "add" in msg and "(2, 3)" in msg and "(3, 2)" in msg
 
+    @pytest.mark.parametrize("kind", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("left, right", [((2, 3), (3,)), ((2, 3), (3, 3)),
+                                             ((2, 1, 4), (2, 3, 3))])
+    def test_broadcast_needs_equal_rank_and_unit_extents(self, kind, left, right):
+        with pytest.raises(ShapeMismatchError) as exc:
+            apply_primitive(kind, [Tensor(np.ones(left)), Tensor(np.ones(right))])
+        msg = str(exc.value)
+        assert kind in msg and str(left) in msg and str(right) in msg
+
     def test_matmul_inner_mismatch(self):
         with pytest.raises(ShapeMismatchError) as exc:
             apply_primitive("matmul", [Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))])
@@ -129,6 +138,21 @@ class TestBackward:
 
         assert run() == run()
 
+    def test_broadcast_forward_matches_numpy(self):
+        a = np.arange(6.0).reshape(2, 3, 1)
+        b = np.linspace(1.0, 2.0, 4).reshape(1, 1, 4)
+        for kind, expected in (("add", a + b), ("sub", a - b), ("mul", a * b), ("div", a / b)):
+            out = apply_primitive(kind, [Tensor(a), Tensor(b)])
+            assert out.values.tobytes() == expected.tobytes()
+
+    def test_reshape_and_leading_slice_are_views(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        assert np.shares_memory(x.reshape((4, 3)).values, x.values)
+        assert np.shares_memory(x.slice(axis=0, start=1, stop=3).values, x.values)
+        inner = x.slice(axis=1, start=1, stop=3).values
+        assert inner.flags.c_contiguous and not np.shares_memory(inner, x.values)
+        assert x.transpose((1, 0)).values.flags.c_contiguous
+
     def test_no_tape_records_nothing(self):
         x = Tensor([1.0, 2.0])
         out = x + x
@@ -183,6 +207,17 @@ class TestGradCheckPrimitives:
             return (s + d + m + q).sum()
 
         self._check(fn, [a, b])
+
+    def test_broadcast_elementwise(self):
+        # a size-1 axis on the left operand, on the right, and on both
+        rng = np.random.default_rng(14)
+        for left, right in [((3, 1), (3, 4)), ((2, 3, 4), (1, 3, 1)), ((3, 1), (1, 4))]:
+            for kind in ("add", "sub", "mul", "div"):
+                a = rng.uniform(-2, 2, left)
+                b = rng.uniform(0.5, 2, right)  # positive, so div stays smooth
+                weights = Tensor(rng.uniform(-1, 1, np.broadcast_shapes(left, right)))
+                self._check(lambda ps: (apply_primitive(kind, [ps[0].tensor, ps[1].tensor])
+                                        * weights).sum(), [a, b])
 
     def test_scale(self):
         rng = np.random.default_rng(6)

@@ -1,12 +1,17 @@
 """Training engine tests: splits, BCE, Adam, LR decay, metrics, determinism."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from textcaps import tensor, training
+from textcaps.adversarial import SeededRng
 from textcaps.capsule import CapsuleHeadConfig
 from textcaps.encoders import EncoderConfig
+from textcaps.model import forward_batch, init_model
 from textcaps.tensor import Tape, Tensor, backward, Parameter
 from textcaps.text import Document, EmbeddingTable
 from textcaps.training import (
@@ -14,6 +19,7 @@ from textcaps.training import (
     EmptyDatasetError,
     EpochOutOfRangeError,
     MissingGradientError,
+    NonFiniteLossError,
     TooFewDocumentsError,
     TrainConfig,
     adam_step,
@@ -338,3 +344,137 @@ class TestConfigRoundTrip:
     def test_split_validation(self):
         with pytest.raises(ValueError):
             _toy_config(split=(0.5, 0.2, 0.2))
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """The benchmark's workload definitions, read from perfbench/bench.py."""
+    home = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, home)
+    try:
+        import bench
+    finally:
+        sys.path.remove(home)
+    return bench.WORKLOADS
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("change, key", [
+        ({"learning_rat": 1e-3}, "learning_rat"),
+        ({"threads": 1}, "threads"),
+        ({"seed": "abc"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"epochs": 2.0}, "epochs"),
+        ({"learning_rate": "fast"}, "learning_rate"),
+        ({"adversarial": 1}, "adversarial"),
+        ({"split": 0.7}, "split"),
+        ({"split": [0.7, "0.2", 0.1]}, "split"),
+        ({"lr_decay": "cosine"}, "lr_decay"),
+        ({"encoder": "cnn"}, "encoder"),
+        ({"encoder": {"kind": "cnn", "hidden": 3}}, "encoder.hidden"),
+        ({"encoder": {"kind": "rnn"}}, "encoder.kind"),
+        ({"encoder": {"kernel_sizes": [2]}}, "encoder.kind"),
+        ({"encoder": {"kind": "cnn", "kernel_sizes": [2.5]}}, "encoder.kernel_sizes"),
+        ({"head": {"type": "baselin"}}, "head.type"),
+        ({"head": {"type": "capsule", "n_pcc": 2}}, "head.n_pcc"),
+        ({"head": {"type": "capsule", "d": None}}, "head.d"),
+        ({"head": {"type": "baseline", "n_pc": 2}}, "head.n_pc"),
+    ])
+    def test_rejects_naming_the_key(self, change, key):
+        data = {**config_to_dict(_toy_config()), **change}
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            config_from_dict(data)
+
+    def test_missing_encoder(self):
+        data = config_to_dict(_toy_config())
+        del data["encoder"]
+        with pytest.raises(ValueError, match="'encoder' is missing"):
+            config_from_dict(data)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError):
+            config_from_dict([1, 2])
+
+    def test_defaults_and_int_for_float(self):
+        config = config_from_dict({"encoder": {"kind": "gru"}, "learning_rate": 1})
+        assert config.learning_rate == 1 and config.head == CapsuleHeadConfig()
+        assert config == TrainConfig(encoder=EncoderConfig(kind="gru"),
+                                     head=CapsuleHeadConfig(), learning_rate=1.0)
+
+    def test_every_bench_workload_loads(self, bench_workloads):
+        for workload in bench_workloads.values():
+            config = config_from_dict({**workload.config, "seed": 1})
+            assert config_from_dict(config_to_dict(config)) == config
+
+
+class TestNonFiniteGuard:
+    def test_training_step_loss(self):
+        # lr 1e300 keeps every parameter finite but overflows the next forward
+        config = _toy_config(learning_rate=1e300, batch_size=4)
+        with pytest.raises(NonFiniteLossError,
+                           match=r"^training loss is nan at epoch 0, step 1; "
+                                 r"every parameter is finite$"):
+            train(config, _toy_corpus(), _toy_table())
+
+    def test_validation_loss(self):
+        # one step per epoch, so the first NaN is met by validation
+        config = _toy_config(learning_rate=1e300, batch_size=64)
+        with pytest.raises(NonFiniteLossError,
+                           match=r"^validation loss is nan at epoch 0, step 1; "):
+            train(config, _toy_corpus(), _toy_table())
+
+    def test_names_first_non_finite_parameter(self, monkeypatch):
+        step = training.adam_step
+
+        def poisoned_step(params, state, lr):
+            step(params, state, lr)
+            if state.step_count == 3:
+                params["head.routing.w"].tensor.values[0, 0, 0, 0] = np.inf
+                params["head.primary.w"].tensor.values[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "adam_step", poisoned_step)
+        with pytest.raises(NonFiniteLossError,
+                           match=r"^training loss is nan at epoch 0, step 3; "
+                                 r"first non-finite parameter 'head.primary.w'$"):
+            train(_toy_config(batch_size=4), _toy_corpus(), _toy_table())
+
+
+def _record_primitives(monkeypatch):
+    calls = []
+    apply = tensor.apply_primitive
+
+    def recording(kind, operands, **kw):
+        out = apply(kind, operands, **kw)
+        calls.append((kind, operands, out))
+        return out
+
+    monkeypatch.setattr(tensor, "apply_primitive", recording)
+    return calls
+
+
+class TestTapeShape:
+    """One forward+loss on each benchmark training config: every matmul
+    multiplies by a weight (no constant ones operand), and the node counts
+    are those of the broadcasting engine."""
+
+    @pytest.mark.parametrize("name, nodes, matmuls", [
+        ("train-cnn-caps", 89, 6), ("train-bigru-desk", 2668, 369)])
+    def test_only_weight_products(self, bench_workloads, monkeypatch, name, nodes, matmuls):
+        config = config_from_dict({**bench_workloads[name].config, "seed": 0})
+        e_d = 4
+        params = init_model(config.encoder, config.head, e_d, config.n_s * config.n_w,
+                            SeededRng(0))
+        x = Tensor(np.random.default_rng(0).normal(size=(2, config.n_s * config.n_w, e_d)))
+        calls = _record_primitives(monkeypatch)
+        with Tape() as tape:
+            out = forward_batch(config.encoder, config.head, params, x)
+            bce_loss_batch(out.probs, np.array([0, 1]))
+        weights = {id(p.tensor) for p in params.values()}
+        products = 0
+        for kind, operands, result in calls:
+            if kind in ("reshape", "transpose") and id(operands[0]) in weights:
+                weights.add(id(result))
+            elif kind == "matmul":
+                products += 1
+                assert any(id(t) in weights for t in operands)
+        assert (len(tape.nodes), products) == (nodes, matmuls)
