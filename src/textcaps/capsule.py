@@ -30,6 +30,10 @@ from .tensor import (
 )
 
 
+# Routing converges in a few iterations; the paper and Sabour et al. use 3.
+MAX_ROUTING_ITERATIONS = 10
+
+
 @dataclass(frozen=True)
 class CapsuleHeadConfig:
     n_pc: int = 8
@@ -43,6 +47,9 @@ class CapsuleHeadConfig:
             raise ValueError("capsule head extents must all be >= 1")
         if self.n_cls < 2:
             raise ValueError("n_cls must be >= 2")
+        if self.routing_iterations > MAX_ROUTING_ITERATIONS:
+            raise ValueError(f"routing_iterations must be <= {MAX_ROUTING_ITERATIONS}, "
+                             f"got {self.routing_iterations}")
 
 
 @dataclass

@@ -13,7 +13,9 @@ shape rules:
 
 Hybrids feed the CNN map's position sequence into the bidirectional
 recurrence. Convolutions are valid (no padding); recurrent initial states
-are zero.
+are zero. Each recurrent direction is one fused ``gru_scan``/``lstm_scan``
+primitive over the whole sequence, with the per-gate parameters stacked
+inside it, so checkpoints keep one named tensor per gate.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .tensor import (
     ShapeMismatchError,
     Tensor,
     concat,
+    gru_scan,
+    lstm_scan,
     relu,
-    sigmoid,
-    tanh,
 )
 
 ENCODER_KINDS = ("cnn", "gru", "bigru", "cnn-bigru", "lstm", "bilstm", "cnn-bilstm")
@@ -151,53 +153,16 @@ def _cnn_forward(config: EncoderConfig, params: Dict[str, Parameter], x: Tensor)
     return concat(maps, axis=1) if len(maps) > 1 else maps[0]
 
 
-def _precompute_input_projections(x: Tensor, params, prefix: str,
-                                  gates: Tuple[str, ...], hidden: int) -> Dict[str, Tensor]:
-    """x @ w_g + b_g for every gate, laid out (T, B, H) for cheap stepping."""
-    b, t, e = x.shape
-    flat = x.reshape((b * t, e))
-    out = {}
-    for gate in gates:
-        w = _require(params, f"{prefix}.w_{gate}", (e, hidden))
-        bias = _require(params, f"{prefix}.b_{gate}", (1, hidden))
-        out[gate] = (flat @ w + bias).reshape((b, t, hidden)).transpose((1, 0, 2))
-    return out
-
-
-def _step_slice(proj: Tensor, t: int, b: int, hidden: int) -> Tensor:
-    return proj.slice(axis=0, start=t, stop=t + 1).reshape((b, hidden))
-
-
 def _recurrent_direction(config: EncoderConfig, params: Dict[str, Parameter],
-                         x: Tensor, prefix: str, reverse: bool) -> List[Tensor]:
-    """Run one direction; returns per-position (B, 1, H) hidden states."""
+                         x: Tensor, prefix: str, reverse: bool) -> Tensor:
+    """Run one direction as one fused scan: (B, T, E) -> (B, T, H) hidden states."""
     kind = config.recurrent_kind
     hidden = config.hidden_dim
-    b, t, _ = x.shape
-    gates = _GATE_NAMES[kind]
-    xproj = _precompute_input_projections(x, params, prefix, gates, hidden)
-    u = {g: _require(params, f"{prefix}.u_{g}", (hidden, hidden)) for g in gates}
-
-    h = Tensor(np.zeros((b, hidden)))
-    one = Tensor(np.ones((1, 1)))
-    outputs: List[Tensor] = [None] * t  # type: ignore[list-item]
-    cell = Tensor(np.zeros((b, hidden)))  # lstm only
-    order = range(t - 1, -1, -1) if reverse else range(t)
-    for step in order:
-        if kind == "gru":
-            z = sigmoid(_step_slice(xproj["z"], step, b, hidden) + h @ u["z"])
-            r = sigmoid(_step_slice(xproj["r"], step, b, hidden) + h @ u["r"])
-            n = tanh(_step_slice(xproj["n"], step, b, hidden) + (r * h) @ u["n"])
-            h = z * h + (one - z) * n
-        else:
-            i = sigmoid(_step_slice(xproj["i"], step, b, hidden) + h @ u["i"])
-            f = sigmoid(_step_slice(xproj["f"], step, b, hidden) + h @ u["f"])
-            o = sigmoid(_step_slice(xproj["o"], step, b, hidden) + h @ u["o"])
-            g = tanh(_step_slice(xproj["g"], step, b, hidden) + h @ u["g"])
-            cell = f * cell + i * g
-            h = o * tanh(cell)
-        outputs[step] = h.reshape((b, 1, hidden))
-    return outputs
+    shapes = {"w": (x.shape[2], hidden), "u": (hidden, hidden), "b": (1, hidden)}
+    weights = [_require(params, f"{prefix}.{piece}_{gate}", shapes[piece])
+               for piece in ("w", "u", "b") for gate in _GATE_NAMES[kind]]
+    scan = gru_scan if kind == "gru" else lstm_scan
+    return scan(x, weights, reverse=reverse)
 
 
 def encoder_forward_batch(config: EncoderConfig, params: Dict[str, Parameter],
@@ -214,8 +179,6 @@ def encoder_forward_batch(config: EncoderConfig, params: Dict[str, Parameter],
     if config.bidirectional:
         fw = _recurrent_direction(config, params, x, f"{base}.fw", reverse=False)
         bw = _recurrent_direction(config, params, x, f"{base}.bw", reverse=True)
-        per_pos = [concat([f, r], axis=2) for f, r in zip(fw, bw)]
-    else:
-        per_pos = _recurrent_direction(config, params, x, base, reverse=False)
-    return concat(per_pos, axis=1) if len(per_pos) > 1 else per_pos[0]
+        return concat([fw, bw], axis=2)
+    return _recurrent_direction(config, params, x, base, reverse=False)
 

@@ -11,12 +11,16 @@ broadcasts its leading batch axes (numpy semantics) and ``scale`` takes a
 scalar. Ranks are never aligned implicitly, which keeps shape bugs loud in a
 from-scratch engine. Values are always C-contiguous, so ``reshape`` and an
 axis-0 ``slice`` are views while ``transpose`` copies.
+
+Besides the elementwise, reduction and shape primitives there are two fused
+ones, ``gru_scan`` and ``lstm_scan``: a whole recurrent direction is one tape
+node whose backward is hand-written backpropagation through time.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,9 +121,11 @@ class Parameter:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "backward_fn")
+    __slots__ = ("kind", "out", "inputs", "backward_fn")
 
-    def __init__(self, out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None:
+    def __init__(self, kind: str, out: Tensor, inputs: Sequence[Tensor],
+                 backward_fn: Callable) -> None:
+        self.kind = kind
         self.out = out
         self.inputs = inputs
         self.backward_fn = backward_fn
@@ -170,9 +176,10 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _tape_stack().pop()
 
-    def _record(self, out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None:
+    def _record(self, kind: str, out: Tensor, inputs: Sequence[Tensor],
+                backward_fn: Callable) -> None:
         out.node_id = len(self.nodes)
-        self.nodes.append(_Node(out, inputs, backward_fn))
+        self.nodes.append(_Node(kind, out, inputs, backward_fn))
 
 
 def _shape_error(kind: str, message: str, *shapes) -> ShapeMismatchError:
@@ -192,19 +199,34 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """0.5 * (1 + tanh(x / 2)): one tanh, no overflow and no masks.
+
+    Written into ``out`` when given, so a fused scan can fill a saved buffer.
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
+
+
+class _Saved(NamedTuple):
+    """A forward's output plus the arrays it keeps for its backward rule.
+
+    ``apply_primitive`` hands ``arrays`` to ``make_backward`` as a fourth
+    argument, so a fused primitive need not recompute its intermediates.
+    """
+
+    out: np.ndarray
+    arrays: tuple
 
 
 # ---------------------------------------------------------------------------
 # Primitive definitions. Each entry: (check, forward, make_backward).
-# forward returns the output array; make_backward returns a callable
-# g_out -> per-operand gradient contributions (ndarray, _SliceGrad, or None).
+# forward returns the output array, or a _Saved; make_backward returns a
+# callable g_out -> per-operand gradient contributions (ndarray, _SliceGrad,
+# or None).
 # ---------------------------------------------------------------------------
 
 
@@ -272,8 +294,18 @@ def _bw_matmul(arrays, out, kw):
     a, b = arrays
 
     def backward(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
+        if a.ndim == 2 and b.ndim > 2:
+            # weight @ batch: fold the batch axes into one contraction
+            # (m, P*n) @ (P*n, k) instead of summing P products.
+            m, k = a.shape
+            ga = np.moveaxis(g, -2, 0).reshape(m, -1) @ np.moveaxis(b, -2, 0).reshape(k, -1).T
+        else:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
+        if b.ndim == 2 and a.ndim > 2:
+            # batch @ weight: the batch rows are rows of one 2-D product.
+            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
         return ga, gb
 
     return backward
@@ -392,7 +424,7 @@ def _bw_transpose(arrays, out, kw):
 
 
 def _op_sigmoid(arrays, kw):
-    return _stable_sigmoid(arrays[0])
+    return _sigmoid(arrays[0])
 
 
 def _bw_sigmoid(arrays, out, kw):
@@ -509,6 +541,176 @@ def _check_unary(kind):
     return check
 
 
+# Fused recurrent scans. Operands: the (B, T, E) input, then the per-gate
+# input weights w_* (E, H), recurrent weights u_* (H, H) and biases b_* (1, H),
+# each group in gate order. The forward stacks each group into one
+# (., G*H) matrix (the cuDNN layout), runs the recurrence over time from a
+# zero state and returns the (B, T, H) hidden states in position order; with
+# ``reverse`` the scan runs from the last position to the first. The backward
+# is hand-written BPTT over the saved gate activations and states.
+
+_GRU_GATES = ("z", "r", "n")
+_LSTM_GATES = ("i", "f", "o", "g")
+
+
+def _check_scan(kind, gates):
+    n = len(gates)
+
+    def check(arrays, kw):
+        if "reverse" not in kw:
+            raise _shape_error(kind, "missing 'reverse' argument")
+        if len(arrays) != 1 + 3 * n:
+            raise _shape_error(kind, f"expects 1 + {3 * n} operands, got {len(arrays)}")
+        x, u0 = arrays[0], arrays[1 + n]
+        if x.ndim != 3 or x.shape[1] < 1:
+            raise _shape_error(kind, "input must be (B, T >= 1, E)", x.shape)
+        if u0.ndim != 2:
+            raise _shape_error(kind, f"u_{gates[0]} must be rank 2", u0.shape)
+        e, h = x.shape[2], u0.shape[1]
+        for k, (piece, want) in enumerate((("w", (e, h)), ("u", (h, h)), ("b", (1, h)))):
+            for gate, arr in zip(gates, arrays[1 + k * n:1 + (k + 1) * n]):
+                if arr.shape != want:
+                    raise _shape_error(kind, f"{piece}_{gate} must be {want}", arr.shape)
+    return check
+
+
+def _to_steps(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """(B, T, ...) in position order -> contiguous (T, B, ...) in scan order."""
+    a = np.swapaxes(a, 0, 1)
+    return np.ascontiguousarray(a[::-1] if reverse else a)
+
+
+def _from_steps(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """(T, B, ...) in scan order -> contiguous (B, T, ...) in position order."""
+    return np.ascontiguousarray(np.swapaxes(a[::-1] if reverse else a, 0, 1))
+
+
+def _scan_inputs(arrays, kw, n_gates):
+    """Step-major input, stacked w and u, and the (T, B, G*H) input projection."""
+    x = _to_steps(arrays[0], kw["reverse"])
+    w, u, bias = (np.concatenate(arrays[1 + k * n_gates:1 + (k + 1) * n_gates], axis=1)
+                  for k in range(3))
+    t, b, e = x.shape
+    proj = (x.reshape(t * b, e) @ w + bias).reshape(t, b, -1)
+    return x, w, u, proj
+
+
+def _scan_grads(dproj, x, w, du, reverse, n_gates):
+    """dx, then dw, du and db split per gate, from the (T, B, G*H) projection grads."""
+    t, b, width = dproj.shape
+    flat = dproj.reshape(t * b, width)
+    dw = x.reshape(t * b, -1).T @ flat
+    db = flat.sum(axis=0, keepdims=True)
+    dx = _from_steps((flat @ w.T).reshape(t, b, -1), reverse)
+    return (dx, *np.split(dw, n_gates, axis=1), *np.split(du, n_gates, axis=1),
+            *np.split(db, n_gates, axis=1))
+
+
+def _op_gru_scan(arrays, kw):
+    # z, r = sigmoid(x W_zr + b_zr + h U_zr); n = tanh(x W_n + b_n + (r * h) U_n)
+    # h' = z * h + (1 - z) * n, written n + z * (h - n)
+    x, w, u, proj = _scan_inputs(arrays, kw, 3)
+    t, b, _ = proj.shape
+    h = u.shape[0]
+    u_zr, u_n = u[:, :2 * h], u[:, 2 * h:]
+    states = np.zeros((t + 1, b, h))      # states[s] is the state before step s
+    zr = np.empty((t, b, 2 * h))
+    n = np.empty((t, b, h))
+    for s in range(t):
+        prev = states[s]
+        _sigmoid(proj[s, :, :2 * h] + prev @ u_zr, out=zr[s])
+        np.tanh(proj[s, :, 2 * h:] + (zr[s, :, h:] * prev) @ u_n, out=n[s])
+        states[s + 1] = n[s] + zr[s, :, :h] * (prev - n[s])
+    return _Saved(_from_steps(states[1:], kw["reverse"]), (x, w, u, states, zr, n))
+
+
+def _bw_gru_scan(arrays, out, kw, saved):
+    x, w, u, states, zr, n = saved
+    reverse = kw["reverse"]
+
+    def backward(g):
+        g = _to_steps(g, reverse)
+        t, b, h = g.shape
+        prev = states[:-1]
+        z, r = zr[..., :h], zr[..., h:]
+        # per-step Jacobian factors, formed for every step at once
+        dn_dh = (1.0 - z) * (1.0 - n * n)        # dh -> d n_pre
+        dz_dh = (prev - n) * z * (1.0 - z)       # dh -> d z_pre
+        dr_drh = prev * r * (1.0 - r)            # d(r * h) -> d r_pre
+        u_zr_t, u_n_t = u[:, :2 * h].T, u[:, 2 * h:].T
+        dproj = np.empty((t, b, 3 * h))
+        carry = np.zeros((b, h))
+        for s in range(t - 1, -1, -1):
+            dh = g[s] + carry
+            d = dproj[s]
+            np.multiply(dh, dn_dh[s], out=d[:, 2 * h:])
+            drh = d[:, 2 * h:] @ u_n_t
+            np.multiply(dh, dz_dh[s], out=d[:, :h])
+            np.multiply(drh, dr_drh[s], out=d[:, h:2 * h])
+            carry = dh * z[s] + drh * r[s] + d[:, :2 * h] @ u_zr_t
+        du = np.concatenate([
+            prev.reshape(t * b, h).T @ dproj[..., :2 * h].reshape(t * b, 2 * h),
+            (r * prev).reshape(t * b, h).T @ dproj[..., 2 * h:].reshape(t * b, h)], axis=1)
+        return _scan_grads(dproj, x, w, du, reverse, 3)
+
+    return backward
+
+
+def _op_lstm_scan(arrays, kw):
+    # i, f, o = sigmoid(.), g = tanh(.) of x W + b + h U (one (H, 4H) product)
+    # c' = f * c + i * g; h' = o * tanh(c')
+    x, w, u, proj = _scan_inputs(arrays, kw, 4)
+    t, b, _ = proj.shape
+    h = u.shape[0]
+    states = np.zeros((t + 1, b, h))
+    cells = np.zeros((t + 1, b, h))
+    gates = np.empty((t, b, 4 * h))
+    for s in range(t):
+        pre = proj[s] + states[s] @ u
+        act = gates[s]
+        _sigmoid(pre[:, :3 * h], out=act[:, :3 * h])
+        np.tanh(pre[:, 3 * h:], out=act[:, 3 * h:])
+        np.multiply(act[:, h:2 * h], cells[s], out=cells[s + 1])
+        cells[s + 1] += act[:, :h] * act[:, 3 * h:]
+        states[s + 1] = act[:, 2 * h:3 * h] * np.tanh(cells[s + 1])
+    return _Saved(_from_steps(states[1:], kw["reverse"]), (x, w, u, states, cells, gates))
+
+
+def _bw_lstm_scan(arrays, out, kw, saved):
+    x, w, u, states, cells, gates = saved
+    reverse = kw["reverse"]
+
+    def backward(g):
+        g = _to_steps(g, reverse)
+        t, b, h = g.shape
+        i, f, o, gg = (gates[..., k * h:(k + 1) * h] for k in range(4))
+        tc = np.tanh(cells[1:])
+        # per-step Jacobian factors, formed for every step at once
+        dc_dh = o * (1.0 - tc * tc)              # dh -> dc
+        do_dh = tc * o * (1.0 - o)               # dh -> d o_pre
+        di_dc = gg * i * (1.0 - i)               # dc -> d i_pre
+        df_dc = cells[:-1] * f * (1.0 - f)       # dc -> d f_pre
+        dg_dc = i * (1.0 - gg * gg)              # dc -> d g_pre
+        u_t = u.T
+        dproj = np.empty((t, b, 4 * h))
+        carry_h = np.zeros((b, h))
+        carry_c = np.zeros((b, h))
+        for s in range(t - 1, -1, -1):
+            dh = g[s] + carry_h
+            dc = dh * dc_dh[s] + carry_c
+            d = dproj[s]
+            np.multiply(dc, di_dc[s], out=d[:, :h])
+            np.multiply(dc, df_dc[s], out=d[:, h:2 * h])
+            np.multiply(dh, do_dh[s], out=d[:, 2 * h:3 * h])
+            np.multiply(dc, dg_dc[s], out=d[:, 3 * h:])
+            carry_c = dc * f[s]
+            carry_h = d @ u_t
+        du = states[:-1].reshape(t * b, h).T @ dproj.reshape(t * b, 4 * h)
+        return _scan_grads(dproj, x, w, du, reverse, 4)
+
+    return backward
+
+
 _PRIMITIVES: dict = {
     "matmul": (_check_matmul, _op_matmul, _bw_matmul),
     "add": (_check_broadcast("add"), _op_add, _bw_add),
@@ -528,6 +730,8 @@ _PRIMITIVES: dict = {
     "sum": (_check_sum, _op_sum, _bw_sum),
     "exp": (_check_unary("exp"), _op_exp, _bw_exp),
     "log": (_check_unary("log"), _op_log, _bw_log),
+    "gru_scan": (_check_scan("gru_scan", _GRU_GATES), _op_gru_scan, _bw_gru_scan),
+    "lstm_scan": (_check_scan("lstm_scan", _LSTM_GATES), _op_lstm_scan, _bw_lstm_scan),
 }
 
 
@@ -545,10 +749,14 @@ def apply_primitive(kind: str, operands: Sequence[Tensor], **kw) -> Tensor:
     check, forward, make_backward = entry
     arrays = [t.values for t in operands]
     check(arrays, kw)
-    out = Tensor(forward(arrays, kw))
+    result = forward(arrays, kw)
+    saved = ()
+    if isinstance(result, _Saved):
+        result, saved = result.out, (result.arrays,)
+    out = Tensor(result)
     tape = active_tape()
     if tape is not None:
-        tape._record(out, tuple(operands), make_backward(arrays, out.values, kw))
+        tape._record(kind, out, tuple(operands), make_backward(arrays, out.values, kw, *saved))
     return out
 
 
@@ -714,6 +922,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return apply_primitive("concat", list(tensors), axis=axis)
+
+
+def gru_scan(x: Tensor, weights: Sequence[Tensor], reverse: bool = False) -> Tensor:
+    """One GRU direction; ``weights`` are w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n."""
+    return apply_primitive("gru_scan", [x, *weights], reverse=bool(reverse))
+
+
+def lstm_scan(x: Tensor, weights: Sequence[Tensor], reverse: bool = False) -> Tensor:
+    """One LSTM direction; ``weights`` are w_*, then u_*, then b_*, each in i, f, o, g order."""
+    return apply_primitive("lstm_scan", [x, *weights], reverse=bool(reverse))
 
 
 def constant(values) -> Tensor:

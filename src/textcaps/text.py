@@ -135,7 +135,9 @@ def load_embeddings(path) -> EmbeddingTable:
 
     The file may start with a "vocab_count dimension" header line; otherwise
     the dimension is inferred from the first data line. Duplicate tokens keep
-    their first occurrence; unknown tokens embed as zeros.
+    their first occurrence; unknown tokens embed as zeros. Every loaded value
+    must be finite: ``nan``, ``inf`` and overflowing literals such as ``1e999``
+    raise :class:`UnparseableNumberError` naming the line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -144,6 +146,7 @@ def load_embeddings(path) -> EmbeddingTable:
         raise InvalidEncodingError(f"{path}: not valid UTF-8: {exc}") from exc
 
     entries: Dict[str, np.ndarray] = {}
+    entry_lines: List[int] = []  # line number of each entry, in table order
     dimension = None
     first_data = True
     for lineno, line in enumerate(lines, start=1):
@@ -157,6 +160,9 @@ def load_embeddings(path) -> EmbeddingTable:
                 pass
             else:
                 dimension = int(fields[1])
+                if dimension < 1:
+                    raise RaggedLineError(
+                        f"line {lineno}: header dimension must be >= 1, got {dimension}")
                 first_data = False
                 continue
         token, raw_values = fields[0], fields[1:]
@@ -175,9 +181,15 @@ def load_embeddings(path) -> EmbeddingTable:
         first_data = False
         if token not in entries:
             entries[token] = vector
+            entry_lines.append(lineno)
     if dimension is None or not entries:
         raise EmptyEmbeddingsError(f"{path}: no embedding vectors found")
-    return EmbeddingTable(dimension=dimension, entries=entries)
+    table = EmbeddingTable(dimension=dimension, entries=entries)
+    finite = np.isfinite(table.matrix).all(axis=1)
+    if not finite.all():
+        raise UnparseableNumberError(
+            f"line {entry_lines[int(np.argmin(finite))]}: embedding values must be finite")
+    return table
 
 
 def encode_batch(
@@ -224,6 +236,9 @@ def read_dataset(path) -> List[Document]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedLineError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            # an integer beyond Python's digit limit, or nesting beyond the stack
+            raise MalformedLineError(f"line {lineno}: unreadable JSON: {exc}") from exc
         if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
             raise MalformedLineError(
                 f"line {lineno}: expected an object with 'text' and 'label'")

@@ -207,6 +207,7 @@ class TestMalformedInputs:
         ({"d": None}, "lacks 'd'"),
         ({"n_s": 0}, "'n_s', 'n_w' and 'e_d' must be >= 1"),
         ({"hidden_dim": 0}, "metadata is invalid"),
+        ({"routing_iterations": 196608}, "routing_iterations must be <= 10, got 196608"),
     ])
     def test_bad_metadata(self, trained, workspace, tmp_path, capsys, change, fragment):
         params, meta = load_model(trained / "model.caps")

@@ -1,17 +1,30 @@
-"""Encoder shape laws, zero-parameter fixed points, and gradient checks."""
+"""Encoder shape laws, zero-parameter fixed points, gradient checks, and the
+fused recurrent scans against the composed per-timestep reference."""
 
 import numpy as np
 import pytest
 
 from textcaps.adversarial import SeededRng
 from textcaps.encoders import (
+    _GATE_NAMES,
     ENCODER_KINDS,
     EncoderConfig,
+    _cnn_forward,
     encoder_forward_batch,
     encoder_output_shape,
     init_encoder,
 )
-from textcaps.tensor import Parameter, ShapeMismatchError, Tensor, grad_check
+from textcaps.tensor import (
+    Parameter,
+    ShapeMismatchError,
+    Tape,
+    Tensor,
+    backward,
+    concat,
+    grad_check,
+    sigmoid,
+    tanh,
+)
 
 
 def _toy_config(kind):
@@ -174,3 +187,120 @@ class TestGradientLaw:
         err = grad_check(fn, list(params.values()), epsilon=1e-5, sample_count=30,
                          rng=np.random.default_rng(3))
         assert err < 1e-4, f"{kind}: relative error {err:.3e}"
+
+
+# The composed per-timestep recurrence that the fused gru_scan/lstm_scan
+# primitives replaced, kept as the reference: about 21 engine primitives per
+# step and direction, each gate with its own input and recurrent product.
+
+def _reference_direction(config, params, x, prefix, reverse):
+    kind = config.recurrent_kind
+    hidden = config.hidden_dim
+    b, t, e = x.shape
+    gates = _GATE_NAMES[kind]
+    flat = x.reshape((b * t, e))
+    xproj = {g: (flat @ params[f"{prefix}.w_{g}"].tensor + params[f"{prefix}.b_{g}"].tensor)
+             .reshape((b, t, hidden)).transpose((1, 0, 2)) for g in gates}
+    u = {g: params[f"{prefix}.u_{g}"].tensor for g in gates}
+
+    def step_in(gate, step):
+        return xproj[gate].slice(axis=0, start=step, stop=step + 1).reshape((b, hidden))
+
+    h = Tensor(np.zeros((b, hidden)))
+    one = Tensor(np.ones((1, 1)))
+    cell = Tensor(np.zeros((b, hidden)))  # lstm only
+    outputs = [None] * t
+    for step in (range(t - 1, -1, -1) if reverse else range(t)):
+        if kind == "gru":
+            z = sigmoid(step_in("z", step) + h @ u["z"])
+            r = sigmoid(step_in("r", step) + h @ u["r"])
+            n = tanh(step_in("n", step) + (r * h) @ u["n"])
+            h = z * h + (one - z) * n
+        else:
+            i = sigmoid(step_in("i", step) + h @ u["i"])
+            f = sigmoid(step_in("f", step) + h @ u["f"])
+            o = sigmoid(step_in("o", step) + h @ u["o"])
+            g = tanh(step_in("g", step) + h @ u["g"])
+            cell = f * cell + i * g
+            h = o * tanh(cell)
+        outputs[step] = h.reshape((b, 1, hidden))
+    return outputs
+
+
+def encoder_forward_reference(config, params, x):
+    if config.uses_cnn:
+        x = _cnn_forward(config, params, x)
+        if config.kind == "cnn":
+            return x
+    base = f"encoder.{'bi' if config.bidirectional else ''}{config.recurrent_kind}"
+    if config.bidirectional:
+        fw = _reference_direction(config, params, x, f"{base}.fw", reverse=False)
+        bw = _reference_direction(config, params, x, f"{base}.bw", reverse=True)
+        per_pos = [concat([f, r], axis=2) for f, r in zip(fw, bw)]
+    else:
+        per_pos = _reference_direction(config, params, x, base, reverse=False)
+    return concat(per_pos, axis=1) if len(per_pos) > 1 else per_pos[0]
+
+
+RECURRENT_KINDS = [kind for kind in ENCODER_KINDS if kind != "cnn"]
+
+
+class TestFusedScanReference:
+    """gru_scan/lstm_scan agree with the composed graph to 1e-10, forward and
+    gradients (every parameter and the input block), in both directions."""
+
+    TOL = 1e-10
+
+    def _case(self, kind, t, pad, seed):
+        kernels = (1,) if t == 1 else (2, 3)
+        cfg = EncoderConfig(kind=kind, kernel_sizes=kernels, filters_per_kernel=3, hidden_dim=4)
+        e_d = 3
+        params = init_encoder(cfg, e_d, SeededRng(seed))
+        rng = np.random.default_rng(seed)
+        for p in params.values():  # non-zero biases exercise every gradient
+            p.tensor.values[:] = rng.uniform(-0.8, 0.8, size=p.tensor.shape)
+        x = rng.uniform(-1, 1, size=(2, t, e_d))
+        if pad:
+            x[:, t - pad:] = 0.0  # a zero-padded tail, as short documents give
+        return cfg, params, x, rng
+
+    def _run(self, forward, cfg, params, x, weights):
+        xt = Tensor(x)
+        for p in params.values():
+            p.tensor.grad = None
+        with Tape() as tape:
+            fm = forward(cfg, params, xt)
+            loss = (fm * Tensor(weights)).sum()
+        backward(loss, tape)
+        grads = {name: p.tensor.grad.copy() for name, p in params.items()}
+        grads["x"] = xt.grad.copy()
+        return fm.values, grads, len(tape.nodes)
+
+    @pytest.mark.parametrize("kind", RECURRENT_KINDS)
+    @pytest.mark.parametrize("t, pad", [(1, 0), (7, 0), (7, 3)], ids=["T1", "T7", "T7-padded"])
+    def test_fused_matches_reference(self, kind, t, pad):
+        cfg, params, x, rng = self._case(kind, t, pad, seed=31 + t + pad)
+        l, c = encoder_output_shape(cfg, t, x.shape[2])
+        weights = rng.uniform(-1, 1, size=(2, l, c))
+        fused, fused_grads, fused_nodes = self._run(encoder_forward_batch, cfg, params, x,
+                                                    weights)
+        ref, ref_grads, ref_nodes = self._run(encoder_forward_reference, cfg, params, x,
+                                              weights)
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=self.TOL)
+        assert sorted(fused_grads) == sorted(ref_grads)
+        for name, grad in ref_grads.items():
+            scale = max(1.0, float(np.abs(grad).max()))
+            np.testing.assert_allclose(fused_grads[name], grad, rtol=0, atol=self.TOL * scale,
+                                       err_msg=name)
+        assert fused_nodes < ref_nodes
+
+    @pytest.mark.parametrize("kind, scans", [("gru", 1), ("bigru", 2), ("lstm", 1),
+                                             ("bilstm", 2), ("cnn-bigru", 2),
+                                             ("cnn-bilstm", 2)])
+    def test_one_tape_node_per_direction(self, kind, scans):
+        cfg, params, x, _ = self._case(kind, 6, 0, seed=5)
+        with Tape() as tape:
+            encoder_forward_batch(cfg, params, Tensor(x))
+        kinds = [node.kind for node in tape.nodes]
+        assert kinds.count(f"{cfg.recurrent_kind}_scan") == scans
+        assert "sigmoid" not in kinds and "tanh" not in kinds

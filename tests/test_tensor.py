@@ -23,13 +23,23 @@ from textcaps.tensor import (
     div,
     exp,
     grad_check,
+    gru_scan,
     l2_norm,
     log,
+    lstm_scan,
     relu,
     sigmoid,
     softmax,
     tanh,
 )
+
+
+def _scan_arrays(rng, gates, b=2, t=5, e=3, h=4):
+    """A (B, T, E) input, then w_*, u_*, b_* per gate, all non-zero."""
+    return ([rng.uniform(-1, 1, (b, t, e))]
+            + [rng.uniform(-1, 1, (e, h)) for _ in range(gates)]
+            + [rng.uniform(-1, 1, (h, h)) for _ in range(gates)]
+            + [rng.uniform(-1, 1, (1, h)) for _ in range(gates)])
 
 
 class TestForwardValues:
@@ -53,6 +63,22 @@ class TestForwardValues:
         y = softmax(x, axis=1).values
         np.testing.assert_allclose(y.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(y > 0.0) and np.all(y < 1.0)
+
+    def test_sigmoid_tanh_form(self):
+        x = np.linspace(-30.0, 30.0, 601)
+        out = sigmoid(Tensor(x)).values
+        np.testing.assert_allclose(out, 1.0 / (1.0 + np.exp(-x)), rtol=0, atol=3e-16)
+        with np.errstate(all="raise"):  # saturates without overflow
+            extreme = sigmoid(Tensor([-1e308, -800.0, 800.0, 1e308])).values
+        np.testing.assert_array_equal(extreme, [0.0, 0.0, 1.0, 1.0])
+
+    def test_scan_runs_backwards_on_reversed_input(self):
+        rng = np.random.default_rng(15)
+        for scan, gates in ((gru_scan, 3), (lstm_scan, 4)):
+            x, *weights = [Tensor(a) for a in _scan_arrays(rng, gates)]
+            forward = scan(x, weights).values
+            flipped = scan(Tensor(x.values[:, ::-1]), weights, reverse=True).values
+            assert forward.tobytes() == np.ascontiguousarray(flipped[:, ::-1]).tobytes()
 
     def test_purity_bitwise(self):
         rng = np.random.default_rng(3)
@@ -87,6 +113,19 @@ class TestErrors:
         with pytest.raises(ShapeMismatchError) as exc:
             apply_primitive("matmul", [Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))])
         assert "matmul" in str(exc.value)
+
+    @pytest.mark.parametrize("kind, gates", [("gru_scan", 3), ("lstm_scan", 4)])
+    def test_scan_operands_checked(self, kind, gates):
+        arrays = _scan_arrays(np.random.default_rng(0), gates)
+        with pytest.raises(ShapeMismatchError, match=f"{kind}: expects 1 \\+ {3 * gates}"):
+            apply_primitive(kind, [Tensor(a) for a in arrays[:-1]], reverse=False)
+        bad = list(arrays)
+        bad[1 + gates + 1] = np.zeros((4, 5))
+        with pytest.raises(ShapeMismatchError, match=r"u_\w must be \(4, 4\).*\(4, 5\)"):
+            apply_primitive(kind, [Tensor(a) for a in bad], reverse=False)
+        with pytest.raises(ShapeMismatchError, match="input must be"):
+            apply_primitive(kind, [Tensor(arrays[0][0])] + [Tensor(a) for a in arrays[1:]],
+                            reverse=False)
 
     def test_non_scalar_loss(self):
         with Tape() as tape:
@@ -153,6 +192,26 @@ class TestBackward:
         assert inner.flags.c_contiguous and not np.shares_memory(inner, x.values)
         assert x.transpose((1, 0)).values.flags.c_contiguous
 
+    def test_matmul_batch_fold_matches_broadcast_form(self):
+        # weight @ batch and batch @ weight fold the batch into one 2-D product;
+        # the broadcast form builds per-item products and sums them
+        rng = np.random.default_rng(16)
+        for a_shape, b_shape in (((5, 7), (6, 7, 3)), ((5, 7), (2, 3, 7, 4)),
+                                 ((6, 4, 7), (7, 3)), ((2, 3, 4, 7), (7, 5))):
+            a, b = rng.uniform(-1, 1, a_shape), rng.uniform(-1, 1, b_shape)
+            g = rng.uniform(-1, 1, np.matmul(a, b).shape)  # d loss / d (a @ b)
+            ta, tb = Tensor(a), Tensor(b)
+            with Tape() as tape:
+                loss = ((ta @ tb) * Tensor(g)).sum()
+            backward(loss, tape)
+            want_a = np.matmul(g, np.swapaxes(b, -1, -2))
+            want_b = np.matmul(np.swapaxes(a, -1, -2), g)
+            want_a = want_a.reshape((-1,) + a_shape[-2:]).sum(axis=0) if a.ndim == 2 else want_a
+            want_b = want_b.reshape((-1,) + b_shape[-2:]).sum(axis=0) if b.ndim == 2 else want_b
+            for got, want in ((ta.grad, want_a), (tb.grad, want_b)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_no_tape_records_nothing(self):
         x = Tensor([1.0, 2.0])
         out = x + x
@@ -193,6 +252,31 @@ class TestGradCheckPrimitives:
         rng = np.random.default_rng(4)
         self._check(lambda ps: tanh(ps[0].tensor @ ps[1].tensor).sum(),
                     [rng.uniform(-2, 2, (2, 3, 1, 1, 4)), rng.uniform(-2, 2, (3, 5, 4, 2))])
+
+    def test_matmul_weight_times_batch_folded(self):
+        rng = np.random.default_rng(17)
+        self._check(lambda ps: tanh(ps[0].tensor @ ps[1].tensor).sum(),
+                    [rng.uniform(-2, 2, (4, 6)), rng.uniform(-2, 2, (2, 3, 6, 2))])
+
+    def test_matmul_batch_times_weight_folded(self):
+        rng = np.random.default_rng(18)
+        self._check(lambda ps: tanh(ps[0].tensor @ ps[1].tensor).sum(),
+                    [rng.uniform(-2, 2, (2, 3, 4, 5)), rng.uniform(-2, 2, (5, 3))])
+
+    def test_gru_scan(self):
+        self._check_scan(gru_scan, 3, seed=19)
+
+    def test_lstm_scan(self):
+        self._check_scan(lstm_scan, 4, seed=20)
+
+    def _check_scan(self, scan, gates, seed):
+        # the input block is a parameter too: hybrids backpropagate into it
+        rng = np.random.default_rng(seed)
+        for reverse in (False, True):
+            arrays = _scan_arrays(rng, gates)
+            weights = Tensor(rng.uniform(-1, 1, arrays[0].shape[:2] + (4,)))
+            self._check(lambda ps: (scan(ps[0].tensor, [p.tensor for p in ps[1:]],
+                                         reverse=reverse) * weights).sum(), arrays, seed)
 
     def test_add_sub_mul_div(self):
         rng = np.random.default_rng(5)

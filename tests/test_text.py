@@ -115,6 +115,15 @@ class TestEmbeddings:
         with pytest.raises(EmptyEmbeddingsError):
             load_embeddings(self._write(tmp_path, ""))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_names_the_line(self, tmp_path, value):
+        with pytest.raises(UnparseableNumberError, match="line 3: .*finite"):
+            load_embeddings(self._write(tmp_path, f"2 2\na 1 2\nb 0 {value}\n"))
+
+    def test_header_dimension_must_be_positive(self, tmp_path):
+        with pytest.raises(RaggedLineError, match="line 1: header dimension"):
+            load_embeddings(self._write(tmp_path, "2 0\na\nb\n"))
+
 
 @pytest.fixture
 def small_table(tmp_path):

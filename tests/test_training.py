@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from textcaps import tensor, training
+from textcaps import training
 from textcaps.adversarial import SeededRng
 from textcaps.capsule import CapsuleHeadConfig
 from textcaps.encoders import EncoderConfig
@@ -385,6 +385,14 @@ class TestStrictConfig:
         with pytest.raises(ValueError, match=f"'{key}'"):
             config_from_dict(data)
 
+    def test_routing_iterations_bounded(self):
+        data = {**config_to_dict(_toy_config())}
+        data["head"] = {**data["head"], "routing_iterations": 11}
+        with pytest.raises(ValueError, match="routing_iterations must be <= 10, got 11"):
+            config_from_dict(data)
+        data["head"]["routing_iterations"] = 10
+        assert config_from_dict(data).head.routing_iterations == 10
+
     def test_missing_encoder(self):
         data = config_to_dict(_toy_config())
         del data["encoder"]
@@ -439,42 +447,31 @@ class TestNonFiniteGuard:
             train(_toy_config(batch_size=4), _toy_corpus(), _toy_table())
 
 
-def _record_primitives(monkeypatch):
-    calls = []
-    apply = tensor.apply_primitive
-
-    def recording(kind, operands, **kw):
-        out = apply(kind, operands, **kw)
-        calls.append((kind, operands, out))
-        return out
-
-    monkeypatch.setattr(tensor, "apply_primitive", recording)
-    return calls
-
-
 class TestTapeShape:
     """One forward+loss on each benchmark training config: every matmul
-    multiplies by a weight (no constant ones operand), and the node counts
-    are those of the broadcasting engine."""
+    multiplies by a weight (no constant ones operand), each recurrent
+    direction is one fused scan over weights, and the node counts are those
+    of the fused engine."""
 
     @pytest.mark.parametrize("name, nodes, matmuls", [
-        ("train-cnn-caps", 89, 6), ("train-bigru-desk", 2668, 369)])
-    def test_only_weight_products(self, bench_workloads, monkeypatch, name, nodes, matmuls):
+        ("train-cnn-caps", 89, 6), ("train-bigru-desk", 64, 3)])
+    def test_only_weight_products(self, bench_workloads, name, nodes, matmuls):
         config = config_from_dict({**bench_workloads[name].config, "seed": 0})
         e_d = 4
         params = init_model(config.encoder, config.head, e_d, config.n_s * config.n_w,
                             SeededRng(0))
         x = Tensor(np.random.default_rng(0).normal(size=(2, config.n_s * config.n_w, e_d)))
-        calls = _record_primitives(monkeypatch)
         with Tape() as tape:
             out = forward_batch(config.encoder, config.head, params, x)
             bce_loss_batch(out.probs, np.array([0, 1]))
         weights = {id(p.tensor) for p in params.values()}
-        products = 0
-        for kind, operands, result in calls:
-            if kind in ("reshape", "transpose") and id(operands[0]) in weights:
-                weights.add(id(result))
-            elif kind == "matmul":
-                products += 1
-                assert any(id(t) in weights for t in operands)
-        assert (len(tape.nodes), products) == (nodes, matmuls)
+        for node in tape.nodes:
+            if node.kind in ("reshape", "transpose") and id(node.inputs[0]) in weights:
+                weights.add(id(node.out))
+            elif node.kind == "matmul":
+                assert any(id(t) in weights for t in node.inputs)
+            elif node.kind == "gru_scan":
+                assert all(id(t) in weights for t in node.inputs[1:])
+        kinds = [node.kind for node in tape.nodes]
+        assert (len(kinds), kinds.count("matmul")) == (nodes, matmuls)
+        assert kinds.count("gru_scan") == (2 if config.encoder.kind == "bigru" else 0)
