@@ -24,10 +24,11 @@ from .tensor import (
     Parameter,
     ShapeMismatchError,
     Tensor,
-    div,
     l2_norm,
+    routing,
     softmax,
 )
+from .tensor import squash as squash_primitive
 
 
 # Routing converges in a few iterations; the paper and Sabour et al. use 3.
@@ -54,7 +55,10 @@ class CapsuleHeadConfig:
 
 @dataclass
 class RoutingState:
-    """Final routing logits and couplings (couplings: softmax over classes)."""
+    """Final routing logits and couplings (couplings: softmax over classes).
+
+    Diagnostics only: the tensors are constants, off the tape.
+    """
 
     logits: Tensor
     couplings: Tensor
@@ -67,15 +71,18 @@ def squash(x: Union[Tensor, np.ndarray]) -> Tensor:
     The norm of the result is |x|^2 / (1 + |x|^2) < 1 and the direction is
     unchanged; the zero vector maps to the zero vector (the |x| -> 0 limit).
     """
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    norm = l2_norm(t, axis=-1).reshape(t.shape[:-1] + (1,))
-    one = Tensor(np.ones((1,) * norm.values.ndim))
-    return t * div(norm, one + norm * norm)
+    return squash_primitive(x if isinstance(x, Tensor) else Tensor(x))
+
+
+def _check_rank3(name: str, t: Tensor) -> None:
+    if t.values.ndim != 3:
+        raise ShapeMismatchError(f"{name} must be rank 3, got {t.shape}")
 
 
 def primary_capsules_batch(fm: Tensor, projection: Tensor,
                            config: CapsuleHeadConfig) -> Tensor:
     """(B, L, C) feature map -> (B, L * n_pc, d) squashed primary capsules."""
+    _check_rank3("primary capsule input", fm)
     b, l, c = fm.shape
     want = (c, config.n_pc * config.d)
     if projection.shape != want:
@@ -87,6 +94,7 @@ def primary_capsules_batch(fm: Tensor, projection: Tensor,
 
 def compress_batch(primary: Tensor, weights: Tensor) -> Tensor:
     """(B, count, d) -> (B, n_cc, d): condensed_j = sum_i w_ji * p_i."""
+    _check_rank3("compression input", primary)
     _, count, _ = primary.shape
     if weights.values.ndim != 2 or weights.shape[1] != count:
         raise ShapeMismatchError(
@@ -102,31 +110,17 @@ def dynamic_routing_batch(condensed: Tensor, transform: Tensor,
     zero; each iteration takes couplings as the softmax of the logits over
     the class axis, forms the coupled sums, squashes them, and adds the
     agreement u_hat . v to the logits (skipped after the final iteration).
+    The whole routing is one ``routing`` primitive; the returned state holds
+    constants for inspection and is not differentiated.
     """
-    b, n_cc, d = condensed.shape
+    _check_rank3("routing input", condensed)
+    _, n_cc, d = condensed.shape
     want = (n_cc, config.n_cls, d, d)
     if transform.shape != want:
         raise ShapeMismatchError(f"routing transform {transform.shape} != {want}")
-    if config.routing_iterations < 1:
-        raise ValueError("routing_iterations must be >= 1")
-
-    n_cls = config.n_cls
-    w_t = transform.transpose((0, 1, 3, 2))
-    u_hat = (condensed.reshape((b, n_cc, 1, 1, d)) @ w_t).reshape((b, n_cc, n_cls, d))
-
-    logits = Tensor(np.zeros((b, n_cc, n_cls)))
-    history: List[Tensor] = []
-    couplings = None
-    v = None
-    for iteration in range(config.routing_iterations):
-        couplings = softmax(logits, axis=-1)
-        history.append(couplings)
-        s = (couplings.reshape((b, n_cc, n_cls, 1)) * u_hat).sum(axis=1)
-        v = squash(s)
-        if iteration < config.routing_iterations - 1:
-            agreement = (u_hat * v.reshape((b, 1, n_cls, d))).sum(axis=-1)
-            logits = logits + agreement
-    return v, RoutingState(logits=logits, couplings=couplings,
+    v, logits, couplings = routing(condensed, transform, config.routing_iterations)
+    history = [Tensor(c) for c in couplings]
+    return v, RoutingState(logits=Tensor(logits), couplings=history[-1],
                            coupling_history=history)
 
 

@@ -12,9 +12,11 @@ scalar. Ranks are never aligned implicitly, which keeps shape bugs loud in a
 from-scratch engine. Values are always C-contiguous, so ``reshape`` and an
 axis-0 ``slice`` are views while ``transpose`` copies.
 
-Besides the elementwise, reduction and shape primitives there are two fused
-ones, ``gru_scan`` and ``lstm_scan``: a whole recurrent direction is one tape
-node whose backward is hand-written backpropagation through time.
+Besides the elementwise, reduction and shape primitives there are fused ones
+with hand-written backward rules: ``gru_scan`` and ``lstm_scan`` run a whole
+recurrent direction as one tape node (backpropagation through time),
+``squash`` is the capsule non-linearity, and ``routing`` is the whole
+iterated dynamic routing of a capsule head.
 """
 
 from __future__ import annotations
@@ -295,18 +297,21 @@ def _bw_matmul(arrays, out, kw):
 
     def backward(g):
         if a.ndim == 2 and b.ndim > 2:
-            # weight @ batch: fold the batch axes into one contraction
-            # (m, P*n) @ (P*n, k) instead of summing P products.
+            # weight @ batch: the batch axes fold into the columns of one 2-D
+            # product, (m, P*n), for both gradients instead of P products each.
+            # gb comes out axis-swapped; it is made C-contiguous so that the
+            # consumer's elementwise backward runs in memory order.
             m, k = a.shape
-            ga = np.moveaxis(g, -2, 0).reshape(m, -1) @ np.moveaxis(b, -2, 0).reshape(k, -1).T
-        else:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
+            cols = np.moveaxis(g, -2, 0).reshape(m, -1)
+            ga = cols @ np.moveaxis(b, -2, 0).reshape(k, -1).T
+            gb = (a.T @ cols).reshape((k,) + b.shape[:-2] + b.shape[-1:])
+            return ga, np.ascontiguousarray(np.moveaxis(gb, 0, -2))
         if b.ndim == 2 and a.ndim > 2:
             # batch @ weight: the batch rows are rows of one 2-D product.
-            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
-        return ga, gb
+            rows = g.reshape(-1, g.shape[-1])
+            return (rows @ b.T).reshape(a.shape), a.reshape(-1, a.shape[-1]).T @ rows
+        return (_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape),
+                _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
 
     return backward
 
@@ -459,22 +464,23 @@ def _check_axis(kind):
     return check
 
 
-def _op_softmax(arrays, kw):
-    x = arrays[0]
-    axis = kw["axis"]
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    return (g - np.sum(g * out, axis=axis, keepdims=True)) * out
+
+
+def _op_softmax(arrays, kw):
+    return _softmax(arrays[0], kw["axis"])
+
+
 def _bw_softmax(arrays, out, kw):
     axis = kw["axis"]
-
-    def backward(g):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
-        return ((g - inner) * out,)
-
-    return backward
+    return lambda g: (_softmax_grad(g, out, axis),)
 
 
 def _op_l2norm(arrays, kw):
@@ -711,6 +717,127 @@ def _bw_lstm_scan(arrays, out, kw, saved):
     return backward
 
 
+# Fused capsule primitives. ``squash`` rescales vectors along the last axis to
+# x * |x| / (1 + |x|^2). ``routing`` runs dynamic routing by agreement (Sabour
+# et al. 2017) from (B, n_cc, d) capsules u through an (n_cc, n_cls, d, d)
+# transform W to (B, n_cls, d) class capsules, as one tape node: the forward
+# performs the same numpy operations, in the same order, as the composed graph
+# it replaces, and the backward walks the iterations in reverse by hand.
+
+
+def _squash_factor(x: np.ndarray) -> tuple:
+    """|x| and |x| / (1 + |x|^2) along the last axis, both kept as size-1 axes."""
+    norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+    return norm, norm / (1.0 + norm * norm)
+
+
+def _squash_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray,
+                 factor: np.ndarray) -> np.ndarray:
+    """d/dx of sum(g * x * f(|x|)) with f(n) = n / (1 + n^2), f'(n) = (1 - n^2) / (1 + n^2)^2.
+
+    The radial term (g . x) f'(n) / n * x is guarded at zero norm: an all-zero
+    row gets a zero radial term, as the guarded l2norm rule gives it.
+    """
+    n2 = norm * norm
+    den = 1.0 + n2
+    radial = np.sum(g * x, axis=-1, keepdims=True)
+    radial *= (1.0 - n2) / (den * den * np.maximum(norm, 1e-300))
+    grad = x * radial
+    grad += g * factor
+    return grad
+
+
+def _check_squash(arrays, kw):
+    if len(arrays) != 1 or arrays[0].ndim < 1:
+        raise _shape_error("squash", "expects one operand of rank >= 1",
+                           *(a.shape for a in arrays))
+
+
+def _op_squash(arrays, kw):
+    norm, factor = _squash_factor(arrays[0])
+    return _Saved(arrays[0] * factor, (norm, factor))
+
+
+def _bw_squash(arrays, out, kw, saved):
+    norm, factor = saved
+    return lambda g: (_squash_grad(g, arrays[0], norm, factor),)
+
+
+def _check_routing(arrays, kw):
+    iterations = kw.get("iterations")
+    if not isinstance(iterations, int) or iterations < 1:
+        raise _shape_error("routing", f"iterations must be an int >= 1, got {iterations!r}")
+    if len(arrays) != 2:
+        raise _shape_error("routing", f"expects 2 operands, got {len(arrays)}")
+    u, w = arrays
+    if u.ndim != 3:
+        raise _shape_error("routing", "capsules must be (B, n_cc, d)", u.shape)
+    _, n_cc, d = u.shape
+    if w.ndim != 4 or w.shape[0] != n_cc or w.shape[2:] != (d, d):
+        raise _shape_error("routing", "transform must be (n_cc, n_cls, d, d)", u.shape, w.shape)
+
+
+def _op_routing(arrays, kw):
+    # u_hat[b, j, k] = W[j, k] @ u[b, j]; logits start at zero. Each iteration:
+    # c = softmax(logits) over classes, s = sum_j c * u_hat, v = squash(s),
+    # then, except after the last, logits += u_hat . v.
+    u, w = arrays
+    b, n_cc, d = u.shape
+    n_cls = w.shape[1]
+    iterations = kw["iterations"]
+    w_t = np.ascontiguousarray(np.transpose(w, (0, 1, 3, 2)))
+    u_hat = np.matmul(u.reshape(b, n_cc, 1, 1, d), w_t).reshape(b, n_cc, n_cls, d)
+    logits = np.zeros((b, n_cc, n_cls))
+    couplings, steps = [], []
+    for r in range(iterations):
+        c = _softmax(logits, -1)
+        s = (c.reshape(b, n_cc, n_cls, 1) * u_hat).sum(axis=1)
+        norm, factor = _squash_factor(s)
+        v = s * factor
+        couplings.append(c)
+        steps.append((s, norm, factor, v))
+        if r < iterations - 1:
+            logits = logits + (u_hat * v.reshape(b, 1, n_cls, d)).sum(axis=-1)
+    sink = kw.get("diagnostics")
+    if sink is not None:
+        sink[:] = [logits, couplings]
+    return _Saved(v, (u_hat, couplings, steps))
+
+
+def _bw_routing(arrays, out, kw, saved):
+    u, w = arrays
+    u_hat, couplings, steps = saved
+
+    def backward(g):
+        b, n_cc, n_cls, d = u_hat.shape
+        du_hat = np.zeros_like(u_hat)
+        scratch = np.empty_like(u_hat)
+        gv, dlogits = g, None    # dlogits: gradient of the next iteration's logits
+        for c, (s, norm, factor, v) in zip(reversed(couplings), reversed(steps)):
+            if dlogits is not None:
+                # this iteration's agreement u_hat . v was added to those logits
+                np.multiply(u_hat, dlogits[..., None], out=scratch)
+                gv = scratch.sum(axis=1)
+                np.multiply(dlogits[..., None], v.reshape(b, 1, n_cls, d), out=scratch)
+                du_hat += scratch
+            gs = _squash_grad(gv, s, norm, factor)
+            np.multiply(u_hat, gs.reshape(b, 1, n_cls, d), out=scratch)
+            dc = scratch.sum(axis=-1)
+            np.multiply(c[..., None], gs.reshape(b, 1, n_cls, d), out=scratch)
+            du_hat += scratch
+            dl = _softmax_grad(dc, c, -1)
+            dlogits = dl if dlogits is None else dlogits + dl
+        del scratch  # lowers the peak while the products below allocate
+        # per condensed capsule j, u_hat[:, j] = u[:, j] @ W[j]^T with
+        # W[j] as (n_cls*d, d): n_cc products of (B, d) by (d, n_cls*d)
+        rows = du_hat.reshape(b, n_cc, n_cls * d).transpose(1, 0, 2)
+        du = np.matmul(rows, w.reshape(n_cc, n_cls * d, d)).transpose(1, 0, 2)
+        dw = np.matmul(rows.transpose(0, 2, 1), u.transpose(1, 0, 2))
+        return du, dw.reshape(w.shape)
+
+    return backward
+
+
 _PRIMITIVES: dict = {
     "matmul": (_check_matmul, _op_matmul, _bw_matmul),
     "add": (_check_broadcast("add"), _op_add, _bw_add),
@@ -732,6 +859,8 @@ _PRIMITIVES: dict = {
     "log": (_check_unary("log"), _op_log, _bw_log),
     "gru_scan": (_check_scan("gru_scan", _GRU_GATES), _op_gru_scan, _bw_gru_scan),
     "lstm_scan": (_check_scan("lstm_scan", _LSTM_GATES), _op_lstm_scan, _bw_lstm_scan),
+    "squash": (_check_squash, _op_squash, _bw_squash),
+    "routing": (_check_routing, _op_routing, _bw_routing),
 }
 
 
@@ -882,7 +1011,8 @@ def grad_check(
         g_fd = (f_plus - f_minus) / (2.0 * epsilon)
         g_tape = tape_grads[p.name].reshape(-1)[idx]
         rel = abs(g_tape - g_fd) / max(abs(g_tape), abs(g_fd), 1e-12)
-        max_rel = max(max_rel, rel)
+        if not rel <= max_rel:  # a NaN error sticks, so it fails every tolerance
+            max_rel = rel
     return max_rel
 
 
@@ -932,6 +1062,24 @@ def gru_scan(x: Tensor, weights: Sequence[Tensor], reverse: bool = False) -> Ten
 def lstm_scan(x: Tensor, weights: Sequence[Tensor], reverse: bool = False) -> Tensor:
     """One LSTM direction; ``weights`` are w_*, then u_*, then b_*, each in i, f, o, g order."""
     return apply_primitive("lstm_scan", [x, *weights], reverse=bool(reverse))
+
+
+def squash(t: Tensor) -> Tensor:
+    """x * |x| / (1 + |x|^2) along the last axis; the zero vector maps to zero."""
+    return apply_primitive("squash", [t])
+
+
+def routing(u: Tensor, w: Tensor, iterations: int) -> tuple:
+    """Dynamic routing of (B, n_cc, d) capsules through an (n_cc, n_cls, d, d) transform.
+
+    Returns the (B, n_cls, d) class capsules, then the final (B, n_cc, n_cls)
+    logits and the list of per-iteration couplings as plain arrays: they are
+    diagnostics, not differentiated.
+    """
+    diagnostics: list = []
+    v = apply_primitive("routing", [u, w], iterations=iterations, diagnostics=diagnostics)
+    logits, couplings = diagnostics
+    return v, logits, couplings
 
 
 def constant(values) -> Tensor:

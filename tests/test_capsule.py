@@ -2,10 +2,13 @@
 
 The routing oracle below is an independent loop-based implementation of
 the routing algorithm (plain numpy, no tensor engine); the production
-path must agree with it to 1e-9.
+path must agree with it to 1e-9. The composed tape graphs that the fused
+``squash`` and ``routing`` primitives replaced are kept as references too:
+forward values must match them bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +106,32 @@ def routing_ones_reference(condensed: Tensor, transform: Tensor, iterations: int
     return v, logits, couplings
 
 
+def squash_composed_reference(t: Tensor) -> Tensor:
+    """The squash that predates the fused primitive: six tape nodes."""
+    norm = l2_norm(t, axis=-1).reshape(t.shape[:-1] + (1,))
+    one = Tensor(np.ones((1,) * norm.values.ndim))
+    return t * div(norm, one + norm * norm)
+
+
+def routing_composed_reference(condensed: Tensor, transform: Tensor, iterations: int):
+    """The routing that predates the fused primitive, one tape node per
+    operation. Returns (v, logits, coupling history)."""
+    b, n_cc, d = condensed.shape
+    n_cls = transform.shape[1]
+    w_t = transform.transpose((0, 1, 3, 2))
+    u_hat = (condensed.reshape((b, n_cc, 1, 1, d)) @ w_t).reshape((b, n_cc, n_cls, d))
+    logits = Tensor(np.zeros((b, n_cc, n_cls)))
+    history = []
+    for iteration in range(iterations):
+        couplings = softmax(logits, axis=-1)
+        history.append(couplings)
+        s = (couplings.reshape((b, n_cc, n_cls, 1)) * u_hat).sum(axis=1)
+        v = squash_composed_reference(s)
+        if iteration < iterations - 1:
+            logits = logits + (u_hat * v.reshape((b, 1, n_cls, d))).sum(axis=-1)
+    return v, logits, history
+
+
 def _grads(fn, arrays):
     """Gradients of the scalar fn(*tensors) with respect to each array."""
     tensors = [Tensor(a.copy()) for a in arrays]
@@ -151,19 +180,71 @@ class TestOnesMatmulReference:
         assert state.logits.values.tobytes() == logits_ref.values.tobytes()
         assert state.couplings.values.tobytes() == couplings_ref.values.tobytes()
 
+        # RoutingState is a diagnostic off the tape: only v is differentiated
         wv = Tensor(rng.uniform(-1, 1, size=(b, n_cls, d)))
-        wl = Tensor(rng.uniform(-1, 1, size=(b, n_cc, n_cls)))
-
-        def loss(v, logits, *_):
-            return (v * wv).sum() + (logits * wl).sum()
-
-        def routed(cu, tw):
-            v, state = dynamic_routing_batch(cu, tw, cfg)
-            return v, state.logits
-
-        got = _grads(lambda cu, tw: loss(*routed(cu, tw)), [u, w])
-        want = _grads(lambda cu, tw: loss(*routing_ones_reference(cu, tw, iterations)), [u, w])
+        got = _grads(lambda cu, tw: (dynamic_routing_batch(cu, tw, cfg)[0] * wv).sum(), [u, w])
+        want = _grads(lambda cu, tw: (routing_ones_reference(cu, tw, iterations)[0] * wv).sum(),
+                      [u, w])
         for g, r in zip(got, want):
+            _assert_rel_close(g, r)
+
+
+class TestFusedReference:
+    """squash and routing are fused primitives: forward values and the routing
+    state must equal the composed graph's bit for bit, gradients to 1e-12."""
+
+    SQUASH_SHAPES = [(5,), (1, 4), (3, 7, 4), (2, 3, 2, 6), (32, 171, 16)]
+    ROUTING_CASES = [(1, 1, 2, 1, 1), (2, 4, 2, 3, 3), (3, 5, 3, 4, 2), (4, 16, 2, 8, 3),
+                     (2, 6, 3, 5, 10)]
+
+    @pytest.mark.parametrize("shape", SQUASH_SHAPES)
+    def test_squash_forward_bytes_and_gradient(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.uniform(-3, 3, size=shape)
+        if x.ndim > 1:
+            x.reshape(-1, shape[-1])[0] = 0.0  # one all-zero vector
+        weights = Tensor(rng.uniform(-1, 1, size=shape))
+        with Tape() as tape:
+            fused = squash(Tensor(x))
+        assert [node.kind for node in tape.nodes] == ["squash"]
+        assert fused.values.tobytes() == squash_composed_reference(Tensor(x)).values.tobytes()
+        (got,) = _grads(lambda t: (squash(t) * weights).sum(), [x])
+        (want,) = _grads(lambda t: (squash_composed_reference(t) * weights).sum(), [x])
+        _assert_rel_close(got, want)
+
+    @pytest.mark.parametrize("b, n_cc, n_cls, d, iterations", ROUTING_CASES)
+    def test_routing_forward_bytes_and_state(self, b, n_cc, n_cls, d, iterations):
+        cfg = _head_config(n_cc=n_cc, n_cls=n_cls, d=d, routing_iterations=iterations)
+        rng = np.random.default_rng(b * 1000 + n_cc * 10 + iterations)
+        u = rng.normal(size=(b, n_cc, d))
+        w = rng.normal(size=(n_cc, n_cls, d, d))
+        with Tape() as tape:
+            v, state = dynamic_routing_batch(Tensor(u), Tensor(w), cfg)
+        assert [node.kind for node in tape.nodes] == ["routing"]
+        v_ref, logits_ref, history_ref = routing_composed_reference(Tensor(u), Tensor(w),
+                                                                    iterations)
+        assert v.values.tobytes() == v_ref.values.tobytes()
+        assert state.logits.values.tobytes() == logits_ref.values.tobytes()
+        assert state.couplings.values.tobytes() == history_ref[-1].values.tobytes()
+        assert len(state.coupling_history) == iterations
+        for got, want in zip(state.coupling_history, history_ref):
+            assert got.values.tobytes() == want.values.tobytes()
+        # the state is a diagnostic: constants, never recorded on the tape
+        for t in [state.logits, state.couplings, *state.coupling_history]:
+            assert t.node_id is None
+
+    @pytest.mark.parametrize("b, n_cc, n_cls, d, iterations", ROUTING_CASES)
+    def test_routing_gradients(self, b, n_cc, n_cls, d, iterations):
+        cfg = _head_config(n_cc=n_cc, n_cls=n_cls, d=d, routing_iterations=iterations)
+        rng = np.random.default_rng(b * 1000 + n_cc * 10 + iterations + 1)
+        u = rng.normal(size=(b, n_cc, d))
+        w = rng.normal(size=(n_cc, n_cls, d, d)) / d
+        wv = Tensor(rng.uniform(-1, 1, size=(b, n_cls, d)))
+        got = _grads(lambda cu, tw: (dynamic_routing_batch(cu, tw, cfg)[0] * wv).sum(), [u, w])
+        want = _grads(lambda cu, tw: (routing_composed_reference(cu, tw, iterations)[0]
+                                      * wv).sum(), [u, w])
+        for g, r in zip(got, want):
+            assert g.shape == r.shape
             _assert_rel_close(g, r)
 
 
@@ -264,6 +345,12 @@ class TestPrimaryCapsules:
         with pytest.raises(ShapeMismatchError):
             primary_capsules_batch(fm, Tensor(np.zeros((3, 6))), cfg)
 
+    def test_rank2_input_names_shape(self):
+        cfg = _head_config()
+        with pytest.raises(ShapeMismatchError, match=r"must be rank 3, got \(5, 4\)$"):
+            primary_capsules_batch(Tensor(np.ones((5, 4))),
+                                   Tensor(np.zeros((4, cfg.n_pc * cfg.d))), cfg)
+
 
 class TestCompress:
     def test_one_hot_selects_primary(self):
@@ -296,6 +383,10 @@ class TestCompress:
         combined = compress_batch(Tensor(a * p + b * q), w).values
         separate = a * compress_batch(Tensor(p), w).values + b * compress_batch(Tensor(q), w).values
         np.testing.assert_allclose(combined, separate, rtol=0, atol=1e-12)
+
+    def test_rank2_input_names_shape(self):
+        with pytest.raises(ShapeMismatchError, match=r"must be rank 3, got \(6, 3\)$"):
+            compress_batch(Tensor(np.ones((6, 3))), Tensor(np.zeros((4, 6))))
 
     def test_no_squash_applied(self):
         # a big weighted sum keeps norm > 1, which squash would forbid
@@ -365,6 +456,34 @@ class TestDynamicRouting:
             s_k = 0.5 * (w[0, k] @ u[0]) + 0.5 * (w[1, k] @ u[1])
             np.testing.assert_allclose(caps.values[0, k], squash_oracle(s_k),
                                        rtol=0, atol=1e-12)
+
+    def test_rank2_input_names_shape(self):
+        cfg = _head_config()
+        w = Tensor(np.zeros((cfg.n_cc, cfg.n_cls, cfg.d, cfg.d)))
+        with pytest.raises(ShapeMismatchError, match=r"must be rank 3, got \(4, 3\)$"):
+            dynamic_routing_batch(Tensor(np.ones((cfg.n_cc, cfg.d))), w, cfg)
+
+    def test_backward_peak_memory(self):
+        # train-cnn-caps head shapes. numpy reports its buffers to tracemalloc;
+        # the backward must not build a (B, n_cc, n_cls, d, d) temporary.
+        b, n_cc, n_cls, d = 32, 128, 2, 16
+        cfg = _head_config(n_cc=n_cc, n_cls=n_cls, d=d, routing_iterations=3)
+        rng = np.random.default_rng(14)
+        u = Tensor(rng.normal(size=(b, n_cc, d)))
+        w = Tensor(rng.normal(size=(n_cc, n_cls, d, d)) / d)
+        wv = Tensor(rng.uniform(-1, 1, size=(b, n_cls, d)))
+        with Tape() as tape:
+            v, _ = dynamic_routing_batch(u, w, cfg)
+            loss = (v * wv).sum()
+        u_hat_bytes = b * n_cc * n_cls * d * 8
+        tracemalloc.start()
+        try:
+            backward(loss, tape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert u.grad.shape == u.shape and w.grad.shape == w.shape
+        assert peak < 6 * u_hat_bytes, f"peak {peak / 2**20:.1f} MiB"
 
     def test_class_capsule_norms_in_unit_interval(self):
         cfg = _head_config()

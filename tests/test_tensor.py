@@ -28,8 +28,10 @@ from textcaps.tensor import (
     log,
     lstm_scan,
     relu,
+    routing,
     sigmoid,
     softmax,
+    squash,
     tanh,
 )
 
@@ -278,6 +280,35 @@ class TestGradCheckPrimitives:
             self._check(lambda ps: (scan(ps[0].tensor, [p.tensor for p in ps[1:]],
                                          reverse=reverse) * weights).sum(), arrays, seed)
 
+    def test_squash(self):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-2, 2, (2, 5, 4))
+        x[1, 3] = 0.0  # an all-zero capsule
+        weights = Tensor(rng.uniform(-1, 1, x.shape))
+
+        # squared outputs keep the loss even in the zero row, whose central
+        # differences are then exactly 0, as its gradient is
+        def fn(ps):
+            y = squash(ps[0].tensor)
+            return (y * y * weights).sum()
+
+        self._check(fn, [x], seed=21)
+        (p,) = params = _as_params([x])
+        with Tape() as tape:
+            loss = fn(params)
+        backward(loss, tape)
+        assert np.all(np.isfinite(p.tensor.grad)) and not np.any(p.tensor.grad[1, 3])
+
+    def test_routing(self):
+        # n_cls = 3; one iteration (couplings stay uniform) and three
+        rng = np.random.default_rng(22)
+        for iterations in (1, 3):
+            u = rng.uniform(-1, 1, (2, 4, 3))
+            w = rng.uniform(-1, 1, (4, 3, 3, 3))
+            weights = Tensor(rng.uniform(-1, 1, (2, 3, 3)))
+            self._check(lambda ps: (routing(ps[0].tensor, ps[1].tensor, iterations)[0]
+                                    * weights).sum(), [u, w], seed=22 + iterations)
+
     def test_add_sub_mul_div(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(-2, 2, (3, 3))
@@ -378,6 +409,13 @@ class TestGradCheckHarness:
         err = grad_check(lambda ps: ps[0].tensor.sum().scale(0.0),
                          [p], epsilon=1e-5, sample_count=5)
         assert err == 0.0
+
+    def test_nan_error_is_reported(self):
+        # log(-1) is NaN, so every finite difference is NaN
+        p = Parameter(Tensor([-1.0]), "theta")
+        with np.errstate(invalid="ignore"):
+            err = grad_check(lambda ps: log(ps[0].tensor).sum(), [p], sample_count=3)
+        assert np.isnan(err)
 
     def test_epsilon_validation(self):
         p = Parameter(Tensor([1.0]), "theta")

@@ -450,11 +450,11 @@ class TestNonFiniteGuard:
 class TestTapeShape:
     """One forward+loss on each benchmark training config: every matmul
     multiplies by a weight (no constant ones operand), each recurrent
-    direction is one fused scan over weights, and the node counts are those
-    of the fused engine."""
+    direction is one fused scan over weights, routing is one fused node whose
+    transform is a weight, and the node counts are those of the fused engine."""
 
     @pytest.mark.parametrize("name, nodes, matmuls", [
-        ("train-cnn-caps", 89, 6), ("train-bigru-desk", 64, 3)])
+        ("train-cnn-caps", 43, 5), ("train-bigru-desk", 18, 2)])
     def test_only_weight_products(self, bench_workloads, name, nodes, matmuls):
         config = config_from_dict({**bench_workloads[name].config, "seed": 0})
         e_d = 4
@@ -472,6 +472,9 @@ class TestTapeShape:
                 assert any(id(t) in weights for t in node.inputs)
             elif node.kind == "gru_scan":
                 assert all(id(t) in weights for t in node.inputs[1:])
+            elif node.kind == "routing":
+                assert id(node.inputs[1]) in weights
         kinds = [node.kind for node in tape.nodes]
         assert (len(kinds), kinds.count("matmul")) == (nodes, matmuls)
         assert kinds.count("gru_scan") == (2 if config.encoder.kind == "bigru" else 0)
+        assert (kinds.count("routing"), kinds.count("squash")) == (1, 1)
