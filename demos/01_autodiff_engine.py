@@ -8,18 +8,20 @@ import numpy as np
 
 from textcaps.tensor import Parameter, Tape, Tensor, backward, grad_check, tanh
 
-# Every operation executed under an active Tape records one node. Calling
+# Gradients flow only to parameters. Every operation executed under an
+# active Tape on a Parameter's tensor, or on something computed from one,
+# records one node; work on constants alone records nothing. Calling
 # backward() on a scalar loss walks those nodes in reverse and fills in
-# .grad on the leaves.
+# .grad on the parameters.
 
-x = Tensor([1.0, 2.0, 3.0])
+x = Parameter(Tensor([1.0, 2.0, 3.0]), "x").tensor
 with Tape() as tape:
     loss = (x * x).sum()
 backward(loss, tape)
 print("d(sum x^2)/dx =", x.grad, " (expect 2x = [2, 4, 6])")
 
 # Fan-out accumulates: feed x into two branches and the gradients add.
-x = Tensor([0.5, -1.0])
+x = Parameter(Tensor([0.5, -1.0]), "x").tensor
 with Tape() as tape:
     loss = x.sum() + (x * x).sum()
 backward(loss, tape)

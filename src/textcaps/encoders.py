@@ -147,7 +147,8 @@ def _cnn_forward(config: EncoderConfig, params: Dict[str, Parameter], x: Tensor)
         l_k = t - k + 1
         w = _require(params, f"encoder.cnn.k{k}.w", (k * e, config.filters_per_kernel))
         bias = _require(params, f"encoder.cnn.k{k}.b", (1, config.filters_per_kernel))
-        # valid 1-d convolution as concatenated shifted slices + one matmul
+        # valid 1-d convolution as concatenated shifted slices + one matmul;
+        # the slices and windows of a constant block are not recorded
         windows = concat([x.slice(axis=1, start=i, stop=l_k + i) for i in range(k)], axis=2)
         maps.append(relu(windows @ w + bias.reshape((1, 1, config.filters_per_kernel))))
     return concat(maps, axis=1) if len(maps) > 1 else maps[0]

@@ -52,23 +52,15 @@ def forward_batch(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
                   want_stages: bool = False) -> ForwardResult:
     """Run a (B, T, E_d) block through the full model."""
     fm = encoder_forward_batch(encoder, params, x)
+    stages = {}
+    if want_stages:
+        stages = {"feature_map": fm, "pooled": fm.sum(axis=1).scale(1.0 / fm.shape[1])}
     if head is None:
-        probs = baseline_head_batch(fm, params["head.dense.w"].tensor)
-        result = ForwardResult(probs=probs)
-        if want_stages:
-            b, l, _ = fm.shape
-            result.feature_map = fm
-            result.pooled = fm.sum(axis=1).scale(1.0 / l)
-        return result
+        return ForwardResult(probs=baseline_head_batch(fm, params["head.dense.w"].tensor),
+                             **stages)
     primary = primary_capsules_batch(fm, params["head.primary.w"].tensor, head)
     condensed = compress_batch(primary, params["head.compress.w"].tensor)
     class_caps, _ = dynamic_routing_batch(condensed, params["head.routing.w"].tensor, head)
-    probs = class_probabilities_batch(class_caps)
-    result = ForwardResult(probs=probs)
     if want_stages:
-        b, l, _ = fm.shape
-        result.feature_map = fm
-        result.pooled = fm.sum(axis=1).scale(1.0 / l)
-        result.condensed = condensed
-        result.class_capsules = class_caps
-    return result
+        stages.update(condensed=condensed, class_capsules=class_caps)
+    return ForwardResult(probs=class_probabilities_batch(class_caps), **stages)

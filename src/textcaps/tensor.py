@@ -1,9 +1,13 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-All values are float64 numpy arrays in row-major order. A forward pass
-executed under an active :class:`Tape` records one node per primitive
-application; :func:`backward` replays the tape in reverse and accumulates
-gradients by summation wherever a tensor fans out into several consumers.
+All values are float64 numpy arrays in row-major order. Gradients flow only
+to parameters and to what is computed from them: a :class:`Parameter`'s tensor
+needs a gradient, and a primitive's output needs one when any of its operands
+does. A forward pass executed under an active :class:`Tape` records one node
+per primitive application that has such an operand; work on constants alone
+(input blocks, labels) is never recorded. :func:`backward` replays the tape in
+reverse, accumulates gradients by summation wherever a tensor fans out into
+several consumers, and writes ``grad`` on parameter tensors only.
 
 Broadcasting is deliberately narrow: ``add``/``sub``/``mul``/``div`` take
 operands of equal rank whose extents are pairwise equal or 1, ``matmul``
@@ -44,7 +48,8 @@ class NonScalarLossError(TensorError):
 
 
 class EmptyTapeError(TensorError):
-    """backward() was called on a tape that recorded nothing."""
+    """backward() was called on a tape that recorded nothing, because nothing
+    computed under it depends on a Parameter."""
 
 
 class Tensor:
@@ -55,7 +60,7 @@ class Tensor:
     between passes.
     """
 
-    __slots__ = ("values", "grad", "node_id")
+    __slots__ = ("values", "grad", "node_id", "needs_grad")
 
     def __init__(self, values) -> None:
         arr = np.asarray(values, dtype=np.float64)
@@ -64,6 +69,8 @@ class Tensor:
         self.values: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.node_id: Optional[int] = None
+        # True for a Parameter's tensor and for recorded outputs computed from one
+        self.needs_grad = False
 
     @property
     def shape(self) -> tuple:
@@ -109,14 +116,14 @@ class Tensor:
 
 
 class Parameter:
-    """A named, optionally trainable tensor. Names are unique per model."""
+    """A named tensor that receives gradients. Names are unique per model."""
 
-    __slots__ = ("tensor", "name", "trainable")
+    __slots__ = ("tensor", "name")
 
-    def __init__(self, tensor: Tensor, name: str, trainable: bool = True) -> None:
+    def __init__(self, tensor: Tensor, name: str) -> None:
+        tensor.needs_grad = True
         self.tensor = tensor
         self.name = name
-        self.trainable = trainable
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
@@ -131,20 +138,6 @@ class _Node:
         self.out = out
         self.inputs = inputs
         self.backward_fn = backward_fn
-
-
-class _SliceGrad:
-    """Gradient contribution touching only one region of the input array.
-
-    Avoids materializing a full zeros array per slice node; accumulation
-    adds the payload into the target region in place.
-    """
-
-    __slots__ = ("index", "grad")
-
-    def __init__(self, index, grad: np.ndarray) -> None:
-        self.index = index
-        self.grad = grad
 
 
 _LOCAL = threading.local()
@@ -216,7 +209,7 @@ def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 class _Saved(NamedTuple):
     """A forward's output plus the arrays it keeps for its backward rule.
 
-    ``apply_primitive`` hands ``arrays`` to ``make_backward`` as a fourth
+    ``apply_primitive`` hands ``arrays`` to ``make_backward`` as a fifth
     argument, so a fused primitive need not recompute its intermediates.
     """
 
@@ -226,9 +219,11 @@ class _Saved(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Primitive definitions. Each entry: (check, forward, make_backward).
-# forward returns the output array, or a _Saved; make_backward returns a
-# callable g_out -> per-operand gradient contributions (ndarray, _SliceGrad,
-# or None).
+# forward returns the output array, or a _Saved. make_backward also gets
+# ``needs``, one bool per operand telling whether it needs a gradient, and
+# returns a callable g_out -> per-operand gradient contributions (ndarray, or
+# None). A rule may skip the work for an operand that needs none; backward
+# drops whatever it returns for such an operand.
 # ---------------------------------------------------------------------------
 
 
@@ -244,7 +239,7 @@ def _op_add(arrays, kw):
     return arrays[0] + arrays[1]
 
 
-def _bw_add(arrays, out, kw):
+def _bw_add(arrays, out, kw, needs):
     a, b = arrays
     return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
 
@@ -253,7 +248,7 @@ def _op_sub(arrays, kw):
     return arrays[0] - arrays[1]
 
 
-def _bw_sub(arrays, out, kw):
+def _bw_sub(arrays, out, kw, needs):
     a, b = arrays
     return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
 
@@ -262,7 +257,7 @@ def _op_mul(arrays, kw):
     return arrays[0] * arrays[1]
 
 
-def _bw_mul(arrays, out, kw):
+def _bw_mul(arrays, out, kw, needs):
     a, b = arrays
     return lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
 
@@ -271,7 +266,7 @@ def _op_div(arrays, kw):
     return arrays[0] / arrays[1]
 
 
-def _bw_div(arrays, out, kw):
+def _bw_div(arrays, out, kw, needs):
     a, b = arrays
     return lambda g: (_unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape))
 
@@ -292,8 +287,9 @@ def _op_matmul(arrays, kw):
     return np.matmul(arrays[0], arrays[1])
 
 
-def _bw_matmul(arrays, out, kw):
+def _bw_matmul(arrays, out, kw, needs):
     a, b = arrays
+    need_a, need_b = needs
 
     def backward(g):
         if a.ndim == 2 and b.ndim > 2:
@@ -303,15 +299,18 @@ def _bw_matmul(arrays, out, kw):
             # consumer's elementwise backward runs in memory order.
             m, k = a.shape
             cols = np.moveaxis(g, -2, 0).reshape(m, -1)
-            ga = cols @ np.moveaxis(b, -2, 0).reshape(k, -1).T
+            ga = cols @ np.moveaxis(b, -2, 0).reshape(k, -1).T if need_a else None
+            if not need_b:
+                return ga, None
             gb = (a.T @ cols).reshape((k,) + b.shape[:-2] + b.shape[-1:])
             return ga, np.ascontiguousarray(np.moveaxis(gb, 0, -2))
         if b.ndim == 2 and a.ndim > 2:
             # batch @ weight: the batch rows are rows of one 2-D product.
             rows = g.reshape(-1, g.shape[-1])
-            return (rows @ b.T).reshape(a.shape), a.reshape(-1, a.shape[-1]).T @ rows
-        return (_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape),
-                _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
+            return ((rows @ b.T).reshape(a.shape) if need_a else None,
+                    a.reshape(-1, a.shape[-1]).T @ rows if need_b else None)
+        return (_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape) if need_a else None,
+                _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape) if need_b else None)
 
     return backward
 
@@ -325,7 +324,7 @@ def _op_scale(arrays, kw):
     return arrays[0] * kw["factor"]
 
 
-def _bw_scale(arrays, out, kw):
+def _bw_scale(arrays, out, kw, needs):
     factor = kw["factor"]
     return lambda g: (g * factor,)
 
@@ -348,7 +347,7 @@ def _op_concat(arrays, kw):
     return np.concatenate(arrays, axis=kw["axis"])
 
 
-def _bw_concat(arrays, out, kw):
+def _bw_concat(arrays, out, kw, needs):
     axis = kw["axis"]
     ndim = arrays[0].ndim
     sizes = [arr.shape[axis] for arr in arrays]
@@ -386,12 +385,19 @@ def _op_slice(arrays, kw):
     return arrays[0][index]
 
 
-def _bw_slice(arrays, out, kw):
+def _bw_slice(arrays, out, kw, needs):
+    shape = arrays[0].shape
     index = tuple(
         slice(kw["start"], kw["stop"]) if ax == kw["axis"] else slice(None)
-        for ax in range(arrays[0].ndim)
+        for ax in range(len(shape))
     )
-    return lambda g: (_SliceGrad(index, g),)
+
+    def backward(g):
+        grad = np.zeros(shape)
+        grad[index] = g
+        return (grad,)
+
+    return backward
 
 
 def _check_reshape(arrays, kw):
@@ -406,7 +412,7 @@ def _op_reshape(arrays, kw):
     return arrays[0].reshape(kw["shape"])
 
 
-def _bw_reshape(arrays, out, kw):
+def _bw_reshape(arrays, out, kw, needs):
     in_shape = arrays[0].shape
     return lambda g: (g.reshape(in_shape),)
 
@@ -422,7 +428,7 @@ def _op_transpose(arrays, kw):
     return np.transpose(arrays[0], kw["perm"])
 
 
-def _bw_transpose(arrays, out, kw):
+def _bw_transpose(arrays, out, kw, needs):
     perm = kw["perm"]
     inverse = np.argsort(perm)
     return lambda g: (np.transpose(g, inverse),)
@@ -432,7 +438,7 @@ def _op_sigmoid(arrays, kw):
     return _sigmoid(arrays[0])
 
 
-def _bw_sigmoid(arrays, out, kw):
+def _bw_sigmoid(arrays, out, kw, needs):
     return lambda g: (g * out * (1.0 - out),)
 
 
@@ -440,7 +446,7 @@ def _op_tanh(arrays, kw):
     return np.tanh(arrays[0])
 
 
-def _bw_tanh(arrays, out, kw):
+def _bw_tanh(arrays, out, kw, needs):
     return lambda g: (g * (1.0 - out * out),)
 
 
@@ -448,7 +454,7 @@ def _op_relu(arrays, kw):
     return np.maximum(arrays[0], 0.0)
 
 
-def _bw_relu(arrays, out, kw):
+def _bw_relu(arrays, out, kw, needs):
     # Subgradient at the kink is taken as 0.
     mask = arrays[0] > 0.0
     return lambda g: (g * mask,)
@@ -478,7 +484,7 @@ def _op_softmax(arrays, kw):
     return _softmax(arrays[0], kw["axis"])
 
 
-def _bw_softmax(arrays, out, kw):
+def _bw_softmax(arrays, out, kw, needs):
     axis = kw["axis"]
     return lambda g: (_softmax_grad(g, out, axis),)
 
@@ -488,7 +494,7 @@ def _op_l2norm(arrays, kw):
     return np.sqrt(np.sum(x * x, axis=kw["axis"]))
 
 
-def _bw_l2norm(arrays, out, kw):
+def _bw_l2norm(arrays, out, kw, needs):
     x = arrays[0]
     axis = kw["axis"]
 
@@ -511,7 +517,7 @@ def _op_sum(arrays, kw):
     return np.sum(arrays[0], axis=kw.get("axis"))
 
 
-def _bw_sum(arrays, out, kw):
+def _bw_sum(arrays, out, kw, needs):
     shape = arrays[0].shape
     axis = kw.get("axis")
 
@@ -527,7 +533,7 @@ def _op_exp(arrays, kw):
     return np.exp(arrays[0])
 
 
-def _bw_exp(arrays, out, kw):
+def _bw_exp(arrays, out, kw, needs):
     return lambda g: (g * out,)
 
 
@@ -535,7 +541,7 @@ def _op_log(arrays, kw):
     return np.log(arrays[0])
 
 
-def _bw_log(arrays, out, kw):
+def _bw_log(arrays, out, kw, needs):
     x = arrays[0]
     return lambda g: (g / x,)
 
@@ -601,13 +607,14 @@ def _scan_inputs(arrays, kw, n_gates):
     return x, w, u, proj
 
 
-def _scan_grads(dproj, x, w, du, reverse, n_gates):
-    """dx, then dw, du and db split per gate, from the (T, B, G*H) projection grads."""
+def _scan_grads(dproj, x, w, du, reverse, n_gates, need_x):
+    """dx (None unless ``need_x``), then dw, du and db split per gate, from the
+    (T, B, G*H) projection grads."""
     t, b, width = dproj.shape
     flat = dproj.reshape(t * b, width)
     dw = x.reshape(t * b, -1).T @ flat
     db = flat.sum(axis=0, keepdims=True)
-    dx = _from_steps((flat @ w.T).reshape(t, b, -1), reverse)
+    dx = _from_steps((flat @ w.T).reshape(t, b, -1), reverse) if need_x else None
     return (dx, *np.split(dw, n_gates, axis=1), *np.split(du, n_gates, axis=1),
             *np.split(db, n_gates, axis=1))
 
@@ -630,7 +637,7 @@ def _op_gru_scan(arrays, kw):
     return _Saved(_from_steps(states[1:], kw["reverse"]), (x, w, u, states, zr, n))
 
 
-def _bw_gru_scan(arrays, out, kw, saved):
+def _bw_gru_scan(arrays, out, kw, needs, saved):
     x, w, u, states, zr, n = saved
     reverse = kw["reverse"]
 
@@ -657,7 +664,7 @@ def _bw_gru_scan(arrays, out, kw, saved):
         du = np.concatenate([
             prev.reshape(t * b, h).T @ dproj[..., :2 * h].reshape(t * b, 2 * h),
             (r * prev).reshape(t * b, h).T @ dproj[..., 2 * h:].reshape(t * b, h)], axis=1)
-        return _scan_grads(dproj, x, w, du, reverse, 3)
+        return _scan_grads(dproj, x, w, du, reverse, 3, needs[0])
 
     return backward
 
@@ -682,7 +689,7 @@ def _op_lstm_scan(arrays, kw):
     return _Saved(_from_steps(states[1:], kw["reverse"]), (x, w, u, states, cells, gates))
 
 
-def _bw_lstm_scan(arrays, out, kw, saved):
+def _bw_lstm_scan(arrays, out, kw, needs, saved):
     x, w, u, states, cells, gates = saved
     reverse = kw["reverse"]
 
@@ -712,7 +719,7 @@ def _bw_lstm_scan(arrays, out, kw, saved):
             carry_c = dc * f[s]
             carry_h = d @ u_t
         du = states[:-1].reshape(t * b, h).T @ dproj.reshape(t * b, 4 * h)
-        return _scan_grads(dproj, x, w, du, reverse, 4)
+        return _scan_grads(dproj, x, w, du, reverse, 4, needs[0])
 
     return backward
 
@@ -758,7 +765,7 @@ def _op_squash(arrays, kw):
     return _Saved(arrays[0] * factor, (norm, factor))
 
 
-def _bw_squash(arrays, out, kw, saved):
+def _bw_squash(arrays, out, kw, needs, saved):
     norm, factor = saved
     return lambda g: (_squash_grad(g, arrays[0], norm, factor),)
 
@@ -804,7 +811,7 @@ def _op_routing(arrays, kw):
     return _Saved(v, (u_hat, couplings, steps))
 
 
-def _bw_routing(arrays, out, kw, saved):
+def _bw_routing(arrays, out, kw, needs, saved):
     u, w = arrays
     u_hat, couplings, steps = saved
 
@@ -865,8 +872,10 @@ _PRIMITIVES: dict = {
 
 
 def apply_primitive(kind: str, operands: Sequence[Tensor], **kw) -> Tensor:
-    """Apply a primitive to operand tensors, recording it on the active tape.
+    """Apply a primitive to operand tensors.
 
+    The application is recorded on the active tape, and its output needs a
+    gradient, when some operand needs one; otherwise nothing is recorded.
     Raises :class:`UnknownPrimitiveError` for kinds outside the primitive
     set and :class:`ShapeMismatchError` when operand shapes violate the
     primitive's shape rule.
@@ -884,72 +893,48 @@ def apply_primitive(kind: str, operands: Sequence[Tensor], **kw) -> Tensor:
         result, saved = result.out, (result.arrays,)
     out = Tensor(result)
     tape = active_tape()
-    if tape is not None:
-        tape._record(kind, out, tuple(operands), make_backward(arrays, out.values, kw, *saved))
+    if tape is None:
+        return out
+    needs = tuple(t.needs_grad for t in operands)
+    if any(needs):
+        out.needs_grad = True
+        tape._record(kind, out, tuple(operands),
+                     make_backward(arrays, out.values, kw, needs, *saved))
     return out
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every leaf tensor reachable from ``loss``.
+    """Populate ``grad`` on every Parameter tensor that ``loss`` depends on.
 
     Gradients of tensors consumed by several nodes are accumulated by
-    summation. Grads already present on leaves (e.g. from an earlier
+    summation. Grads already present on parameters (e.g. from an earlier
     backward call before an optimizer step) are added to, not replaced.
+    Raises :class:`EmptyTapeError` when the tape recorded nothing, which is
+    also the case when nothing computed under it depends on a Parameter.
     """
     if loss.values.size != 1:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.values.shape}")
     if not tape.nodes:
-        raise EmptyTapeError("tape recorded no nodes")
+        raise EmptyTapeError("tape recorded no nodes: nothing computed under it "
+                             "depends on a Parameter")
 
-    produced = {id(node.out) for node in tape.nodes}
-    # id -> [array, owned_flag]; owned means we may mutate it in place.
-    grads: dict = {id(loss): [np.ones_like(loss.values), True]}
-
-    def accumulate(tensor: Tensor, contribution) -> None:
-        key = id(tensor)
-        slot = grads.get(key)
-        if isinstance(contribution, _SliceGrad):
-            if slot is None:
-                buf = np.zeros(tensor.values.shape)
-                grads[key] = [buf, True]
-            elif not slot[1]:
-                buf = np.array(slot[0])
-                slot[0], slot[1] = buf, True
-            else:
-                buf = slot[0]
-            buf[contribution.index] += contribution.grad
-        elif slot is None:
-            grads[key] = [contribution, False]
-        elif slot[1]:
-            slot[0] += contribution
-        else:
-            slot[0] = slot[0] + contribution
-            slot[1] = True
-
+    # Gradients of recorded outputs, keyed by id; sums are formed out of place,
+    # because a rule may hand the same array to several operands.
+    grads: dict = {id(loss): np.ones_like(loss.values)}
     for node in reversed(tape.nodes):
-        slot = grads.get(id(node.out))
-        if slot is None:
+        g = grads.pop(id(node.out), None)
+        if g is None:
             continue
-        for tensor, contribution in zip(node.inputs, node.backward_fn(slot[0])):
-            if contribution is not None:
-                accumulate(tensor, contribution)
-
-    seen: dict = {}
-    for node in tape.nodes:
-        for tensor in node.inputs:
-            seen.setdefault(id(tensor), tensor)
-    seen.setdefault(id(loss), loss)
-    for key, tensor in seen.items():
-        if key in produced and tensor is not loss:
-            continue
-        slot = grads.get(key)
-        if slot is None:
-            continue
-        value = np.ascontiguousarray(slot[0])
-        if tensor.grad is None:
-            tensor.grad = value.copy() if not slot[1] else value
-        else:
-            tensor.grad = tensor.grad + value
+        for tensor, contribution in zip(node.inputs, node.backward_fn(g)):
+            if not tensor.needs_grad:
+                continue
+            if tensor.node_id is not None:
+                key = id(tensor)
+                grads[key] = grads[key] + contribution if key in grads else contribution
+            elif tensor.grad is None:
+                tensor.grad = np.array(contribution, order="C")
+            else:
+                tensor.grad = tensor.grad + contribution
 
 
 def clear_grads(params: Iterable[Parameter]) -> None:
@@ -993,7 +978,7 @@ def grad_check(
     }
     clear_grads(params)
 
-    candidates = [p for p in params if p.trainable and p.tensor.values.size > 0]
+    candidates = [p for p in params if p.tensor.values.size > 0]
     if not candidates:
         return 0.0
 

@@ -198,8 +198,6 @@ def adam_step(params, state: AdamState, lr: float) -> None:
     state.step_count += 1
     t = state.step_count
     for p in items:
-        if not p.trainable:
-            continue
         grad = p.tensor.grad
         if grad is None:
             raise MissingGradientError(f"parameter {p.name!r} has no gradient")

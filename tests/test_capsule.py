@@ -27,6 +27,7 @@ from textcaps.capsule import (
 )
 from textcaps.encoders import EncoderConfig, encoder_forward_batch, init_encoder
 from textcaps.tensor import (
+    Parameter,
     ShapeMismatchError,
     Tape,
     Tensor,
@@ -134,7 +135,7 @@ def routing_composed_reference(condensed: Tensor, transform: Tensor, iterations:
 
 def _grads(fn, arrays):
     """Gradients of the scalar fn(*tensors) with respect to each array."""
-    tensors = [Tensor(a.copy()) for a in arrays]
+    tensors = [Parameter(Tensor(a.copy()), f"p{i}").tensor for i, a in enumerate(arrays)]
     with Tape() as tape:
         loss = fn(*tensors)
     backward(loss, tape)
@@ -205,7 +206,7 @@ class TestFusedReference:
             x.reshape(-1, shape[-1])[0] = 0.0  # one all-zero vector
         weights = Tensor(rng.uniform(-1, 1, size=shape))
         with Tape() as tape:
-            fused = squash(Tensor(x))
+            fused = squash(Parameter(Tensor(x), "x").tensor)
         assert [node.kind for node in tape.nodes] == ["squash"]
         assert fused.values.tobytes() == squash_composed_reference(Tensor(x)).values.tobytes()
         (got,) = _grads(lambda t: (squash(t) * weights).sum(), [x])
@@ -219,7 +220,7 @@ class TestFusedReference:
         u = rng.normal(size=(b, n_cc, d))
         w = rng.normal(size=(n_cc, n_cls, d, d))
         with Tape() as tape:
-            v, state = dynamic_routing_batch(Tensor(u), Tensor(w), cfg)
+            v, state = dynamic_routing_batch(Tensor(u), Parameter(Tensor(w), "w").tensor, cfg)
         assert [node.kind for node in tape.nodes] == ["routing"]
         v_ref, logits_ref, history_ref = routing_composed_reference(Tensor(u), Tensor(w),
                                                                     iterations)
@@ -469,8 +470,8 @@ class TestDynamicRouting:
         b, n_cc, n_cls, d = 32, 128, 2, 16
         cfg = _head_config(n_cc=n_cc, n_cls=n_cls, d=d, routing_iterations=3)
         rng = np.random.default_rng(14)
-        u = Tensor(rng.normal(size=(b, n_cc, d)))
-        w = Tensor(rng.normal(size=(n_cc, n_cls, d, d)) / d)
+        u = Parameter(Tensor(rng.normal(size=(b, n_cc, d))), "u").tensor
+        w = Parameter(Tensor(rng.normal(size=(n_cc, n_cls, d, d)) / d), "w").tensor
         wv = Tensor(rng.uniform(-1, 1, size=(b, n_cls, d)))
         with Tape() as tape:
             v, _ = dynamic_routing_batch(u, w, cfg)

@@ -265,7 +265,7 @@ class TestFusedScanReference:
         return cfg, params, x, rng
 
     def _run(self, forward, cfg, params, x, weights):
-        xt = Tensor(x)
+        xt = Parameter(Tensor(x), "x").tensor
         for p in params.values():
             p.tensor.grad = None
         with Tape() as tape:

@@ -139,10 +139,19 @@ class TestErrors:
         with pytest.raises(EmptyTapeError):
             backward(Tensor([1.0]), Tape())
 
+    def test_constants_only_record_nothing(self):
+        x = Tensor([[1.0, -2.0]])
+        w = Tensor(np.ones((2, 3)))
+        with Tape() as tape:
+            loss = tanh(x @ w).sum()
+        assert tape.nodes == [] and loss.node_id is None and not loss.needs_grad
+        with pytest.raises(EmptyTapeError, match="depends on a Parameter"):
+            backward(loss, tape)
+
 
 class TestBackward:
     def test_sum_of_squares(self):
-        x = Tensor([1.0, 2.0, 3.0])
+        x = Parameter(Tensor([1.0, 2.0, 3.0]), "x").tensor
         with Tape() as tape:
             loss = (x * x).sum()
         backward(loss, tape)
@@ -152,14 +161,14 @@ class TestBackward:
         # loss = sum(x @ W), x = [[1, 1]], W = ones(2, 2)
         # dL/dW_ij = x_i, so every entry is 1 (hand chain rule).
         x = Tensor([[1.0, 1.0]])
-        w = Tensor(np.ones((2, 2)))
+        w = Parameter(Tensor(np.ones((2, 2))), "w").tensor
         with Tape() as tape:
             loss = (x @ w).sum()
         backward(loss, tape)
         np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
 
     def test_fanout_accumulates_by_summation(self):
-        x = Tensor([0.5, -1.5, 2.0])
+        x = Parameter(Tensor([0.5, -1.5, 2.0]), "x").tensor
         with Tape() as tape:
             loss = x.sum() + (x * x).sum()
         backward(loss, tape)
@@ -170,8 +179,8 @@ class TestBackward:
         base = rng.normal(size=(3, 4))
 
         def run():
-            x = Tensor(base.copy())
-            w = Tensor(np.linspace(-1, 1, 8).reshape(4, 2))
+            x = Parameter(Tensor(base.copy()), "x").tensor
+            w = Parameter(Tensor(np.linspace(-1, 1, 8).reshape(4, 2)), "w").tensor
             with Tape() as tape:
                 loss = tanh(x @ w).sum()
             backward(loss, tape)
@@ -202,7 +211,7 @@ class TestBackward:
                                  ((6, 4, 7), (7, 3)), ((2, 3, 4, 7), (7, 5))):
             a, b = rng.uniform(-1, 1, a_shape), rng.uniform(-1, 1, b_shape)
             g = rng.uniform(-1, 1, np.matmul(a, b).shape)  # d loss / d (a @ b)
-            ta, tb = Tensor(a), Tensor(b)
+            ta, tb = Parameter(Tensor(a), "a").tensor, Parameter(Tensor(b), "b").tensor
             with Tape() as tape:
                 loss = ((ta @ tb) * Tensor(g)).sum()
             backward(loss, tape)
@@ -218,6 +227,46 @@ class TestBackward:
         x = Tensor([1.0, 2.0])
         out = x + x
         assert out.node_id is None and x.grad is None
+
+
+def _param_grads(forward, arrays, constant):
+    """Gradients of forward(*tensors) for every array not in ``constant``,
+    whose tensors stay plain constants; those get no grad."""
+    tensors = [Tensor(a) if i in constant else Parameter(Tensor(a), f"p{i}").tensor
+               for i, a in enumerate(arrays)]
+    with Tape() as tape:
+        loss = forward(*tensors)
+    backward(loss, tape)
+    assert all(tensors[i].grad is None for i in constant)
+    return [t.grad.tobytes() for i, t in enumerate(tensors) if i not in constant]
+
+
+class TestGradientsOnlyForParameters:
+    """An operand that needs no gradient gets none, and skipping it leaves the
+    other operands' gradients unchanged to the byte."""
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((3, 4), (4, 2)), ((2, 3, 4), (4, 5)),
+                                                  ((5, 7), (6, 7, 3)), ((2, 1, 3, 4), (3, 4, 2))])
+    def test_matmul_constant_left_operand(self, a_shape, b_shape):
+        rng = np.random.default_rng(23)
+        a, b = rng.uniform(-1, 1, a_shape), rng.uniform(-1, 1, b_shape)
+
+        def forward(ta, tb):
+            return tanh(ta @ tb).sum()
+
+        assert _param_grads(forward, [a, b], {0}) == _param_grads(forward, [a, b], set())[1:]
+
+    @pytest.mark.parametrize("scan, gates", [(gru_scan, 3), (lstm_scan, 4)])
+    def test_scan_over_constant_input_block(self, scan, gates):
+        rng = np.random.default_rng(24)
+        arrays = _scan_arrays(rng, gates)
+        weights = Tensor(rng.uniform(-1, 1, arrays[0].shape[:2] + (4,)))
+        for reverse in (False, True):
+            def forward(x, *ws):
+                return (scan(x, ws, reverse=reverse) * weights).sum()
+
+            assert (_param_grads(forward, arrays, {0})
+                    == _param_grads(forward, arrays, set())[1:])
 
 
 def _as_params(arrays):

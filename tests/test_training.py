@@ -132,7 +132,7 @@ class TestBceLoss:
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
     def test_differentiable(self):
-        p = Tensor([[0.4, 0.6]])  # already a distribution for this check
+        p = Parameter(Tensor([[0.4, 0.6]]), "p").tensor  # already a distribution for this check
         with Tape() as tape:
             loss = bce_loss_batch(p, np.array([1]))
         backward(loss, tape)
@@ -290,6 +290,57 @@ class TestTrainLoop:
                 decreased = True
                 break
         assert decreased
+
+    def test_fixed_perturbations_augment_once(self, monkeypatch):
+        config = _toy_config(adversarial=True, adversarial_resample=False, epochs=3)
+        docs = _toy_corpus()
+        calls = []
+        augment = training.augment_dataset
+
+        def counted(train_docs, policy, seed, epoch):
+            calls.append(epoch)
+            return augment(train_docs, policy, seed, epoch)
+
+        monkeypatch.setattr(training, "augment_dataset", counted)
+
+        def run():
+            params, history = train(config, docs, _toy_table())
+            payload = b"".join(params[n].tensor.values.tobytes() for n in sorted(params))
+            return payload, [(r.train.loss, r.valid.loss) for r in history]
+
+        first, second = run(), run()
+        assert calls == [0, 0]  # one augmentation per run, at epoch 0
+        assert first == second
+
+    @pytest.mark.parametrize("kind", ["cnn", "bigru"])
+    def test_only_parameters_get_gradients(self, monkeypatch, kind):
+        # every train step: the input block, the one-hot labels and the BCE
+        # floor constant get no grad; every parameter tensor gets one
+        config = _toy_config(encoder=EncoderConfig(kind=kind, kernel_sizes=(2,),
+                                                   filters_per_kernel=3, hidden_dim=3),
+                             epochs=1)
+        forward, real_backward = training.forward_batch, training.backward
+        last = {}
+        steps = []
+
+        def recording_forward(encoder, head, params, x, **kw):
+            last.update(params=params, x=x)
+            return forward(encoder, head, params, x, **kw)
+
+        def checked_backward(loss, tape):
+            real_backward(loss, tape)
+            tensors = {id(t): t for node in tape.nodes for t in (*node.inputs, node.out)}
+            tensors[id(last["x"])] = last["x"]
+            constants = [t for t in tensors.values() if not t.needs_grad]
+            with_grad = {key for key, t in tensors.items() if t.grad is not None}
+            steps.append((with_grad == {id(p.tensor) for p in last["params"].values()},
+                          len(constants), any(t.grad is not None for t in constants)))
+
+        monkeypatch.setattr(training, "forward_batch", recording_forward)
+        monkeypatch.setattr(training, "backward", checked_backward)
+        train(config, _toy_corpus(), _toy_table())
+        # constants: the block, the one-hot, the floor; and the CNN's windows
+        assert steps and steps == [(True, 4 if kind == "cnn" else 3, False)] * len(steps)
 
     def test_baseline_head_runs(self):
         config = _toy_config(head=None, epochs=1)
@@ -451,10 +502,12 @@ class TestTapeShape:
     """One forward+loss on each benchmark training config: every matmul
     multiplies by a weight (no constant ones operand), each recurrent
     direction is one fused scan over weights, routing is one fused node whose
-    transform is a weight, and the node counts are those of the fused engine."""
+    transform is a weight, and the node counts are those of the fused engine,
+    which records nothing computed from constants alone (the CNN's slices and
+    windows of the input block)."""
 
     @pytest.mark.parametrize("name, nodes, matmuls", [
-        ("train-cnn-caps", 43, 5), ("train-bigru-desk", 18, 2)])
+        ("train-cnn-caps", 28, 5), ("train-bigru-desk", 18, 2)])
     def test_only_weight_products(self, bench_workloads, name, nodes, matmuls):
         config = config_from_dict({**bench_workloads[name].config, "seed": 0})
         e_d = 4
