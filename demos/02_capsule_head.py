@@ -10,7 +10,6 @@ from textcaps.capsule import (
     CapsuleHeadConfig,
     class_probabilities_batch,
     dynamic_routing_batch,
-    predict,
     squash,
 )
 from textcaps.tensor import Tensor
@@ -39,4 +38,4 @@ for i, couplings in enumerate(state.coupling_history):
 
 probs = class_probabilities_batch(class_caps).values[0]
 print("\nclass-capsule norms:", np.round(np.linalg.norm(class_caps.values[0], axis=1), 4))
-print("class probabilities:", np.round(probs, 4), "-> predicted label", predict(probs))
+print("class probabilities:", np.round(probs, 4), "-> predicted label", int(np.argmax(probs)))

@@ -9,7 +9,8 @@ as a weighted sum over all primary capsules (weights per output/input
 pair), and dynamic routing with agreement updates maps condensed capsules
 to one capsule per class. Class probabilities are the softmax of the
 class-capsule norms; a mean-pool + dense + softmax baseline head covers
-the no-capsule ablation arm. Every stage works on a batch: a single
+the no-capsule ablation arm. Both heads score N_CLASSES = 2 classes, the
+labels 0 and 1 that the dataset format allows. Every stage works on a batch: a single
 document is a batch of one.
 """
 
@@ -34,20 +35,20 @@ from .tensor import squash as squash_primitive
 # Routing converges in a few iterations; the paper and Sabour et al. use 3.
 MAX_ROUTING_ITERATIONS = 10
 
+# Satire or not, positive or negative: documents carry label 0 or 1.
+N_CLASSES = 2
+
 
 @dataclass(frozen=True)
 class CapsuleHeadConfig:
     n_pc: int = 8
     n_cc: int = 128
     d: int = 16
-    n_cls: int = 2
     routing_iterations: int = 3
 
     def __post_init__(self) -> None:
         if min(self.n_pc, self.n_cc, self.d, self.routing_iterations) < 1:
             raise ValueError("capsule head extents must all be >= 1")
-        if self.n_cls < 2:
-            raise ValueError("n_cls must be >= 2")
         if self.routing_iterations > MAX_ROUTING_ITERATIONS:
             raise ValueError(f"routing_iterations must be <= {MAX_ROUTING_ITERATIONS}, "
                              f"got {self.routing_iterations}")
@@ -104,7 +105,8 @@ def compress_batch(primary: Tensor, weights: Tensor) -> Tensor:
 
 def dynamic_routing_batch(condensed: Tensor, transform: Tensor,
                           config: CapsuleHeadConfig) -> Tuple[Tensor, RoutingState]:
-    """Route (B, n_cc, d) condensed capsules to (B, n_cls, d) class capsules.
+    """Route (B, n_cc, d) condensed capsules through an (n_cc, n_cls, d, d)
+    transform to (B, n_cls, d) class capsules.
 
     Prediction vectors u_hat[b, j, k] = W[j, k] @ u[b, j]. Logits start at
     zero; each iteration takes couplings as the softmax of the logits over
@@ -114,10 +116,6 @@ def dynamic_routing_batch(condensed: Tensor, transform: Tensor,
     constants for inspection and is not differentiated.
     """
     _check_rank3("routing input", condensed)
-    _, n_cc, d = condensed.shape
-    want = (n_cc, config.n_cls, d, d)
-    if transform.shape != want:
-        raise ShapeMismatchError(f"routing transform {transform.shape} != {want}")
     v, logits, couplings = routing(condensed, transform, config.routing_iterations)
     history = [Tensor(c) for c in couplings]
     return v, RoutingState(logits=Tensor(logits), couplings=history[-1],
@@ -127,12 +125,6 @@ def dynamic_routing_batch(condensed: Tensor, transform: Tensor,
 def class_probabilities_batch(class_caps: Tensor) -> Tensor:
     """Softmax over the class-capsule norms: (B, n_cls, d) -> (B, n_cls)."""
     return softmax(l2_norm(class_caps, axis=-1), axis=-1)
-
-
-def predict(p: Union[Tensor, np.ndarray]) -> int:
-    """Index of the maximum probability; ties break toward the lower index."""
-    values = p.values if isinstance(p, Tensor) else np.asarray(p)
-    return int(np.argmax(values))
 
 
 def baseline_head_batch(fm: Tensor, dense: Tensor) -> Tensor:
@@ -161,7 +153,7 @@ def init_capsule_head(config: CapsuleHeadConfig, positions: int, channels: int,
             "head.compress.w"),
         "head.routing.w": Parameter(
             Tensor(_glorot(rng, config.d, config.d,
-                           (config.n_cc, config.n_cls, config.d, config.d))),
+                           (config.n_cc, N_CLASSES, config.d, config.d))),
             "head.routing.w"),
     }
     return params

@@ -88,7 +88,7 @@ def cmd_train(args) -> int:
     params, history = train(config, docs, table)
     best = best_epoch(history)
     _, _, test_docs = split_dataset(docs, config.split, config.seed)
-    test_metrics = evaluate(params, test_docs, table, config, split="test")
+    test_metrics = evaluate(params, test_docs, table, config)
 
     write_metrics_csv(out_dir / "metrics.csv", history, test=test_metrics,
                       test_epoch=best.epoch)

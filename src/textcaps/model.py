@@ -7,6 +7,7 @@ from typing import Dict, Optional
 
 from .adversarial import SeededRng
 from .capsule import (
+    N_CLASSES,
     CapsuleHeadConfig,
     baseline_head_batch,
     class_probabilities_batch,
@@ -18,8 +19,6 @@ from .capsule import (
 )
 from .encoders import EncoderConfig, encoder_forward_batch, encoder_output_shape, init_encoder
 from .tensor import Parameter, Tensor
-
-N_CLASSES = 2
 
 
 @dataclass

@@ -80,7 +80,6 @@ def model_meta(config: TrainConfig, e_d: int) -> Dict[str, object]:
             "n_pc": config.head.n_pc,
             "n_cc": config.head.n_cc,
             "d": config.head.d,
-            "n_cls": config.head.n_cls,
             "routing_iterations": config.head.routing_iterations,
         })
     return meta
@@ -118,7 +117,7 @@ def config_parts_from_meta(meta: Dict[str, object]) -> Tuple[
     n_s, n_w, e_d, filters, hidden = (_meta_int(meta, key) for key in (
         "n_s", "n_w", "e_d", "filters_per_kernel", "hidden_dim"))
     head_extents = None if head_type == _HEAD_BASELINE else {
-        key: _meta_int(meta, key) for key in ("n_pc", "n_cc", "d", "n_cls", "routing_iterations")}
+        key: _meta_int(meta, key) for key in ("n_pc", "n_cc", "d", "routing_iterations")}
     try:
         encoder = EncoderConfig(kind=_CODE_KIND[kind_code], kernel_sizes=tuple(kernel_sizes),
                                 filters_per_kernel=filters, hidden_dim=hidden)

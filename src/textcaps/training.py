@@ -1,9 +1,11 @@
 """Training engine: Adam, binary cross-entropy, linear LR decay, splits,
 metrics, and the ablation / hyperparameter-sweep harnesses.
 
-Runs are deterministic for a fixed seed: parameter initialization,
-dataset splitting, per-epoch shuffling, and adversarial augmentation all
-derive their randomness from the config seed. Model selection keeps the
+Every step of an epoch uses that epoch's learning rate (``lr_at``), and
+adversarial training regenerates the perturbed copies each epoch. Runs
+are deterministic for a fixed seed: parameter initialization, dataset
+splitting, per-epoch shuffling, and adversarial augmentation all derive
+their randomness from the config seed. Model selection keeps the
 parameters of the epoch with the highest validation accuracy (earliest
 epoch on ties), with validation always computed on clean data.
 """
@@ -66,8 +68,6 @@ class TrainConfig:
     seed: int = 0
     n_s: int = 5
     n_w: int = 60
-    lr_decay: str = "epoch"  # "epoch" or "step"
-    adversarial_resample: bool = True  # fresh perturbations each epoch
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -76,8 +76,6 @@ class TrainConfig:
             raise ValueError("split must be three positive fractions")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(self.split)}")
-        if self.lr_decay not in ("epoch", "step"):
-            raise ValueError("lr_decay must be 'epoch' or 'step'")
         if self.n_s < 1 or self.n_w < 1:
             raise ValueError("n_s and n_w must be >= 1")
 
@@ -181,11 +179,14 @@ def bce_loss_batch(probs: Tensor, labels: np.ndarray) -> Tensor:
     return _clamped_log(picked).sum().scale(-1.0 / b)
 
 
+# Adam's published defaults (Kingma & Ba 2015).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -206,13 +207,13 @@ def adam_step(params, state: AdamState, lr: float) -> None:
         if m is None:
             m = np.zeros_like(p.tensor.values)
             v = np.zeros_like(p.tensor.values)
-        m = state.beta1 * m + (1.0 - state.beta1) * grad
-        v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
+        m = _BETA1 * m + (1.0 - _BETA1) * grad
+        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
         state.m[p.name] = m
         state.v[p.name] = v
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p.tensor.values -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m_hat = m / (1.0 - _BETA1 ** t)
+        v_hat = v / (1.0 - _BETA2 ** t)
+        p.tensor.values -= lr * m_hat / (np.sqrt(v_hat) + _EPSILON)
         p.tensor.grad = None
 
 
@@ -238,13 +239,12 @@ def _forward_metrics(encoder, head, params, blocks, labels, batch_size, split):
 
 
 def evaluate(params: Dict[str, Parameter], docs: Sequence[Document],
-             table: EmbeddingTable, config: TrainConfig,
-             split: str = "test") -> Metrics:
+             table: EmbeddingTable, config: TrainConfig) -> Metrics:
     if not docs:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
     blocks, labels = encode_batch(docs, table, config.n_s, config.n_w)
     return _forward_metrics(config.encoder, config.head, params, blocks,
-                            labels, config.batch_size, split)
+                            labels, config.batch_size, "test")
 
 
 def _diverged(params: Dict[str, Parameter], what: str, value: float,
@@ -263,11 +263,11 @@ def train(config: TrainConfig, docs: Sequence[Document],
           table: EmbeddingTable) -> Tuple[Dict[str, Parameter], List[EpochRecord]]:
     """Mini-batch optimization; returns best-validation-epoch parameters.
 
-    With config.adversarial, each epoch's training stream is the shuffled
-    concatenation of the clean documents and their adversarial copies for
-    that epoch (regenerated per epoch unless adversarial_resample is off).
-    A NaN or infinite training-step or validation loss stops the run with
-    NonFiniteLossError.
+    Every step of epoch e uses the learning rate lr_at(e, config). With
+    config.adversarial, each epoch's training stream is the shuffled
+    concatenation of the clean documents and their adversarial copies,
+    regenerated for that epoch. A NaN or infinite training-step or
+    validation loss stops the run with NonFiniteLossError.
     """
     if not docs:
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -281,11 +281,6 @@ def train(config: TrainConfig, docs: Sequence[Document],
 
     clean_blocks, clean_labels = encode_batch(train_docs, table, config.n_s, config.n_w)
     valid_blocks, valid_labels = encode_batch(valid_docs, table, config.n_s, config.n_w)
-    adv_blocks = adv_labels = None
-
-    stream_len = 2 * len(train_docs) if config.adversarial else len(train_docs)
-    steps_per_epoch = math.ceil(stream_len / config.batch_size)
-    total_steps = steps_per_epoch * config.epochs
 
     history: List[EpochRecord] = []
     best_acc = -1.0
@@ -293,12 +288,10 @@ def train(config: TrainConfig, docs: Sequence[Document],
     global_step = 0
 
     for epoch in range(config.epochs):
-        lr_epoch = lr_at(epoch, config)
-        if config.adversarial and (adv_blocks is None or config.adversarial_resample):
-            adv_docs = augment_dataset(train_docs, policy, config.seed,
-                                       epoch if config.adversarial_resample else 0)
-            adv_blocks, adv_labels = encode_batch(adv_docs, table, config.n_s, config.n_w)
+        lr = lr_at(epoch, config)
         if config.adversarial:
+            adv_docs = augment_dataset(train_docs, policy, config.seed, epoch)
+            adv_blocks, adv_labels = encode_batch(adv_docs, table, config.n_s, config.n_w)
             blocks = np.concatenate([clean_blocks, adv_blocks])
             labels = np.concatenate([clean_labels, adv_labels])
         else:
@@ -319,10 +312,6 @@ def train(config: TrainConfig, docs: Sequence[Document],
             if not math.isfinite(step_loss):
                 raise _diverged(params, "training loss", step_loss, epoch, global_step)
             backward(loss, tape)
-            if config.lr_decay == "step":
-                lr = config.learning_rate * (1.0 - global_step / total_steps)
-            else:
-                lr = lr_epoch
             adam_step(params, state, lr)
             global_step += 1
             loss_sum += step_loss * len(idx)
@@ -377,7 +366,7 @@ def run_ablation(base: TrainConfig, docs: Sequence[Document],
         config = replace(base, head=head, adversarial=adversarial)
         params, history = train(config, docs, table)
         valid = best_epoch(history).valid
-        test = evaluate(params, test_docs, table, config, split="test")
+        test = evaluate(params, test_docs, table, config)
         rows.append(AblationRow(label=label, valid=valid, test=test))
     return rows
 
@@ -425,7 +414,6 @@ def config_to_dict(config: TrainConfig) -> dict:
         "n_pc": config.head.n_pc,
         "n_cc": config.head.n_cc,
         "d": config.head.d,
-        "n_cls": config.head.n_cls,
         "routing_iterations": config.head.routing_iterations,
     }
     return {
@@ -444,19 +432,16 @@ def config_to_dict(config: TrainConfig) -> dict:
         "seed": config.seed,
         "n_s": config.n_s,
         "n_w": config.n_w,
-        "lr_decay": config.lr_decay,
-        "adversarial_resample": config.adversarial_resample,
     }
 
 
 _ENCODER_SCHEMA = {"kind": ENCODER_KINDS, "kernel_sizes": [int],
                    "filters_per_kernel": int, "hidden_dim": int}
-_HEAD_SCHEMA = {"type": ("capsule", "baseline"), "n_pc": int, "n_cc": int, "d": int, "n_cls": int,
+_HEAD_SCHEMA = {"type": ("capsule", "baseline"), "n_pc": int, "n_cc": int, "d": int,
                 "routing_iterations": int}
 _TOP_SCHEMA = {"encoder": dict, "head": dict, "adversarial": bool, "learning_rate": float,
                "epochs": int, "batch_size": int, "split": [float], "seed": int,
-               "n_s": int, "n_w": int, "lr_decay": ("epoch", "step"),
-               "adversarial_resample": bool}
+               "n_s": int, "n_w": int}
 
 
 def _has_kind(value, kind) -> bool:

@@ -15,6 +15,7 @@ import pytest
 
 from textcaps.adversarial import PerturbationPolicy, SeededRng, perturb_sentence
 from textcaps.capsule import (
+    N_CLASSES,
     CapsuleHeadConfig,
     class_probabilities_batch,
     compress_batch,
@@ -129,7 +130,7 @@ def test_criterion_3_routing_invariants():
         cfg = CapsuleHeadConfig(n_pc=2, n_cc=int(rng.integers(1, 7)),
                                 d=int(rng.integers(1, 5)), routing_iterations=3)
         u = Tensor(rng.normal(size=(2, cfg.n_cc, cfg.d)))
-        w = Tensor(rng.normal(size=(cfg.n_cc, cfg.n_cls, cfg.d, cfg.d)))
+        w = Tensor(rng.normal(size=(cfg.n_cc, N_CLASSES, cfg.d, cfg.d)))
         _, state = dynamic_routing_batch(u, w, cfg)
         assert len(state.coupling_history) == 3
         for c in state.coupling_history:
@@ -217,7 +218,7 @@ def test_criterion_5_desk_scale_training(corpus):
     config_path.write_text(json.dumps({
         "encoder": {"kind": "bigru", "kernel_sizes": [3, 4, 5],
                     "filters_per_kernel": 16, "hidden_dim": 32},
-        "head": {"type": "capsule", "n_pc": 8, "n_cc": 32, "d": 8, "n_cls": 2,
+        "head": {"type": "capsule", "n_pc": 8, "n_cc": 32, "d": 8,
                  "routing_iterations": 3},
         "adversarial": False,
         "learning_rate": 5e-4,   # 5e-5 scaled x10 for the small model
@@ -284,7 +285,7 @@ def test_criterion_8_reproducibility(corpus):
     config_path.write_text(json.dumps({
         "encoder": {"kind": "cnn", "kernel_sizes": [2, 3],
                     "filters_per_kernel": 4, "hidden_dim": 4},
-        "head": {"type": "capsule", "n_pc": 2, "n_cc": 8, "d": 4, "n_cls": 2,
+        "head": {"type": "capsule", "n_pc": 2, "n_cc": 8, "d": 4,
                  "routing_iterations": 3},
         "adversarial": True,
         "learning_rate": 1e-3,

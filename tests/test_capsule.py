@@ -15,13 +15,13 @@ import pytest
 
 from textcaps.adversarial import SeededRng
 from textcaps.capsule import (
+    N_CLASSES,
     CapsuleHeadConfig,
     baseline_head_batch,
     class_probabilities_batch,
     compress_batch,
     dynamic_routing_batch,
     init_capsule_head,
-    predict,
     primary_capsules_batch,
     squash,
 )
@@ -170,7 +170,7 @@ class TestOnesMatmulReference:
     @pytest.mark.parametrize("b, n_cc, n_cls, d, iterations",
                              [(1, 1, 2, 1, 1), (2, 4, 2, 3, 3), (3, 5, 3, 4, 2)])
     def test_routing_forward_bytes_and_gradients(self, b, n_cc, n_cls, d, iterations):
-        cfg = _head_config(n_cc=n_cc, n_cls=n_cls, d=d, routing_iterations=iterations)
+        cfg = _head_config(n_cc=n_cc, d=d, routing_iterations=iterations)
         rng = np.random.default_rng(b * 100 + n_cc)
         u = rng.normal(size=(b, n_cc, d))
         w = rng.normal(size=(n_cc, n_cls, d, d))
@@ -215,7 +215,7 @@ class TestFusedReference:
 
     @pytest.mark.parametrize("b, n_cc, n_cls, d, iterations", ROUTING_CASES)
     def test_routing_forward_bytes_and_state(self, b, n_cc, n_cls, d, iterations):
-        cfg = _head_config(n_cc=n_cc, n_cls=n_cls, d=d, routing_iterations=iterations)
+        cfg = _head_config(n_cc=n_cc, d=d, routing_iterations=iterations)
         rng = np.random.default_rng(b * 1000 + n_cc * 10 + iterations)
         u = rng.normal(size=(b, n_cc, d))
         w = rng.normal(size=(n_cc, n_cls, d, d))
@@ -236,7 +236,7 @@ class TestFusedReference:
 
     @pytest.mark.parametrize("b, n_cc, n_cls, d, iterations", ROUTING_CASES)
     def test_routing_gradients(self, b, n_cc, n_cls, d, iterations):
-        cfg = _head_config(n_cc=n_cc, n_cls=n_cls, d=d, routing_iterations=iterations)
+        cfg = _head_config(n_cc=n_cc, d=d, routing_iterations=iterations)
         rng = np.random.default_rng(b * 1000 + n_cc * 10 + iterations + 1)
         u = rng.normal(size=(b, n_cc, d))
         w = rng.normal(size=(n_cc, n_cls, d, d)) / d
@@ -300,7 +300,7 @@ class TestSquash:
 
 
 def _head_config(**kw):
-    defaults = dict(n_pc=2, n_cc=4, d=3, n_cls=2, routing_iterations=3)
+    defaults = dict(n_pc=2, n_cc=4, d=3, routing_iterations=3)
     defaults.update(kw)
     return CapsuleHeadConfig(**defaults)
 
@@ -400,7 +400,7 @@ class TestDynamicRouting:
         cfg = _head_config(routing_iterations=1)
         rng = np.random.default_rng(6)
         u = Tensor(rng.normal(size=(1, cfg.n_cc, cfg.d)))
-        w = Tensor(rng.normal(size=(cfg.n_cc, cfg.n_cls, cfg.d, cfg.d)))
+        w = Tensor(rng.normal(size=(cfg.n_cc, N_CLASSES, cfg.d, cfg.d)))
         _, state = dynamic_routing_batch(u, w, cfg)
         np.testing.assert_allclose(state.couplings.values, 0.5, rtol=0, atol=1e-15)
 
@@ -411,7 +411,7 @@ class TestDynamicRouting:
                                d=int(rng.integers(1, 5)),
                                routing_iterations=3)
             u = Tensor(rng.normal(size=(2, cfg.n_cc, cfg.d)))
-            w = Tensor(rng.normal(size=(cfg.n_cc, cfg.n_cls, cfg.d, cfg.d)))
+            w = Tensor(rng.normal(size=(cfg.n_cc, N_CLASSES, cfg.d, cfg.d)))
             _, state = dynamic_routing_batch(u, w, cfg)
             assert len(state.coupling_history) == 3
             for c in state.coupling_history:
@@ -426,7 +426,7 @@ class TestDynamicRouting:
                                d=int(rng.integers(1, 4)),
                                routing_iterations=int(rng.integers(1, 4)))
             u = rng.normal(size=(cfg.n_cc, cfg.d))
-            w = rng.normal(size=(cfg.n_cc, cfg.n_cls, cfg.d, cfg.d))
+            w = rng.normal(size=(cfg.n_cc, N_CLASSES, cfg.d, cfg.d))
             v_ref, logits_ref, c_ref = routing_oracle(u, w, cfg.routing_iterations)
             caps, state = dynamic_routing_batch(Tensor(u[None]), Tensor(w), cfg)
             np.testing.assert_allclose(caps.values[0], v_ref, rtol=0, atol=1e-9)
@@ -460,7 +460,7 @@ class TestDynamicRouting:
 
     def test_rank2_input_names_shape(self):
         cfg = _head_config()
-        w = Tensor(np.zeros((cfg.n_cc, cfg.n_cls, cfg.d, cfg.d)))
+        w = Tensor(np.zeros((cfg.n_cc, N_CLASSES, cfg.d, cfg.d)))
         with pytest.raises(ShapeMismatchError, match=r"must be rank 3, got \(4, 3\)$"):
             dynamic_routing_batch(Tensor(np.ones((cfg.n_cc, cfg.d))), w, cfg)
 
@@ -468,7 +468,7 @@ class TestDynamicRouting:
         # train-cnn-caps head shapes. numpy reports its buffers to tracemalloc;
         # the backward must not build a (B, n_cc, n_cls, d, d) temporary.
         b, n_cc, n_cls, d = 32, 128, 2, 16
-        cfg = _head_config(n_cc=n_cc, n_cls=n_cls, d=d, routing_iterations=3)
+        cfg = _head_config(n_cc=n_cc, d=d, routing_iterations=3)
         rng = np.random.default_rng(14)
         u = Parameter(Tensor(rng.normal(size=(b, n_cc, d))), "u").tensor
         w = Parameter(Tensor(rng.normal(size=(n_cc, n_cls, d, d)) / d), "w").tensor
@@ -490,7 +490,7 @@ class TestDynamicRouting:
         cfg = _head_config()
         rng = np.random.default_rng(11)
         u = Tensor(rng.normal(size=(3, cfg.n_cc, cfg.d)) * 2)
-        w = Tensor(rng.normal(size=(cfg.n_cc, cfg.n_cls, cfg.d, cfg.d)))
+        w = Tensor(rng.normal(size=(cfg.n_cc, N_CLASSES, cfg.d, cfg.d)))
         v, _ = dynamic_routing_batch(u, w, cfg)
         norms = np.linalg.norm(v.values, axis=-1)
         assert np.all(norms >= 0.0) and np.all(norms < 1.0)
@@ -517,14 +517,6 @@ class TestClassProbabilities:
             data = rng.normal(size=(2, 5)) * 0.4
             p = class_probabilities_batch(Tensor(data[None])).values[0]
             assert int(np.argmax(p)) == int(np.argmax(np.linalg.norm(data, axis=1)))
-
-
-class TestPredict:
-    @pytest.mark.parametrize("probs,expected", [
-        ((0.7, 0.3), 0), ((0.5, 0.5), 0), ((0.1, 0.9), 1),
-    ])
-    def test_argmax_and_ties(self, probs, expected):
-        assert predict(np.array(probs)) == expected
 
 
 class TestBaselineHead:

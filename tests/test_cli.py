@@ -28,7 +28,7 @@ def workspace(tmp_path_factory):
     config.write_text(json.dumps({
         "encoder": {"kind": "cnn", "kernel_sizes": [2], "filters_per_kernel": 3,
                     "hidden_dim": 3},
-        "head": {"type": "capsule", "n_pc": 2, "n_cc": 4, "d": 3, "n_cls": 2,
+        "head": {"type": "capsule", "n_pc": 2, "n_cc": 4, "d": 3,
                  "routing_iterations": 2},
         "adversarial": False,
         "learning_rate": 0.003,
@@ -167,6 +167,19 @@ class TestEval:
         assert payload["precision"] == float(test_row[4])
         assert payload["recall"] == float(test_row[5])
 
+    def test_checkpoint_with_class_count_record(self, trained, workspace, tmp_path, capsys):
+        # checkpoints written before the class count became a constant carry
+        # a meta.n_cls record; it is ignored and scoring is unchanged
+        argv = ["--data", str(trained / "splits" / "test.jsonl"),
+                "--embeddings", str(workspace / "emb.txt")]
+        assert run_cli(["eval", "--model", str(trained / "model.caps"), *argv]) == 0
+        current = capsys.readouterr().out
+        params, meta = load_model(trained / "model.caps")
+        assert "n_cls" not in meta
+        save_model(tmp_path / "m.caps", params, {**meta, "n_cls": 2})
+        assert run_cli(["eval", "--model", str(tmp_path / "m.caps"), *argv]) == 0
+        assert capsys.readouterr().out == current
+
     def test_corrupt_magic_mentions_caps1(self, workspace, capsys):
         bad = workspace / "bad.caps"
         bad.write_bytes(b"NOPE!" + b"\x00" * 16)
@@ -228,6 +241,33 @@ class TestMalformedInputs:
         save_model(tmp_path / "m.caps", params, {**meta, "n_cc": meta["n_cc"] + 1})
         assert self._eval(tmp_path / "m.caps", workspace) == 1
         _assert_one_line_error(capsys, "'head.compress.w' has shape")
+
+    def test_three_class_checkpoint(self, trained, workspace, tmp_path, capsys):
+        params, meta = load_model(trained / "model.caps")
+        n_cc, _, d, _ = params["head.routing.w"].tensor.shape
+        params["head.routing.w"].tensor.values = np.random.default_rng(0).normal(
+            size=(n_cc, 3, d, d))
+        save_model(tmp_path / "m.caps", params, {**meta, "n_cls": 3})
+        assert self._eval(tmp_path / "m.caps", workspace) == 1
+        _assert_one_line_error(capsys, "'head.routing.w' has shape")
+
+    @pytest.mark.parametrize("key, value", [("lr_decay", "epoch"),
+                                            ("adversarial_resample", True),
+                                            ("head.n_cls", 2)])
+    def test_retired_config_key(self, trained, workspace, tmp_path, capsys, key, value):
+        # a manifest written before these keys were retired carries them
+        manifest = json.loads((trained / "manifest.json").read_text())
+        section, _, name = key.rpartition(".")
+        target = manifest["config"][section] if section else manifest["config"]
+        target[name] = value
+        (tmp_path / "old.json").write_text(json.dumps(manifest))
+        code = run_cli(["train", "--config", str(tmp_path / "old.json"),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        _assert_one_line_error(capsys, f"'{key}' is unknown")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("change", [{"n_cc": 10 ** 12},
                                         {"kernel_sizes": [1e300], "e_d": 1e300}])
@@ -330,7 +370,7 @@ class TestCsvConventions:
 
 class TestExportRepr:
     @pytest.mark.parametrize("stage,columns", [
-        ("class", 1 + 2 * 3),        # label + n_cls * d
+        ("class", 1 + 2 * 3),        # label + N_CLASSES * d
         ("condensed", 1 + 4 * 3),    # label + n_cc * d
         ("encoder-pooled", 1 + 3),   # label + channels
     ])

@@ -291,8 +291,8 @@ class TestTrainLoop:
                 break
         assert decreased
 
-    def test_fixed_perturbations_augment_once(self, monkeypatch):
-        config = _toy_config(adversarial=True, adversarial_resample=False, epochs=3)
+    def test_augments_every_epoch(self, monkeypatch):
+        config = _toy_config(adversarial=True, epochs=3)
         docs = _toy_corpus()
         calls = []
         augment = training.augment_dataset
@@ -308,9 +308,9 @@ class TestTrainLoop:
             payload = b"".join(params[n].tensor.values.tobytes() for n in sorted(params))
             return payload, [(r.train.loss, r.valid.loss) for r in history]
 
-        first, second = run(), run()
-        assert calls == [0, 0]  # one augmentation per run, at epoch 0
-        assert first == second
+        first = run()
+        assert calls == [0, 1, 2]  # fresh perturbations each epoch
+        assert run() == first
 
     @pytest.mark.parametrize("kind", ["cnn", "bigru"])
     def test_only_parameters_get_gradients(self, monkeypatch, kind):
@@ -383,7 +383,9 @@ class TestAblation:
 
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
-        config = _toy_config(adversarial=True, lr_decay="step")
+        config = _toy_config(adversarial=True, learning_rate=3e-3, epochs=4, batch_size=7,
+                             split=(0.6, 0.3, 0.1), seed=9, n_s=3, n_w=5,
+                             head=CapsuleHeadConfig(n_pc=3, n_cc=5, d=2, routing_iterations=2))
         assert config_from_dict(config_to_dict(config)) == config
 
     def test_baseline_marker(self):
@@ -430,6 +432,9 @@ class TestStrictConfig:
         ({"head": {"type": "capsule", "n_pcc": 2}}, "head.n_pcc"),
         ({"head": {"type": "capsule", "d": None}}, "head.d"),
         ({"head": {"type": "baseline", "n_pc": 2}}, "head.n_pc"),
+        ({"lr_decay": "epoch"}, "lr_decay"),
+        ({"adversarial_resample": True}, "adversarial_resample"),
+        ({"head": {"type": "capsule", "n_cls": 2}}, "head.n_cls"),
     ])
     def test_rejects_naming_the_key(self, change, key):
         data = {**config_to_dict(_toy_config()), **change}
