@@ -42,19 +42,15 @@ class SeededRng:
     platforms (PCG64's stream is part of numpy's stability guarantee).
     """
 
-    algorithm = "numpy-pcg64"
-
     def __init__(self, seed: int) -> None:
-        self.seed = seed & _SEED_MASK
-        self.generator = np.random.Generator(np.random.PCG64(self.seed))
+        self.generator = np.random.Generator(np.random.PCG64(seed & _SEED_MASK))
 
     @classmethod
     def from_mix(cls, *components: int) -> "SeededRng":
         """Derive an rng from several integers via numpy's SeedSequence."""
-        seq = np.random.SeedSequence([c & _SEED_MASK for c in components])
         rng = cls.__new__(cls)
-        rng.seed = int(seq.generate_state(1, np.uint64)[0])
-        rng.generator = np.random.Generator(np.random.PCG64(seq))
+        rng.generator = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([c & _SEED_MASK for c in components])))
         return rng
 
     def below(self, n: int) -> int:

@@ -17,10 +17,11 @@ document is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .encoders import init_parameters
 from .tensor import (
     Parameter,
     ShapeMismatchError,
@@ -137,32 +138,20 @@ def baseline_head_batch(fm: Tensor, dense: Tensor) -> Tensor:
     return softmax(pooled @ dense, axis=-1)
 
 
+def head_parameter_shapes(head: Optional[CapsuleHeadConfig], positions: int,
+                          channels: int) -> Dict[str, Tuple[int, ...]]:
+    """Every head parameter's name and shape, in initialisation order, over a
+    (positions, channels) feature map; head=None is the baseline head."""
+    if head is None:
+        return {"head.dense.w": (channels, N_CLASSES)}
+    return {
+        "head.primary.w": (channels, head.n_pc * head.d),
+        "head.compress.w": (head.n_cc, positions * head.n_pc),
+        "head.routing.w": (head.n_cc, N_CLASSES, head.d, head.d),
+    }
+
+
 def init_capsule_head(config: CapsuleHeadConfig, positions: int, channels: int,
                       rng) -> Dict[str, Parameter]:
     """Glorot-uniform projection/compression/routing parameters."""
-    from .encoders import _glorot
-
-    count = positions * config.n_pc
-    proj_shape = (channels, config.n_pc * config.d)
-    params = {
-        "head.primary.w": Parameter(
-            Tensor(_glorot(rng, proj_shape[0], proj_shape[1], proj_shape)),
-            "head.primary.w"),
-        "head.compress.w": Parameter(
-            Tensor(_glorot(rng, count, config.n_cc, (config.n_cc, count))),
-            "head.compress.w"),
-        "head.routing.w": Parameter(
-            Tensor(_glorot(rng, config.d, config.d,
-                           (config.n_cc, N_CLASSES, config.d, config.d))),
-            "head.routing.w"),
-    }
-    return params
-
-
-def init_baseline_head(channels: int, n_cls: int, rng) -> Dict[str, Parameter]:
-    from .encoders import _glorot
-
-    return {
-        "head.dense.w": Parameter(
-            Tensor(_glorot(rng, channels, n_cls, (channels, n_cls))), "head.dense.w"),
-    }
+    return init_parameters(head_parameter_shapes(config, positions, channels), rng)

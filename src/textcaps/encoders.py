@@ -85,49 +85,58 @@ def encoder_output_shape(config: EncoderConfig, t: int, e_d: int) -> Tuple[int, 
     return t, width
 
 
-def _glorot(rng: SeededRng, fan_in: int, fan_out: int, shape: Tuple[int, ...]) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.generator.uniform(-limit, limit, size=shape)
-
-
 _GATE_NAMES = {"gru": ("z", "r", "n"), "lstm": ("i", "f", "o", "g")}
 
 
-def _init_recurrent(params: Dict[str, Parameter], rng: SeededRng,
-                    prefix: str, kind: str, e_d: int, hidden: int) -> None:
-    for gate in _GATE_NAMES[kind]:
-        params[f"{prefix}.w_{gate}"] = Parameter(
-            Tensor(_glorot(rng, e_d, hidden, (e_d, hidden))), f"{prefix}.w_{gate}")
-        params[f"{prefix}.u_{gate}"] = Parameter(
-            Tensor(_glorot(rng, hidden, hidden, (hidden, hidden))), f"{prefix}.u_{gate}")
-        params[f"{prefix}.b_{gate}"] = Parameter(
-            Tensor(np.zeros((1, hidden))), f"{prefix}.b_{gate}")
+def _recurrent_prefixes(config: EncoderConfig) -> Tuple[str, ...]:
+    """Parameter-name prefix of each recurrent direction, forward first."""
+    kind = config.recurrent_kind
+    if not kind:
+        return ()
+    base = f"encoder.{'bi' if config.bidirectional else ''}{kind}"
+    return (f"{base}.fw", f"{base}.bw") if config.bidirectional else (base,)
+
+
+def encoder_parameter_shapes(config: EncoderConfig, e_d: int) -> Dict[str, Tuple[int, ...]]:
+    """Every encoder parameter's name and shape, in initialisation order."""
+    shapes: Dict[str, Tuple[int, ...]] = {}
+    rnn_input = e_d
+    if config.uses_cnn:
+        rnn_input = config.filters_per_kernel
+        for k in config.kernel_sizes:
+            shapes[f"encoder.cnn.k{k}.w"] = (k * e_d, rnn_input)
+            shapes[f"encoder.cnn.k{k}.b"] = (1, rnn_input)
+    hidden = config.hidden_dim
+    for prefix in _recurrent_prefixes(config):
+        for gate in _GATE_NAMES[config.recurrent_kind]:
+            shapes[f"{prefix}.w_{gate}"] = (rnn_input, hidden)
+            shapes[f"{prefix}.u_{gate}"] = (hidden, hidden)
+            shapes[f"{prefix}.b_{gate}"] = (1, hidden)
+    return shapes
+
+
+def init_parameters(shapes: Dict[str, Tuple[int, ...]], rng: SeededRng) -> Dict[str, Parameter]:
+    """Fill an inventory in order: zero biases, Glorot-uniform weights.
+
+    A name whose last part is ``b`` or ``b_<gate>`` is a bias. Every other
+    parameter draws from U(-l, l), l = sqrt(6 / (fan_in + fan_out)), its
+    last two extents being the fans (Glorot & Bengio 2010).
+    """
+    params: Dict[str, Parameter] = {}
+    for name, shape in shapes.items():
+        last = name.rpartition(".")[2]
+        if last == "b" or last.startswith("b_"):
+            values = np.zeros(shape)
+        else:
+            limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+            values = rng.generator.uniform(-limit, limit, size=shape)
+        params[name] = Parameter(Tensor(values), name)
+    return params
 
 
 def init_encoder(config: EncoderConfig, e_d: int, rng: SeededRng) -> Dict[str, Parameter]:
     """Glorot-uniform weights, zero biases, zero initial states (implicit)."""
-    params: Dict[str, Parameter] = {}
-    rnn_input = e_d
-    if config.uses_cnn:
-        for k in config.kernel_sizes:
-            fan_in = k * e_d
-            name_w = f"encoder.cnn.k{k}.w"
-            params[name_w] = Parameter(
-                Tensor(_glorot(rng, fan_in, config.filters_per_kernel,
-                               (fan_in, config.filters_per_kernel))), name_w)
-            name_b = f"encoder.cnn.k{k}.b"
-            params[name_b] = Parameter(
-                Tensor(np.zeros((1, config.filters_per_kernel))), name_b)
-        rnn_input = config.filters_per_kernel
-    kind = config.recurrent_kind
-    if kind:
-        base = f"encoder.{'bi' if config.bidirectional else ''}{kind}"
-        if config.bidirectional:
-            _init_recurrent(params, rng, f"{base}.fw", kind, rnn_input, config.hidden_dim)
-            _init_recurrent(params, rng, f"{base}.bw", kind, rnn_input, config.hidden_dim)
-        else:
-            _init_recurrent(params, rng, base, kind, rnn_input, config.hidden_dim)
-    return params
+    return init_parameters(encoder_parameter_shapes(config, e_d), rng)
 
 
 def _require(params: Dict[str, Parameter], name: str, shape: Tuple[int, ...]) -> Tensor:
@@ -175,11 +184,6 @@ def encoder_forward_batch(config: EncoderConfig, params: Dict[str, Parameter],
         x = _cnn_forward(config, params, x)
         if config.kind == "cnn":
             return x
-    kind = config.recurrent_kind
-    base = f"encoder.{'bi' if config.bidirectional else ''}{kind}"
-    if config.bidirectional:
-        fw = _recurrent_direction(config, params, x, f"{base}.fw", reverse=False)
-        bw = _recurrent_direction(config, params, x, f"{base}.bw", reverse=True)
-        return concat([fw, bw], axis=2)
-    return _recurrent_direction(config, params, x, base, reverse=False)
-
+    directions = [_recurrent_direction(config, params, x, prefix, reverse=prefix.endswith(".bw"))
+                  for prefix in _recurrent_prefixes(config)]
+    return concat(directions, axis=2) if len(directions) > 1 else directions[0]

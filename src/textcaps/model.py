@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .adversarial import SeededRng
 from .capsule import (
-    N_CLASSES,
     CapsuleHeadConfig,
     baseline_head_batch,
     class_probabilities_batch,
     compress_batch,
     dynamic_routing_batch,
-    init_baseline_head,
-    init_capsule_head,
+    head_parameter_shapes,
     primary_capsules_batch,
 )
-from .encoders import EncoderConfig, encoder_forward_batch, encoder_output_shape, init_encoder
+from .encoders import (
+    EncoderConfig,
+    encoder_forward_batch,
+    encoder_output_shape,
+    encoder_parameter_shapes,
+    init_parameters,
+)
 from .tensor import Parameter, Tensor
 
 
@@ -30,20 +34,19 @@ class ForwardResult:
     class_capsules: Optional[Tensor] = None   # (B, n_cls, d)
 
 
+def parameter_shapes(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
+                     e_d: int, t: int) -> Dict[str, Tuple[int, ...]]:
+    """Every parameter's name and shape in draw order, encoder then head;
+    ValueError when the encoder cannot run over t tokens."""
+    positions, channels = encoder_output_shape(encoder, t, e_d)
+    return {**encoder_parameter_shapes(encoder, e_d),
+            **head_parameter_shapes(head, positions, channels)}
+
+
 def init_model(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
                e_d: int, t: int, rng: SeededRng) -> Dict[str, Parameter]:
     """Initialize encoder and head parameters; head=None means baseline."""
-    params = init_encoder(encoder, e_d, rng)
-    positions, channels = encoder_output_shape(encoder, t, e_d)
-    if head is None:
-        head_params = init_baseline_head(channels, N_CLASSES, rng)
-    else:
-        head_params = init_capsule_head(head, positions, channels, rng)
-    for name in head_params:
-        if name in params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-    params.update(head_params)
-    return params
+    return init_parameters(parameter_shapes(encoder, head, e_d, t), rng)
 
 
 def forward_batch(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],

@@ -13,6 +13,7 @@ epoch on ties), with validation always computed on clean data.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,6 +57,16 @@ class NonFiniteLossError(TrainingError):
     """A training or validation loss became NaN or infinite."""
 
 
+def _check_split(split: Sequence[float]) -> None:
+    """Require three (train, valid, test) fractions in (0, 1) summing to 1."""
+    # chained comparisons are False for NaN
+    if len(split) != 3 or not all(0 < f < 1 for f in split):
+        raise ValueError(f"config key 'split' must be three fractions in (0, 1), "
+                         f"got {list(split)}")
+    if abs(sum(split) - 1.0) > 1e-9:
+        raise ValueError(f"config key 'split' fractions must sum to 1, got {sum(split)}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     encoder: EncoderConfig
@@ -72,10 +83,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if len(self.split) != 3 or any(f <= 0 for f in self.split):
-            raise ValueError("split must be three positive fractions")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1, got {sum(self.split)}")
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ValueError(f"config key 'learning_rate' must be finite and > 0, "
+                             f"got {self.learning_rate}")
+        _check_split(self.split)
         if self.n_s < 1 or self.n_w < 1:
             raise ValueError("n_s and n_w must be >= 1")
 
@@ -145,8 +156,7 @@ def split_dataset(docs: Sequence[Document], split: Sequence[float],
 
     Raises TooFewDocumentsError when any of the three parts would be empty.
     """
-    if len(split) != 3 or any(f <= 0 for f in split) or abs(sum(split) - 1.0) > 1e-9:
-        raise ValueError(f"invalid split fractions {split}")
+    _check_split(split)
     n_valid = math.floor(split[1] * len(docs))
     n_test = math.floor(split[2] * len(docs))
     n_train = len(docs) - n_valid - n_test

@@ -288,6 +288,24 @@ class TestMalformedInputs:
         assert code == 1
         _assert_one_line_error(capsys, "'learning_rat'")
 
+    @pytest.mark.parametrize("key, raw", [("learning_rate", "NaN"),
+                                          ("learning_rate", "Infinity"),
+                                          ("learning_rate", "0"),
+                                          ("learning_rate", "-0.5"),
+                                          ("split", "[NaN, 0.3, 0.3]")])
+    def test_non_finite_or_non_positive_number(self, workspace, tmp_path, capsys, key, raw):
+        # the raw JSON text: Python's json reads NaN and Infinity as floats
+        config = json.loads((workspace / "config.json").read_text())
+        config[key] = "@"
+        (tmp_path / "bad.json").write_text(json.dumps(config).replace('"@"', raw))
+        code = run_cli(["train", "--config", str(tmp_path / "bad.json"),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        _assert_one_line_error(capsys, f"config key '{key}' must be")
+        assert not (tmp_path / "run").exists()
+
     def test_diverging_run_writes_no_model(self, workspace, tmp_path, capsys):
         config = json.loads((workspace / "config.json").read_text())
         config["learning_rate"] = 1e300

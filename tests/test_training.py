@@ -441,6 +441,25 @@ class TestStrictConfig:
         with pytest.raises(ValueError, match=f"'{key}'"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("change, key", [
+        ({"learning_rate": math.nan}, "learning_rate"),
+        ({"learning_rate": math.inf}, "learning_rate"),
+        ({"learning_rate": 0}, "learning_rate"),
+        ({"learning_rate": -0.5}, "learning_rate"),
+        ({"learning_rate": 10 ** 400}, "learning_rate"),
+        ({"split": [math.nan, 0.3, 0.3]}, "split"),
+        ({"split": [0.4, math.inf, 0.3]}, "split"),
+        ({"split": [0.7, 0.2, -math.inf]}, "split"),
+    ])
+    def test_rejects_non_finite_or_non_positive(self, change, key):
+        data = {**config_to_dict(_toy_config()), **change}
+        with pytest.raises(ValueError, match=f"^config key '{key}' must be"):
+            config_from_dict(data)
+
+    def test_split_rule_shared_with_split_dataset(self):
+        with pytest.raises(ValueError, match="^config key 'split' must be"):
+            split_dataset(_toy_corpus(10), (math.nan, 0.3, 0.3), seed=0)
+
     def test_routing_iterations_bounded(self):
         data = {**config_to_dict(_toy_config())}
         data["head"] = {**data["head"], "routing_iterations": 11}
