@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (TensorError, DatasetError, TrainingError, ModelFormatError,
-            ValueError, OSError) as exc:
+            ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

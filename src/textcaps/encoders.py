@@ -51,6 +51,10 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder kind {self.kind!r}; choose from {ENCODER_KINDS}")
         if not self.kernel_sizes or any(k < 1 for k in self.kernel_sizes):
             raise ValueError("kernel_sizes must be non-empty positive integers")
+        if len(set(self.kernel_sizes)) != len(self.kernel_sizes):
+            # each size names one encoder.cnn.k<size> bank, so a repeat would
+            # read the same weights twice
+            raise ValueError(f"kernel_sizes must be distinct, got {list(self.kernel_sizes)}")
         if self.filters_per_kernel < 1 or self.hidden_dim < 1:
             raise ValueError("filters_per_kernel and hidden_dim must be >= 1")
 

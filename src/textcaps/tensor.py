@@ -3,11 +3,15 @@
 All values are float64 numpy arrays in row-major order. Gradients flow only
 to parameters and to what is computed from them: a :class:`Parameter`'s tensor
 needs a gradient, and a primitive's output needs one when any of its operands
-does. A forward pass executed under an active :class:`Tape` records one node
-per primitive application that has such an operand; work on constants alone
-(input blocks, labels) is never recorded. :func:`backward` replays the tape in
-reverse, accumulates gradients by summation wherever a tensor fans out into
-several consumers, and writes ``grad`` on parameter tensors only.
+does. Each primitive is a shape check plus one function that returns its
+output and its pullback, the closure mapping an output gradient to operand
+gradients (the vector-Jacobian product). A forward pass executed under an
+active :class:`Tape` records one node, holding that pullback, per primitive
+application that has such an operand; work on constants alone (input blocks,
+labels) is never recorded. :func:`backward` replays the tape in reverse,
+calls each node's pullback, accumulates gradients by summation wherever a
+tensor fans out into several consumers, and writes ``grad`` on parameter
+tensors only.
 
 Broadcasting is deliberately narrow: ``add``/``sub``/``mul``/``div`` take
 operands of equal rank whose extents are pairwise equal or 1, ``matmul``
@@ -17,7 +21,7 @@ from-scratch engine. Values are always C-contiguous, so ``reshape`` and an
 axis-0 ``slice`` are views while ``transpose`` copies.
 
 Besides the elementwise, reduction and shape primitives there are fused ones
-with hand-written backward rules: ``gru_scan`` and ``lstm_scan`` run a whole
+with hand-written pullbacks: ``gru_scan`` and ``lstm_scan`` run a whole
 recurrent direction as one tape node (backpropagation through time),
 ``squash`` is the capsule non-linearity, and ``routing`` is the whole
 iterated dynamic routing of a capsule head.
@@ -25,8 +29,7 @@ iterated dynamic routing of a capsule head.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -140,20 +143,11 @@ class _Node:
         self.backward_fn = backward_fn
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "tapes", None)
-    if stack is None:
-        stack = []
-        _LOCAL.tapes = stack
-    return stack
+_TAPES: list = []  # entered tapes, innermost last
 
 
 def active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tape:
@@ -165,11 +159,11 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
+        _TAPES.pop()
 
     def _record(self, kind: str, out: Tensor, inputs: Sequence[Tensor],
                 backward_fn: Callable) -> None:
@@ -206,24 +200,15 @@ def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-class _Saved(NamedTuple):
-    """A forward's output plus the arrays it keeps for its backward rule.
-
-    ``apply_primitive`` hands ``arrays`` to ``make_backward`` as a fifth
-    argument, so a fused primitive need not recompute its intermediates.
-    """
-
-    out: np.ndarray
-    arrays: tuple
-
-
 # ---------------------------------------------------------------------------
-# Primitive definitions. Each entry: (check, forward, make_backward).
-# forward returns the output array, or a _Saved. make_backward also gets
-# ``needs``, one bool per operand telling whether it needs a gradient, and
-# returns a callable g_out -> per-operand gradient contributions (ndarray, or
-# None). A rule may skip the work for an operand that needs none; backward
-# drops whatever it returns for such an operand.
+# Primitive definitions. Each entry: (check, fn). check(arrays, kw) raises on
+# operands the primitive does not accept. fn(arrays, kw, needs) returns the
+# output array and its pullback, a callable g_out -> per-operand gradient
+# contributions (ndarray, or None). ``needs`` holds one bool per operand
+# telling whether it needs a gradient: a pullback may skip the work for an
+# operand that needs none, and backward drops whatever it returns for one.
+# The forward does forward work only; anything only the backward reads is
+# formed inside the pullback, so a tape-free pass never pays for it.
 # ---------------------------------------------------------------------------
 
 
@@ -235,40 +220,25 @@ def _check_broadcast(kind):
     return check
 
 
-def _op_add(arrays, kw):
-    return arrays[0] + arrays[1]
-
-
-def _bw_add(arrays, out, kw, needs):
+def _prim_add(arrays, kw, needs):
     a, b = arrays
-    return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+    return a + b, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
 
 
-def _op_sub(arrays, kw):
-    return arrays[0] - arrays[1]
-
-
-def _bw_sub(arrays, out, kw, needs):
+def _prim_sub(arrays, kw, needs):
     a, b = arrays
-    return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+    return a - b, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
 
 
-def _op_mul(arrays, kw):
-    return arrays[0] * arrays[1]
-
-
-def _bw_mul(arrays, out, kw, needs):
+def _prim_mul(arrays, kw, needs):
     a, b = arrays
-    return lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
+    return a * b, lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
 
 
-def _op_div(arrays, kw):
-    return arrays[0] / arrays[1]
-
-
-def _bw_div(arrays, out, kw, needs):
+def _prim_div(arrays, kw, needs):
     a, b = arrays
-    return lambda g: (_unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape))
+    return a / b, lambda g: (_unbroadcast(g / b, a.shape),
+                             _unbroadcast(-g * a / (b * b), b.shape))
 
 
 def _check_matmul(arrays, kw):
@@ -283,15 +253,11 @@ def _check_matmul(arrays, kw):
         raise _shape_error("matmul", "batch extents do not broadcast", a.shape, b.shape)
 
 
-def _op_matmul(arrays, kw):
-    return np.matmul(arrays[0], arrays[1])
-
-
-def _bw_matmul(arrays, out, kw, needs):
+def _prim_matmul(arrays, kw, needs):
     a, b = arrays
     need_a, need_b = needs
 
-    def backward(g):
+    def pullback(g):
         if a.ndim == 2 and b.ndim > 2:
             # weight @ batch: the batch axes fold into the columns of one 2-D
             # product, (m, P*n), for both gradients instead of P products each.
@@ -312,7 +278,7 @@ def _bw_matmul(arrays, out, kw, needs):
         return (_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape) if need_a else None,
                 _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape) if need_b else None)
 
-    return backward
+    return np.matmul(a, b), pullback
 
 
 def _check_scale(arrays, kw):
@@ -320,13 +286,9 @@ def _check_scale(arrays, kw):
         raise _shape_error("scale", "missing 'factor' argument")
 
 
-def _op_scale(arrays, kw):
-    return arrays[0] * kw["factor"]
-
-
-def _bw_scale(arrays, out, kw, needs):
+def _prim_scale(arrays, kw, needs):
     factor = kw["factor"]
-    return lambda g: (g * factor,)
+    return arrays[0] * factor, lambda g: (g * factor,)
 
 
 def _check_concat(arrays, kw):
@@ -343,27 +305,13 @@ def _check_concat(arrays, kw):
                                    first.shape, arr.shape)
 
 
-def _op_concat(arrays, kw):
-    return np.concatenate(arrays, axis=kw["axis"])
-
-
-def _bw_concat(arrays, out, kw, needs):
+def _prim_concat(arrays, kw, needs):
     axis = kw["axis"]
-    ndim = arrays[0].ndim
-    sizes = [arr.shape[axis] for arr in arrays]
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    indices = [
-        tuple(slice(offsets[i], offsets[i + 1]) if ax == axis else slice(None)
-              for ax in range(ndim))
-        for i in range(len(sizes))
-    ]
 
-    def backward(g):
-        return tuple(g[idx] for idx in indices)
+    def pullback(g):
+        return np.split(g, np.cumsum([arr.shape[axis] for arr in arrays[:-1]]), axis=axis)
 
-    return backward
+    return np.concatenate(arrays, axis=axis), pullback
 
 
 def _check_slice(arrays, kw):
@@ -377,27 +325,17 @@ def _check_slice(arrays, kw):
         raise _shape_error("slice", f"range [{start}:{stop}] invalid for axis {axis}", arr.shape)
 
 
-def _op_slice(arrays, kw):
-    index = tuple(
-        slice(kw["start"], kw["stop"]) if ax == kw["axis"] else slice(None)
-        for ax in range(arrays[0].ndim)
-    )
-    return arrays[0][index]
+def _prim_slice(arrays, kw, needs):
+    x = arrays[0]
+    index = tuple(slice(kw["start"], kw["stop"]) if ax == kw["axis"] else slice(None)
+                  for ax in range(x.ndim))
 
-
-def _bw_slice(arrays, out, kw, needs):
-    shape = arrays[0].shape
-    index = tuple(
-        slice(kw["start"], kw["stop"]) if ax == kw["axis"] else slice(None)
-        for ax in range(len(shape))
-    )
-
-    def backward(g):
-        grad = np.zeros(shape)
+    def pullback(g):
+        grad = np.zeros(x.shape)
         grad[index] = g
         return (grad,)
 
-    return backward
+    return x[index], pullback
 
 
 def _check_reshape(arrays, kw):
@@ -408,13 +346,9 @@ def _check_reshape(arrays, kw):
         raise _shape_error("reshape", "element count differs", arrays[0].shape, shape)
 
 
-def _op_reshape(arrays, kw):
-    return arrays[0].reshape(kw["shape"])
-
-
-def _bw_reshape(arrays, out, kw, needs):
-    in_shape = arrays[0].shape
-    return lambda g: (g.reshape(in_shape),)
+def _prim_reshape(arrays, kw, needs):
+    x = arrays[0]
+    return x.reshape(kw["shape"]), lambda g: (g.reshape(x.shape),)
 
 
 def _check_transpose(arrays, kw):
@@ -424,40 +358,25 @@ def _check_transpose(arrays, kw):
                            arrays[0].shape)
 
 
-def _op_transpose(arrays, kw):
-    return np.transpose(arrays[0], kw["perm"])
-
-
-def _bw_transpose(arrays, out, kw, needs):
+def _prim_transpose(arrays, kw, needs):
     perm = kw["perm"]
-    inverse = np.argsort(perm)
-    return lambda g: (np.transpose(g, inverse),)
+    return np.transpose(arrays[0], perm), lambda g: (np.transpose(g, np.argsort(perm)),)
 
 
-def _op_sigmoid(arrays, kw):
-    return _sigmoid(arrays[0])
+def _prim_sigmoid(arrays, kw, needs):
+    y = _sigmoid(arrays[0])
+    return y, lambda g: (g * y * (1.0 - y),)
 
 
-def _bw_sigmoid(arrays, out, kw, needs):
-    return lambda g: (g * out * (1.0 - out),)
+def _prim_tanh(arrays, kw, needs):
+    y = np.tanh(arrays[0])
+    return y, lambda g: (g * (1.0 - y * y),)
 
 
-def _op_tanh(arrays, kw):
-    return np.tanh(arrays[0])
-
-
-def _bw_tanh(arrays, out, kw, needs):
-    return lambda g: (g * (1.0 - out * out),)
-
-
-def _op_relu(arrays, kw):
-    return np.maximum(arrays[0], 0.0)
-
-
-def _bw_relu(arrays, out, kw, needs):
+def _prim_relu(arrays, kw, needs):
+    x = arrays[0]
     # Subgradient at the kink is taken as 0.
-    mask = arrays[0] > 0.0
-    return lambda g: (g * mask,)
+    return np.maximum(x, 0.0), lambda g: (g * (x > 0.0),)
 
 
 def _check_axis(kind):
@@ -480,31 +399,24 @@ def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     return (g - np.sum(g * out, axis=axis, keepdims=True)) * out
 
 
-def _op_softmax(arrays, kw):
-    return _softmax(arrays[0], kw["axis"])
-
-
-def _bw_softmax(arrays, out, kw, needs):
+def _prim_softmax(arrays, kw, needs):
     axis = kw["axis"]
-    return lambda g: (_softmax_grad(g, out, axis),)
+    y = _softmax(arrays[0], axis)
+    return y, lambda g: (_softmax_grad(g, y, axis),)
 
 
-def _op_l2norm(arrays, kw):
-    x = arrays[0]
-    return np.sqrt(np.sum(x * x, axis=kw["axis"]))
-
-
-def _bw_l2norm(arrays, out, kw, needs):
+def _prim_l2norm(arrays, kw, needs):
     x = arrays[0]
     axis = kw["axis"]
+    norm = np.sqrt(np.sum(x * x, axis=axis))
 
-    def backward(g):
+    def pullback(g):
         # Guarded at zero norm: the contribution of an all-zero row is zero,
         # matching the limit of every composition used here (e.g. squash).
-        safe = np.maximum(out, 1e-300)
+        safe = np.maximum(norm, 1e-300)
         return (np.expand_dims(g / safe, axis) * x,)
 
-    return backward
+    return norm, pullback
 
 
 def _check_sum(arrays, kw):
@@ -513,37 +425,26 @@ def _check_sum(arrays, kw):
         raise _shape_error("sum", f"axis {axis} out of range", arrays[0].shape)
 
 
-def _op_sum(arrays, kw):
-    return np.sum(arrays[0], axis=kw.get("axis"))
-
-
-def _bw_sum(arrays, out, kw, needs):
-    shape = arrays[0].shape
+def _prim_sum(arrays, kw, needs):
+    x = arrays[0]
     axis = kw.get("axis")
 
-    def backward(g):
+    def pullback(g):
         if axis is None:
-            return (np.broadcast_to(g, shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape),)
+            return (np.broadcast_to(g, x.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape),)
 
-    return backward
-
-
-def _op_exp(arrays, kw):
-    return np.exp(arrays[0])
+    return np.sum(x, axis=axis), pullback
 
 
-def _bw_exp(arrays, out, kw, needs):
-    return lambda g: (g * out,)
+def _prim_exp(arrays, kw, needs):
+    y = np.exp(arrays[0])
+    return y, lambda g: (g * y,)
 
 
-def _op_log(arrays, kw):
-    return np.log(arrays[0])
-
-
-def _bw_log(arrays, out, kw, needs):
+def _prim_log(arrays, kw, needs):
     x = arrays[0]
-    return lambda g: (g / x,)
+    return np.log(x), lambda g: (g / x,)
 
 
 def _check_unary(kind):
@@ -558,8 +459,8 @@ def _check_unary(kind):
 # each group in gate order. The forward stacks each group into one
 # (., G*H) matrix (the cuDNN layout), runs the recurrence over time from a
 # zero state and returns the (B, T, H) hidden states in position order; with
-# ``reverse`` the scan runs from the last position to the first. The backward
-# is hand-written BPTT over the saved gate activations and states.
+# ``reverse`` the scan runs from the last position to the first. The pullback
+# is hand-written BPTT over the gate activations and states the forward kept.
 
 _GRU_GATES = ("z", "r", "n")
 _LSTM_GATES = ("i", "f", "o", "g")
@@ -619,9 +520,10 @@ def _scan_grads(dproj, x, w, du, reverse, n_gates, need_x):
             *np.split(db, n_gates, axis=1))
 
 
-def _op_gru_scan(arrays, kw):
+def _prim_gru_scan(arrays, kw, needs):
     # z, r = sigmoid(x W_zr + b_zr + h U_zr); n = tanh(x W_n + b_n + (r * h) U_n)
     # h' = z * h + (1 - z) * n, written n + z * (h - n)
+    reverse = kw["reverse"]
     x, w, u, proj = _scan_inputs(arrays, kw, 3)
     t, b, _ = proj.shape
     h = u.shape[0]
@@ -634,14 +536,8 @@ def _op_gru_scan(arrays, kw):
         _sigmoid(proj[s, :, :2 * h] + prev @ u_zr, out=zr[s])
         np.tanh(proj[s, :, 2 * h:] + (zr[s, :, h:] * prev) @ u_n, out=n[s])
         states[s + 1] = n[s] + zr[s, :, :h] * (prev - n[s])
-    return _Saved(_from_steps(states[1:], kw["reverse"]), (x, w, u, states, zr, n))
 
-
-def _bw_gru_scan(arrays, out, kw, needs, saved):
-    x, w, u, states, zr, n = saved
-    reverse = kw["reverse"]
-
-    def backward(g):
+    def pullback(g):
         g = _to_steps(g, reverse)
         t, b, h = g.shape
         prev = states[:-1]
@@ -666,12 +562,13 @@ def _bw_gru_scan(arrays, out, kw, needs, saved):
             (r * prev).reshape(t * b, h).T @ dproj[..., 2 * h:].reshape(t * b, h)], axis=1)
         return _scan_grads(dproj, x, w, du, reverse, 3, needs[0])
 
-    return backward
+    return _from_steps(states[1:], reverse), pullback
 
 
-def _op_lstm_scan(arrays, kw):
+def _prim_lstm_scan(arrays, kw, needs):
     # i, f, o = sigmoid(.), g = tanh(.) of x W + b + h U (one (H, 4H) product)
     # c' = f * c + i * g; h' = o * tanh(c')
+    reverse = kw["reverse"]
     x, w, u, proj = _scan_inputs(arrays, kw, 4)
     t, b, _ = proj.shape
     h = u.shape[0]
@@ -686,14 +583,8 @@ def _op_lstm_scan(arrays, kw):
         np.multiply(act[:, h:2 * h], cells[s], out=cells[s + 1])
         cells[s + 1] += act[:, :h] * act[:, 3 * h:]
         states[s + 1] = act[:, 2 * h:3 * h] * np.tanh(cells[s + 1])
-    return _Saved(_from_steps(states[1:], kw["reverse"]), (x, w, u, states, cells, gates))
 
-
-def _bw_lstm_scan(arrays, out, kw, needs, saved):
-    x, w, u, states, cells, gates = saved
-    reverse = kw["reverse"]
-
-    def backward(g):
+    def pullback(g):
         g = _to_steps(g, reverse)
         t, b, h = g.shape
         i, f, o, gg = (gates[..., k * h:(k + 1) * h] for k in range(4))
@@ -721,7 +612,7 @@ def _bw_lstm_scan(arrays, out, kw, needs, saved):
         du = states[:-1].reshape(t * b, h).T @ dproj.reshape(t * b, 4 * h)
         return _scan_grads(dproj, x, w, du, reverse, 4, needs[0])
 
-    return backward
+    return _from_steps(states[1:], reverse), pullback
 
 
 # Fused capsule primitives. ``squash`` rescales vectors along the last axis to
@@ -729,7 +620,7 @@ def _bw_lstm_scan(arrays, out, kw, needs, saved):
 # et al. 2017) from (B, n_cc, d) capsules u through an (n_cc, n_cls, d, d)
 # transform W to (B, n_cls, d) class capsules, as one tape node: the forward
 # performs the same numpy operations, in the same order, as the composed graph
-# it replaces, and the backward walks the iterations in reverse by hand.
+# it replaces, and the pullback walks the iterations in reverse by hand.
 
 
 def _squash_factor(x: np.ndarray) -> tuple:
@@ -760,14 +651,10 @@ def _check_squash(arrays, kw):
                            *(a.shape for a in arrays))
 
 
-def _op_squash(arrays, kw):
-    norm, factor = _squash_factor(arrays[0])
-    return _Saved(arrays[0] * factor, (norm, factor))
-
-
-def _bw_squash(arrays, out, kw, needs, saved):
-    norm, factor = saved
-    return lambda g: (_squash_grad(g, arrays[0], norm, factor),)
+def _prim_squash(arrays, kw, needs):
+    x = arrays[0]
+    norm, factor = _squash_factor(x)
+    return x * factor, lambda g: (_squash_grad(g, x, norm, factor),)
 
 
 def _check_routing(arrays, kw):
@@ -784,7 +671,7 @@ def _check_routing(arrays, kw):
         raise _shape_error("routing", "transform must be (n_cc, n_cls, d, d)", u.shape, w.shape)
 
 
-def _op_routing(arrays, kw):
+def _prim_routing(arrays, kw, needs):
     # u_hat[b, j, k] = W[j, k] @ u[b, j]; logits start at zero. Each iteration:
     # c = softmax(logits) over classes, s = sum_j c * u_hat, v = squash(s),
     # then, except after the last, logits += u_hat . v.
@@ -808,15 +695,8 @@ def _op_routing(arrays, kw):
     sink = kw.get("diagnostics")
     if sink is not None:
         sink[:] = [logits, couplings]
-    return _Saved(v, (u_hat, couplings, steps))
 
-
-def _bw_routing(arrays, out, kw, needs, saved):
-    u, w = arrays
-    u_hat, couplings, steps = saved
-
-    def backward(g):
-        b, n_cc, n_cls, d = u_hat.shape
+    def pullback(g):
         du_hat = np.zeros_like(u_hat)
         scratch = np.empty_like(u_hat)
         gv, dlogits = g, None    # dlogits: gradient of the next iteration's logits
@@ -842,64 +722,59 @@ def _bw_routing(arrays, out, kw, needs, saved):
         dw = np.matmul(rows.transpose(0, 2, 1), u.transpose(1, 0, 2))
         return du, dw.reshape(w.shape)
 
-    return backward
+    return v, pullback
 
 
 _PRIMITIVES: dict = {
-    "matmul": (_check_matmul, _op_matmul, _bw_matmul),
-    "add": (_check_broadcast("add"), _op_add, _bw_add),
-    "sub": (_check_broadcast("sub"), _op_sub, _bw_sub),
-    "mul": (_check_broadcast("mul"), _op_mul, _bw_mul),
-    "div": (_check_broadcast("div"), _op_div, _bw_div),
-    "scale": (_check_scale, _op_scale, _bw_scale),
-    "concat": (_check_concat, _op_concat, _bw_concat),
-    "slice": (_check_slice, _op_slice, _bw_slice),
-    "reshape": (_check_reshape, _op_reshape, _bw_reshape),
-    "transpose": (_check_transpose, _op_transpose, _bw_transpose),
-    "sigmoid": (_check_unary("sigmoid"), _op_sigmoid, _bw_sigmoid),
-    "tanh": (_check_unary("tanh"), _op_tanh, _bw_tanh),
-    "relu": (_check_unary("relu"), _op_relu, _bw_relu),
-    "softmax": (_check_axis("softmax"), _op_softmax, _bw_softmax),
-    "l2norm": (_check_axis("l2norm"), _op_l2norm, _bw_l2norm),
-    "sum": (_check_sum, _op_sum, _bw_sum),
-    "exp": (_check_unary("exp"), _op_exp, _bw_exp),
-    "log": (_check_unary("log"), _op_log, _bw_log),
-    "gru_scan": (_check_scan("gru_scan", _GRU_GATES), _op_gru_scan, _bw_gru_scan),
-    "lstm_scan": (_check_scan("lstm_scan", _LSTM_GATES), _op_lstm_scan, _bw_lstm_scan),
-    "squash": (_check_squash, _op_squash, _bw_squash),
-    "routing": (_check_routing, _op_routing, _bw_routing),
+    "matmul": (_check_matmul, _prim_matmul),
+    "add": (_check_broadcast("add"), _prim_add),
+    "sub": (_check_broadcast("sub"), _prim_sub),
+    "mul": (_check_broadcast("mul"), _prim_mul),
+    "div": (_check_broadcast("div"), _prim_div),
+    "scale": (_check_scale, _prim_scale),
+    "concat": (_check_concat, _prim_concat),
+    "slice": (_check_slice, _prim_slice),
+    "reshape": (_check_reshape, _prim_reshape),
+    "transpose": (_check_transpose, _prim_transpose),
+    "sigmoid": (_check_unary("sigmoid"), _prim_sigmoid),
+    "tanh": (_check_unary("tanh"), _prim_tanh),
+    "relu": (_check_unary("relu"), _prim_relu),
+    "softmax": (_check_axis("softmax"), _prim_softmax),
+    "l2norm": (_check_axis("l2norm"), _prim_l2norm),
+    "sum": (_check_sum, _prim_sum),
+    "exp": (_check_unary("exp"), _prim_exp),
+    "log": (_check_unary("log"), _prim_log),
+    "gru_scan": (_check_scan("gru_scan", _GRU_GATES), _prim_gru_scan),
+    "lstm_scan": (_check_scan("lstm_scan", _LSTM_GATES), _prim_lstm_scan),
+    "squash": (_check_squash, _prim_squash),
+    "routing": (_check_routing, _prim_routing),
 }
 
 
 def apply_primitive(kind: str, operands: Sequence[Tensor], **kw) -> Tensor:
     """Apply a primitive to operand tensors.
 
-    The application is recorded on the active tape, and its output needs a
-    gradient, when some operand needs one; otherwise nothing is recorded.
-    Raises :class:`UnknownPrimitiveError` for kinds outside the primitive
-    set and :class:`ShapeMismatchError` when operand shapes violate the
-    primitive's shape rule.
+    The application is recorded on the active tape, with the pullback its
+    forward returned, and its output needs a gradient, when some operand
+    needs one; otherwise nothing is recorded. Raises
+    :class:`UnknownPrimitiveError` for kinds outside the primitive set and
+    :class:`ShapeMismatchError` when operand shapes violate the primitive's
+    shape rule.
     """
     entry = _PRIMITIVES.get(kind)
     if entry is None:
         raise UnknownPrimitiveError(
             f"unknown primitive {kind!r}; known: {sorted(_PRIMITIVES)}")
-    check, forward, make_backward = entry
+    check, fn = entry
     arrays = [t.values for t in operands]
     check(arrays, kw)
-    result = forward(arrays, kw)
-    saved = ()
-    if isinstance(result, _Saved):
-        result, saved = result.out, (result.arrays,)
+    needs = tuple(t.needs_grad for t in operands)
+    result, pullback = fn(arrays, kw, needs)
     out = Tensor(result)
     tape = active_tape()
-    if tape is None:
-        return out
-    needs = tuple(t.needs_grad for t in operands)
-    if any(needs):
+    if tape is not None and any(needs):
         out.needs_grad = True
-        tape._record(kind, out, tuple(operands),
-                     make_backward(arrays, out.values, kw, needs, *saved))
+        tape._record(kind, out, tuple(operands), pullback)
     return out
 
 
@@ -1065,7 +940,3 @@ def routing(u: Tensor, w: Tensor, iterations: int) -> tuple:
     v = apply_primitive("routing", [u, w], iterations=iterations, diagnostics=diagnostics)
     logits, couplings = diagnostics
     return v, logits, couplings
-
-
-def constant(values) -> Tensor:
-    return Tensor(values)

@@ -277,6 +277,39 @@ class TestMalformedInputs:
         assert self._eval(tmp_path / "m.caps", workspace) == 1
         _assert_one_line_error(capsys, "m.caps")  # rejected without filling memory
 
+    def test_oversized_sequence_config(self, workspace, tmp_path, capsys):
+        # T = n_s * n_w exceeds the address space, so the first parameter
+        # draw fails at once without touching memory
+        config = json.loads((workspace / "config.json").read_text())
+        config["n_w"] = 10 ** 15
+        (tmp_path / "big.json").write_text(json.dumps(config))
+        code = run_cli(["train", "--config", str(tmp_path / "big.json"),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        _assert_one_line_error(capsys, "Unable to allocate")
+        assert not (tmp_path / "run" / "model.caps").exists()
+
+    def test_repeated_kernel_sizes_config(self, workspace, tmp_path, capsys):
+        config = json.loads((workspace / "config.json").read_text())
+        config["encoder"]["kernel_sizes"] = [2, 2]
+        (tmp_path / "repeat.json").write_text(json.dumps(config))
+        code = run_cli(["train", "--config", str(tmp_path / "repeat.json"),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        _assert_one_line_error(capsys, "kernel_sizes must be distinct")
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_kernel_sizes_metadata(self, trained, workspace, tmp_path, capsys):
+        params, meta = load_model(trained / "model.caps")
+        save_model(tmp_path / "m.caps", params, {**meta, "kernel_sizes": [2, 2]})
+        assert self._eval(tmp_path / "m.caps", workspace) == 1
+        _assert_one_line_error(capsys, "checkpoint metadata is invalid",
+                               "kernel_sizes must be distinct")
+
     def test_config_typo(self, workspace, tmp_path, capsys):
         config = json.loads((workspace / "config.json").read_text())
         config["learning_rat"] = config.pop("learning_rate")

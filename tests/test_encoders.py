@@ -51,7 +51,7 @@ class TestShapeLaw:
         for trial in range(3):
             e_d = int(rng.integers(2, 5))
             t = int(rng.integers(4, 9))
-            cfg = EncoderConfig(kind=kind, kernel_sizes=(2, int(rng.integers(2, 4))),
+            cfg = EncoderConfig(kind=kind, kernel_sizes=(2, int(rng.integers(3, 5))),
                                 filters_per_kernel=int(rng.integers(1, 4)),
                                 hidden_dim=int(rng.integers(1, 4)))
             params = init_encoder(cfg, e_d, SeededRng(trial))

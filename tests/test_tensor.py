@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from textcaps.tensor import (
+    _PRIMITIVES,
     EmptyTapeError,
     NonScalarLossError,
     Parameter,
@@ -229,6 +230,63 @@ class TestBackward:
         assert out.node_id is None and x.grad is None
 
 
+def _forward_cases():
+    """One (arrays, kw) application per primitive kind."""
+    rng = np.random.default_rng(25)
+
+    def arr(*shape, low=-2.0):
+        return rng.uniform(low, 2.0, shape)
+
+    pair = [arr(2, 3, 1), arr(1, 3, 4, low=0.5)]
+    return {
+        "matmul": ([arr(3, 4), arr(4, 2)], {}),
+        "add": (pair, {}),
+        "sub": (pair, {}),
+        "mul": (pair, {}),
+        "div": (pair, {}),
+        "scale": ([arr(3, 4)], {"factor": -1.7}),
+        "concat": ([arr(2, 1, 3), arr(2, 4, 3), arr(2, 2, 3)], {"axis": 1}),
+        "slice": ([arr(3, 5)], {"axis": 1, "start": 1, "stop": 4}),
+        "reshape": ([arr(6, 2)], {"shape": (3, 4)}),
+        "transpose": ([arr(2, 3, 4)], {"perm": (2, 0, 1)}),
+        "sigmoid": ([arr(3, 4)], {}),
+        "tanh": ([arr(3, 4)], {}),
+        "relu": ([arr(3, 4)], {}),
+        "softmax": ([arr(3, 4)], {"axis": 1}),
+        "l2norm": ([arr(3, 4)], {"axis": 1}),
+        "sum": ([arr(3, 4)], {"axis": 0}),
+        "exp": ([arr(3, 4)], {}),
+        "log": ([arr(3, 4, low=0.5)], {}),
+        "gru_scan": (_scan_arrays(rng, 3), {"reverse": True}),
+        "lstm_scan": (_scan_arrays(rng, 4), {"reverse": True}),
+        "squash": ([arr(2, 5, 4)], {}),
+        "routing": ([arr(2, 4, 3), arr(4, 2, 3, 3)], {"iterations": 3}),
+    }
+
+
+class TestForwardIndependentOfTape:
+    """A primitive's output is the same to the byte with no tape, with a tape
+    and every operand a parameter, and with a tape and a constant first
+    operand: recording a pullback does no forward arithmetic."""
+
+    @pytest.mark.parametrize("kind", sorted(_PRIMITIVES))
+    def test_output_bytes(self, kind):
+        arrays, kw = _forward_cases()[kind]  # a new primitive needs a case here
+        plain = apply_primitive(kind, [Tensor(a) for a in arrays], **kw)
+        assert plain.node_id is None and not plain.needs_grad
+        outputs = [plain.values.tobytes()]
+        for first_constant in (False, True):
+            operands = [Tensor(a) if i == 0 and first_constant
+                        else Parameter(Tensor(a), f"p{i}").tensor
+                        for i, a in enumerate(arrays)]
+            recorded = len(arrays) > 1 or not first_constant
+            with Tape() as tape:
+                out = apply_primitive(kind, operands, **kw)
+            assert len(tape.nodes) == int(recorded) and out.needs_grad == recorded
+            outputs.append(out.values.tobytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def _param_grads(forward, arrays, constant):
     """Gradients of forward(*tensors) for every array not in ``constant``,
     whose tensors stay plain constants; those get no grad."""
@@ -400,6 +458,13 @@ class TestGradCheckPrimitives:
             return (tanh(left).sum() + (right * right).sum()).scale(0.5)
 
         self._check(fn, [a, b])
+
+    def test_concat_three_rank3_operands(self):
+        # the CNN encoder's shape: feature maps joined along the position axis
+        rng = np.random.default_rng(26)
+        weights = Tensor(rng.uniform(-1, 1, (2, 9, 3)))
+        self._check(lambda ps: (tanh(concat([p.tensor for p in ps], axis=1)) * weights).sum(),
+                    [rng.uniform(-2, 2, (2, k, 3)) for k in (4, 3, 2)])
 
     def test_reshape_transpose(self):
         rng = np.random.default_rng(8)
