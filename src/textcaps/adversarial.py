@@ -1,16 +1,15 @@
 """Character-level adversarial copies of training documents.
 
-Each augmented sentence gets a fixed number of words perturbed, driven by
-its word count (1 below five words, 2 for five through twenty, 3 above
-twenty), and every chosen word receives exactly one random character
-substitution drawn from the Romanian lowercase alphabet. Word lengths,
-sentence boundaries, and labels are never altered.
+The rule is fixed: each augmented sentence gets a number of words perturbed
+driven by its word count (1 below five words, 2 for five through twenty, 3
+above twenty), and every chosen word receives exactly one random character
+substitution drawn from the 31-letter Romanian lowercase alphabet. Word
+lengths, sentence boundaries, and labels are never altered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,14 +24,7 @@ ROMANIAN_ALPHABET: Tuple[str, ...] = tuple("abcdefghijklmnopqrstuvwxyz") + (
     "ț",  # ț
 )
 
-# (exclusive word-count upper bound, replacements); None = no upper bound.
-DEFAULT_THRESHOLDS: Tuple[Tuple[Optional[int], int], ...] = ((5, 1), (21, 2), (None, 3))
-
 _SEED_MASK = (1 << 64) - 1
-
-
-class DegenerateAlphabetError(ValueError):
-    """No alphabet character differs from the character being replaced."""
 
 
 class SeededRng:
@@ -60,25 +52,18 @@ class SeededRng:
         return sorted(int(i) for i in self.generator.choice(n, size=k, replace=False))
 
 
-@dataclass(frozen=True)
 class PerturbationPolicy:
-    alphabet: Tuple[str, ...] = ROMANIAN_ALPHABET
-    thresholds: Tuple[Tuple[Optional[int], int], ...] = DEFAULT_THRESHOLDS
+    """The paper's fixed rule, stated in the module docstring.
 
-    def __post_init__(self) -> None:
-        if not self.alphabet:
-            raise ValueError("alphabet must be non-empty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet must be duplicate-free")
-        counts = [count for _, count in self.thresholds]
-        if any(c < 1 for c in counts) or counts != sorted(counts):
-            raise ValueError("replacement counts must be >= 1 and non-decreasing")
+    Every character has at least 30 substitutes in the alphabet, and the
+    rule never asks for more words than a sentence has.
+    """
+
+    alphabet = ROMANIAN_ALPHABET
 
     def replacements_for(self, word_count: int) -> int:
-        for bound, count in self.thresholds:
-            if bound is None or word_count < bound:
-                return count
-        return self.thresholds[-1][1]
+        """Words to perturb in a sentence of ``word_count`` (>= 1) words."""
+        return 1 if word_count < 5 else 2 if word_count <= 20 else 3
 
 
 def perturb_word(word: str, policy: PerturbationPolicy, rng: SeededRng) -> str:
@@ -88,9 +73,6 @@ def perturb_word(word: str, policy: PerturbationPolicy, rng: SeededRng) -> str:
     position = rng.below(len(word))
     original = word[position]
     candidates = [c for c in policy.alphabet if c != original]
-    if not candidates:
-        raise DegenerateAlphabetError(
-            f"alphabet offers no substitute for character {original!r}")
     replacement = candidates[rng.below(len(candidates))]
     return word[:position] + replacement + word[position + 1:]
 
@@ -101,8 +83,7 @@ def perturb_sentence(
     """Perturb k distinct words, k given by the sentence-length rule."""
     if not sentence:
         raise ValueError("cannot perturb an empty sentence")
-    k = min(policy.replacements_for(len(sentence)), len(sentence))
-    chosen = rng.sample_positions(len(sentence), k)
+    chosen = rng.sample_positions(len(sentence), policy.replacements_for(len(sentence)))
     out = list(sentence)
     for position in chosen:
         out[position] = perturb_word(out[position], policy, rng)

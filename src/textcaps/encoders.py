@@ -27,6 +27,8 @@ import numpy as np
 
 from .adversarial import SeededRng
 from .tensor import (
+    _GRU_GATES,
+    _LSTM_GATES,
     Parameter,
     ShapeMismatchError,
     Tensor,
@@ -89,7 +91,8 @@ def encoder_output_shape(config: EncoderConfig, t: int, e_d: int) -> Tuple[int, 
     return t, width
 
 
-_GATE_NAMES = {"gru": ("z", "r", "n"), "lstm": ("i", "f", "o", "g")}
+# The scans read their weights by position, in the engine's gate order.
+_GATE_NAMES = {"gru": _GRU_GATES, "lstm": _LSTM_GATES}
 
 
 def _recurrent_prefixes(config: EncoderConfig) -> Tuple[str, ...]:

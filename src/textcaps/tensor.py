@@ -201,10 +201,13 @@ def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Primitive definitions. Each entry: (check, fn). check(arrays, kw) raises on
-# operands the primitive does not accept. fn(arrays, kw, needs) returns the
-# output array and its pullback, a callable g_out -> per-operand gradient
-# contributions (ndarray, or None). ``needs`` holds one bool per operand
+# Primitive definitions. Each entry: (count, check, fn). count is the operand
+# count as a tuple of group sizes that sum to it, so that a message can show
+# the groups (a scan takes its input plus 3 weights per gate), or None for
+# one or more; apply_primitive checks it first. check(arrays, kw), or None,
+# raises on operands the primitive does not accept. fn(arrays, kw, needs)
+# returns the output array and its pullback, a callable g_out -> per-operand
+# gradient contributions (ndarray, or None). ``needs`` holds one bool per operand
 # telling whether it needs a gradient: a pullback may skip the work for an
 # operand that needs none, and backward drops whatever it returns for one.
 # The forward does forward work only; anything only the backward reads is
@@ -291,11 +294,23 @@ def _prim_scale(arrays, kw, needs):
     return arrays[0] * factor, lambda g: (g * factor,)
 
 
+def _check_axis(kind):
+    def check(arrays, kw):
+        axis = kw.get("axis")
+        if axis is None:
+            raise _shape_error(kind, "missing 'axis' argument")
+        if not (-arrays[0].ndim <= axis < arrays[0].ndim):
+            raise _shape_error(kind, f"axis {axis} out of range", arrays[0].shape)
+    return check
+
+
+_check_concat_axis = _check_axis("concat")
+
+
 def _check_concat(arrays, kw):
-    axis = kw.get("axis")
-    if axis is None:
-        raise _shape_error("concat", "missing 'axis' argument")
+    _check_concat_axis(arrays, kw)
     first = arrays[0]
+    axis = kw["axis"] % first.ndim
     for arr in arrays[1:]:
         if arr.ndim != first.ndim:
             raise _shape_error("concat", "rank mismatch", first.shape, arr.shape)
@@ -342,6 +357,8 @@ def _check_reshape(arrays, kw):
     shape = kw.get("shape")
     if shape is None:
         raise _shape_error("reshape", "missing 'shape' argument")
+    if any(extent < 0 for extent in shape):
+        raise _shape_error("reshape", "negative extent", arrays[0].shape, shape)
     if int(np.prod(shape, dtype=np.int64)) != arrays[0].size:
         raise _shape_error("reshape", "element count differs", arrays[0].shape, shape)
 
@@ -377,16 +394,6 @@ def _prim_relu(arrays, kw, needs):
     x = arrays[0]
     # Subgradient at the kink is taken as 0.
     return np.maximum(x, 0.0), lambda g: (g * (x > 0.0),)
-
-
-def _check_axis(kind):
-    def check(arrays, kw):
-        axis = kw.get("axis")
-        if axis is None:
-            raise _shape_error(kind, "missing 'axis' argument")
-        if not (-arrays[0].ndim <= axis < arrays[0].ndim):
-            raise _shape_error(kind, f"axis {axis} out of range", arrays[0].shape)
-    return check
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -447,13 +454,6 @@ def _prim_log(arrays, kw, needs):
     return np.log(x), lambda g: (g / x,)
 
 
-def _check_unary(kind):
-    def check(arrays, kw):
-        if len(arrays) != 1:
-            raise _shape_error(kind, f"expects 1 operand, got {len(arrays)}")
-    return check
-
-
 # Fused recurrent scans. Operands: the (B, T, E) input, then the per-gate
 # input weights w_* (E, H), recurrent weights u_* (H, H) and biases b_* (1, H),
 # each group in gate order. The forward stacks each group into one
@@ -472,8 +472,6 @@ def _check_scan(kind, gates):
     def check(arrays, kw):
         if "reverse" not in kw:
             raise _shape_error(kind, "missing 'reverse' argument")
-        if len(arrays) != 1 + 3 * n:
-            raise _shape_error(kind, f"expects 1 + {3 * n} operands, got {len(arrays)}")
         x, u0 = arrays[0], arrays[1 + n]
         if x.ndim != 3 or x.shape[1] < 1:
             raise _shape_error(kind, "input must be (B, T >= 1, E)", x.shape)
@@ -646,9 +644,8 @@ def _squash_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray,
 
 
 def _check_squash(arrays, kw):
-    if len(arrays) != 1 or arrays[0].ndim < 1:
-        raise _shape_error("squash", "expects one operand of rank >= 1",
-                           *(a.shape for a in arrays))
+    if arrays[0].ndim < 1:
+        raise _shape_error("squash", "operand must have rank >= 1", arrays[0].shape)
 
 
 def _prim_squash(arrays, kw, needs):
@@ -661,8 +658,6 @@ def _check_routing(arrays, kw):
     iterations = kw.get("iterations")
     if not isinstance(iterations, int) or iterations < 1:
         raise _shape_error("routing", f"iterations must be an int >= 1, got {iterations!r}")
-    if len(arrays) != 2:
-        raise _shape_error("routing", f"expects 2 operands, got {len(arrays)}")
     u, w = arrays
     if u.ndim != 3:
         raise _shape_error("routing", "capsules must be (B, n_cc, d)", u.shape)
@@ -725,29 +720,33 @@ def _prim_routing(arrays, kw, needs):
     return v, pullback
 
 
+_ONE, _TWO = (1,), (2,)
+
 _PRIMITIVES: dict = {
-    "matmul": (_check_matmul, _prim_matmul),
-    "add": (_check_broadcast("add"), _prim_add),
-    "sub": (_check_broadcast("sub"), _prim_sub),
-    "mul": (_check_broadcast("mul"), _prim_mul),
-    "div": (_check_broadcast("div"), _prim_div),
-    "scale": (_check_scale, _prim_scale),
-    "concat": (_check_concat, _prim_concat),
-    "slice": (_check_slice, _prim_slice),
-    "reshape": (_check_reshape, _prim_reshape),
-    "transpose": (_check_transpose, _prim_transpose),
-    "sigmoid": (_check_unary("sigmoid"), _prim_sigmoid),
-    "tanh": (_check_unary("tanh"), _prim_tanh),
-    "relu": (_check_unary("relu"), _prim_relu),
-    "softmax": (_check_axis("softmax"), _prim_softmax),
-    "l2norm": (_check_axis("l2norm"), _prim_l2norm),
-    "sum": (_check_sum, _prim_sum),
-    "exp": (_check_unary("exp"), _prim_exp),
-    "log": (_check_unary("log"), _prim_log),
-    "gru_scan": (_check_scan("gru_scan", _GRU_GATES), _prim_gru_scan),
-    "lstm_scan": (_check_scan("lstm_scan", _LSTM_GATES), _prim_lstm_scan),
-    "squash": (_check_squash, _prim_squash),
-    "routing": (_check_routing, _prim_routing),
+    "matmul": (_TWO, _check_matmul, _prim_matmul),
+    "add": (_TWO, _check_broadcast("add"), _prim_add),
+    "sub": (_TWO, _check_broadcast("sub"), _prim_sub),
+    "mul": (_TWO, _check_broadcast("mul"), _prim_mul),
+    "div": (_TWO, _check_broadcast("div"), _prim_div),
+    "scale": (_ONE, _check_scale, _prim_scale),
+    "concat": (None, _check_concat, _prim_concat),
+    "slice": (_ONE, _check_slice, _prim_slice),
+    "reshape": (_ONE, _check_reshape, _prim_reshape),
+    "transpose": (_ONE, _check_transpose, _prim_transpose),
+    "sigmoid": (_ONE, None, _prim_sigmoid),
+    "tanh": (_ONE, None, _prim_tanh),
+    "relu": (_ONE, None, _prim_relu),
+    "softmax": (_ONE, _check_axis("softmax"), _prim_softmax),
+    "l2norm": (_ONE, _check_axis("l2norm"), _prim_l2norm),
+    "sum": (_ONE, _check_sum, _prim_sum),
+    "exp": (_ONE, None, _prim_exp),
+    "log": (_ONE, None, _prim_log),
+    "gru_scan": ((1, 3 * len(_GRU_GATES)), _check_scan("gru_scan", _GRU_GATES),
+                 _prim_gru_scan),
+    "lstm_scan": ((1, 3 * len(_LSTM_GATES)), _check_scan("lstm_scan", _LSTM_GATES),
+                  _prim_lstm_scan),
+    "squash": (_ONE, _check_squash, _prim_squash),
+    "routing": (_TWO, _check_routing, _prim_routing),
 }
 
 
@@ -765,9 +764,14 @@ def apply_primitive(kind: str, operands: Sequence[Tensor], **kw) -> Tensor:
     if entry is None:
         raise UnknownPrimitiveError(
             f"unknown primitive {kind!r}; known: {sorted(_PRIMITIVES)}")
-    check, fn = entry
+    count, check, fn = entry
     arrays = [t.values for t in operands]
-    check(arrays, kw)
+    if (not arrays) if count is None else (len(arrays) != sum(count)):
+        want = "one or more" if count is None else " + ".join(map(str, count))
+        raise _shape_error(kind, f"expects {want} operand{'' if want == '1' else 's'}, "
+                                 f"got {len(arrays)}")
+    if check is not None:
+        check(arrays, kw)
     needs = tuple(t.needs_grad for t in operands)
     result, pullback = fn(arrays, kw, needs)
     out = Tensor(result)

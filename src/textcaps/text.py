@@ -10,13 +10,15 @@ so they stay gradient-inert.
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-SENTENCE_TERMINATORS = ".!?;"
+# A sentence ends at any of . ! ? ; (the terminator is consumed).
+_SENTENCE_END = re.compile("[.!?;]")
 
 
 class DatasetError(ValueError):
@@ -80,54 +82,40 @@ def tokenize(raw_text: str) -> List[List[str]]:
     sentences are dropped. Diacritics are preserved.
     """
     sentences: List[List[str]] = []
-    segment_tokens: List[str] = []
-    current: List[str] = []
-
-    def flush_segment() -> None:
-        if segment_tokens:
-            sentences.append(list(segment_tokens))
-            segment_tokens.clear()
-
-    text = raw_text.lower()
-    for ch in text + SENTENCE_TERMINATORS[0]:
-        if ch in SENTENCE_TERMINATORS or ch.isspace():
-            if current:
-                token = _strip_edge_punct("".join(current))
-                if token:
-                    segment_tokens.append(token)
-                current.clear()
-            if ch in SENTENCE_TERMINATORS:
-                flush_segment()
-        else:
-            current.append(ch)
+    for segment in _SENTENCE_END.split(raw_text.lower()):
+        tokens = [token for token in map(_strip_edge_punct, segment.split()) if token]
+        if tokens:
+            sentences.append(tokens)
     return sentences
 
 
 @dataclass
 class EmbeddingTable:
-    """Token -> fixed-length vector map, stacked once into a dense matrix.
+    """Token -> fixed-length vector map, kept as ``ids`` and one dense matrix.
 
     ``matrix`` is (V + 1, dimension): row ``ids[token]`` holds the token's
     vector and the last row, index ``V``, is the zero vector shared by
-    out-of-vocabulary tokens and padding.
+    out-of-vocabulary tokens and padding. The ``entries`` mapping it is
+    built from is copied into the matrix and not kept, so each vector is
+    stored once.
     """
 
     dimension: int
-    entries: Dict[str, np.ndarray]
+    entries: InitVar[Mapping[str, np.ndarray]]
     ids: Dict[str, int] = field(init=False, repr=False)
     matrix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.ids = {token: row for row, token in enumerate(self.entries)}
-        self.matrix = np.zeros((len(self.entries) + 1, self.dimension))
-        for row, vector in enumerate(self.entries.values()):
+    def __post_init__(self, entries: Mapping[str, np.ndarray]) -> None:
+        self.ids = {token: row for row, token in enumerate(entries)}
+        self.matrix = np.zeros((len(entries) + 1, self.dimension))
+        for row, vector in enumerate(entries.values()):
             self.matrix[row] = vector
 
     def __contains__(self, token: str) -> bool:
-        return token in self.entries
+        return token in self.ids
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 def load_embeddings(path) -> EmbeddingTable:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -293,7 +293,6 @@ def train(config: TrainConfig, docs: Sequence[Document],
     valid_blocks, valid_labels = encode_batch(valid_docs, table, config.n_s, config.n_w)
 
     history: List[EpochRecord] = []
-    best_acc = -1.0
     best_snapshot: Dict[str, np.ndarray] = {}
     global_step = 0
 
@@ -334,10 +333,9 @@ def train(config: TrainConfig, docs: Sequence[Document],
                                          config.batch_size, "valid")
         if not math.isfinite(valid_metrics.loss):
             raise _diverged(params, "validation loss", valid_metrics.loss, epoch, global_step)
-        history.append(EpochRecord(epoch=epoch, train=train_metrics,
-                                   valid=valid_metrics))
-        if valid_metrics.accuracy > best_acc:
-            best_acc = valid_metrics.accuracy
+        record = EpochRecord(epoch=epoch, train=train_metrics, valid=valid_metrics)
+        history.append(record)
+        if best_epoch(history) is record:
             best_snapshot = {n: p.tensor.values.copy() for n, p in params.items()}
 
     for name, values in best_snapshot.items():
@@ -419,30 +417,13 @@ def run_sweep(base: TrainConfig, n_pc_values: Sequence[int],
 # --- TrainConfig <-> JSON dict -------------------------------------------
 
 def config_to_dict(config: TrainConfig) -> dict:
-    head = {"type": "baseline"} if config.head is None else {
-        "type": "capsule",
-        "n_pc": config.head.n_pc,
-        "n_cc": config.head.n_cc,
-        "d": config.head.d,
-        "routing_iterations": config.head.routing_iterations,
-    }
-    return {
-        "encoder": {
-            "kind": config.encoder.kind,
-            "kernel_sizes": list(config.encoder.kernel_sizes),
-            "filters_per_kernel": config.encoder.filters_per_kernel,
-            "hidden_dim": config.encoder.hidden_dim,
-        },
-        "head": head,
-        "adversarial": config.adversarial,
-        "learning_rate": config.learning_rate,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "split": list(config.split),
-        "seed": config.seed,
-        "n_s": config.n_s,
-        "n_w": config.n_w,
-    }
+    """Every config field as JSON values: tuples as lists, and the head
+    tagged with its "type"."""
+    data = asdict(config, dict_factory=lambda items: {
+        key: list(value) if isinstance(value, tuple) else value for key, value in items})
+    data["head"] = ({"type": "baseline"} if config.head is None
+                    else {"type": "capsule", **data["head"]})
+    return data
 
 
 _ENCODER_SCHEMA = {"kind": ENCODER_KINDS, "kernel_sizes": [int],

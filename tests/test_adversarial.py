@@ -1,18 +1,29 @@
 """Adversarial perturbation policy laws: counts, edit distance, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from textcaps.adversarial import (
     ROMANIAN_ALPHABET,
-    DegenerateAlphabetError,
     PerturbationPolicy,
     SeededRng,
     augment_dataset,
     perturb_sentence,
     perturb_word,
 )
-from textcaps.text import Document
+from textcaps.synth import generate_synthetic_corpus
+from textcaps.text import Document, read_dataset, write_dataset
+
+# sha256 of the JSONL that write_dataset writes for the adversarial copies of
+# a 200-document synthetic corpus (vocab 60, corpus seed 17, augment seed 29),
+# computed with the configurable-threshold policy and character-loop
+# tokenizer these replaced; the fixed rule must reproduce them to the byte.
+AUGMENT_SHA256 = {
+    0: "7161479aba09efc202ec15174e62636ac042ab830e7b2ce3cabac4a469c7620f",
+    3: "e8f4d16cff9254daa44320eab772823e4126b5c9b1118b41d402107f44e33830",
+}
 
 
 def edit_distance_one_char(a: str, b: str) -> int:
@@ -33,20 +44,8 @@ class TestPolicy:
     def test_threshold_rule(self, word_count, expected):
         assert PerturbationPolicy().replacements_for(word_count) == expected
 
-    def test_invalid_policies_rejected(self):
-        with pytest.raises(ValueError):
-            PerturbationPolicy(alphabet=())
-        with pytest.raises(ValueError):
-            PerturbationPolicy(alphabet=("a", "a"))
-        with pytest.raises(ValueError):
-            PerturbationPolicy(thresholds=((5, 2), (21, 1), (None, 3)))
-
 
 class TestPerturbWord:
-    def test_forced_single_alternative(self):
-        policy = PerturbationPolicy(alphabet=("a", "b"))
-        assert perturb_word("a", policy, SeededRng(0)) == "b"
-
     def test_edit_distance_exactly_one(self):
         policy = PerturbationPolicy()
         rng = SeededRng(123)
@@ -60,11 +59,6 @@ class TestPerturbWord:
         first = perturb_word("bun", policy, SeededRng(42))
         second = perturb_word("bun", policy, SeededRng(42))
         assert first == second
-
-    def test_degenerate_alphabet(self):
-        policy = PerturbationPolicy(alphabet=("a",))
-        with pytest.raises(DegenerateAlphabetError):
-            perturb_word("aaa", policy, SeededRng(0))
 
     def test_position_selection_uniformity(self):
         # 5-character word; each position should be hit ~0.2 of the time.
@@ -91,11 +85,6 @@ class TestPerturbSentence:
             assert len(a) == len(b)
             if a != b:
                 assert edit_distance_one_char(a, b) == 1
-
-    def test_short_sentence_clamped(self):
-        policy = PerturbationPolicy(thresholds=((None, 3),))
-        out = perturb_sentence(["ab"], policy, SeededRng(1))
-        assert len(out) == 1 and out[0] != "ab"
 
 
 def _docs():
@@ -132,3 +121,13 @@ class TestAugmentDataset:
         e0 = augment_dataset(docs, PerturbationPolicy(), 5, 0)
         e1 = augment_dataset(docs, PerturbationPolicy(), 5, 1)
         assert [d.raw_text for d in e0] != [d.raw_text for d in e1]
+
+    @pytest.mark.parametrize("epoch", sorted(AUGMENT_SHA256))
+    def test_pinned_bytes(self, tmp_path, epoch):
+        docs, _ = generate_synthetic_corpus(200, 60, 17)
+        write_dataset(tmp_path / "corpus.jsonl", docs)
+        docs = read_dataset(tmp_path / "corpus.jsonl")
+        adversarial_copies = augment_dataset(docs, PerturbationPolicy(), 29, epoch)
+        write_dataset(tmp_path / "adv.jsonl", adversarial_copies)
+        digest = hashlib.sha256((tmp_path / "adv.jsonl").read_bytes()).hexdigest()
+        assert digest == AUGMENT_SHA256[epoch]

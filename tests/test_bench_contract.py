@@ -1,0 +1,71 @@
+"""The names the benchmark in perfbench/ reaches for in textcaps all exist.
+
+perfbench/ drives the library from outside: the tracer swaps functions by
+(module, name), the probe swaps names on ``textcaps.training``, and
+``bench.py`` calls library functions by attribute. A renamed or removed name
+would otherwise surface only when the benchmark itself runs.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from textcaps import tensor, training
+from textcaps.adversarial import PerturbationPolicy, augment_dataset
+from textcaps.synth import generate_synthetic_corpus
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench_modules():
+    """perfbench's ``bench`` and ``tracer`` modules; importing them runs nothing."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import bench
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return bench, tracer
+
+
+def test_traced_spans_exist(perfbench_modules):
+    _, tracer = perfbench_modules
+    for home, name, _ in tracer.SPANS:
+        assert callable(getattr(importlib.import_module(home), name, None)), (home, name)
+
+
+def test_probed_names_exist(perfbench_modules):
+    bench, _ = perfbench_modules
+    for name in bench.Probe.PROBED:
+        assert hasattr(training, name), name
+
+
+def test_counted_primitives_exist(perfbench_modules):
+    _, tracer = perfbench_modules
+    assert set(tracer.PRIMITIVES) <= set(tensor._PRIMITIVES)
+
+
+def test_library_attributes_used_by_bench_exist(perfbench_modules):
+    bench, _ = perfbench_modules
+    tree = ast.parse((PERFBENCH / "bench.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: f"textcaps.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "textcaps"
+               for alias in node.names}
+    used = {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert used, "bench.py no longer imports textcaps modules by name"
+    missing = [pair for pair in sorted(used)
+               if not hasattr(importlib.import_module(pair[0]), pair[1])]
+    assert not missing
+
+
+def test_default_policy_augments():
+    docs, _ = generate_synthetic_corpus(6, 20, 1)
+    out = augment_dataset(docs, PerturbationPolicy(), 1, 0)
+    assert [d.label for d in out] == [d.label for d in docs]

@@ -130,6 +130,26 @@ class TestErrors:
             apply_primitive(kind, [Tensor(arrays[0][0])] + [Tensor(a) for a in arrays[1:]],
                             reverse=False)
 
+    def test_concat_axis_out_of_range(self):
+        pair = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))]
+        for axis in (2, 5, -3):
+            with pytest.raises(ShapeMismatchError, match=f"concat: axis {axis} out of range"):
+                concat(pair, axis=axis)
+
+    @pytest.mark.parametrize("shape", [(-2, -3), (-1, 6), (6, -1)])
+    def test_reshape_negative_extent(self, shape):
+        with pytest.raises(ShapeMismatchError, match="reshape: negative extent"):
+            Tensor(np.zeros((2, 3))).reshape(shape)
+
+    @pytest.mark.parametrize("kind", sorted(_PRIMITIVES))
+    def test_operand_count_checked(self, kind):
+        arrays, kw = _forward_cases()[kind]
+        # concat takes one or more operands; every other kind a fixed count
+        wrong = [[]] if kind == "concat" else [arrays[:-1], arrays + arrays[:1]]
+        for bad in wrong:
+            with pytest.raises(ShapeMismatchError, match=f"{kind}: expects .* got {len(bad)}"):
+                apply_primitive(kind, [Tensor(a) for a in bad], **kw)
+
     def test_non_scalar_loss(self):
         with Tape() as tape:
             out = Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])
@@ -465,6 +485,22 @@ class TestGradCheckPrimitives:
         weights = Tensor(rng.uniform(-1, 1, (2, 9, 3)))
         self._check(lambda ps: (tanh(concat([p.tensor for p in ps], axis=1)) * weights).sum(),
                     [rng.uniform(-2, 2, (2, k, 3)) for k in (4, 3, 2)])
+
+    def test_concat_negative_axis_matches_positive(self):
+        rng = np.random.default_rng(27)
+        arrays = [rng.uniform(-2, 2, (2, k)) for k in (3, 4)]
+        weights = Tensor(rng.uniform(-1, 1, (2, 7)))
+        results = []
+        for axis in (1, -1):
+            params = _as_params(arrays)
+            with Tape() as tape:
+                out = concat([p.tensor for p in params], axis=axis)
+                loss = (tanh(out) * weights).sum()
+            backward(loss, tape)
+            results.append([out.values.tobytes()] + [p.tensor.grad.tobytes() for p in params])
+        assert results[0] == results[1]
+        self._check(lambda ps: (tanh(concat([p.tensor for p in ps], axis=-1)) * weights).sum(),
+                    arrays)
 
     def test_reshape_transpose(self):
         rng = np.random.default_rng(8)

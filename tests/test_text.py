@@ -1,8 +1,12 @@
 """Tokenizer, embedding loader, and document encoding tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from textcaps.synth import generate_embeddings, write_embeddings_file
 from textcaps.text import (
     BadLabelError,
     Document,
@@ -11,6 +15,7 @@ from textcaps.text import (
     RaggedLineError,
     UnparseableNumberError,
     EmbeddingTable,
+    _strip_edge_punct,
     encode_batch,
     load_embeddings,
     read_dataset,
@@ -22,6 +27,45 @@ from textcaps.text import (
 SENTENCE_TERMINATORS = ".!?;"
 
 
+def tokenize_reference(raw_text):
+    """The character loop that tokenize's regex split replaced, kept as its oracle.
+
+    A terminator or a whitespace character ends the current token; a
+    terminator also ends the current sentence. Tokens lose their edge
+    punctuation, and empty tokens and sentences are dropped.
+    """
+    sentences = []
+    segment_tokens = []
+    current = []
+
+    def flush_segment():
+        if segment_tokens:
+            sentences.append(list(segment_tokens))
+            segment_tokens.clear()
+
+    text = raw_text.lower()
+    for ch in text + SENTENCE_TERMINATORS[0]:
+        if ch in SENTENCE_TERMINATORS or ch.isspace():
+            if current:
+                token = _strip_edge_punct("".join(current))
+                if token:
+                    segment_tokens.append(token)
+                current.clear()
+            if ch in SENTENCE_TERMINATORS:
+                flush_segment()
+        else:
+            current.append(ch)
+    return sentences
+
+
+# Terminators, edge punctuation, Romanian diacritics in both cases, and
+# whitespace that str.isspace accepts beyond ASCII (separators \x1c-\x1f,
+# NEL, no-break space, line separator, ideographic space).
+_TRICKY_TEXT = st.text(alphabet=st.sampled_from(list(
+    "ab1 .!?;,:'\"-()[]«»„”…\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+    "ăâîșțĂÂÎȘȚİ")))
+
+
 def encode_reference(doc, table, n_s, n_w):
     """The per-token loop that encode_batch's gather replaced, kept as its oracle.
 
@@ -31,7 +75,8 @@ def encode_reference(doc, table, n_s, n_w):
     block = np.zeros((n_s, n_w, table.dimension))
     for si, sentence in enumerate(doc.sentences[:n_s]):
         for wi, token in enumerate(sentence[:n_w]):
-            block[si, wi] = table.entries.get(token, np.zeros(table.dimension))
+            block[si, wi] = (table.matrix[table.ids[token]] if token in table
+                             else np.zeros(table.dimension))
     return block.reshape(n_s * n_w, table.dimension)
 
 
@@ -71,6 +116,16 @@ class TestTokenize:
                     assert not any(c.isspace() for c in token)
                     assert not any(c in SENTENCE_TERMINATORS for c in token)
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text())
+    def test_matches_reference_on_any_text(self, text):
+        assert tokenize(text) == tokenize_reference(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TRICKY_TEXT)
+    def test_matches_reference_on_terminators_and_whitespace(self, text):
+        assert tokenize(text) == tokenize_reference(text)
+
 
 class TestEmbeddings:
     def _write(self, tmp_path, content):
@@ -81,7 +136,7 @@ class TestEmbeddings:
     def test_header_and_lookup(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
         assert table.dimension == 3
-        np.testing.assert_array_equal(table.entries["a"], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(table.matrix[table.ids["a"]], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(table.matrix[table.ids["a"]], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(table.matrix[table.ids["b"]], [0.0, 1.0, 0.0])
 
@@ -123,6 +178,22 @@ class TestEmbeddings:
     def test_header_dimension_must_be_positive(self, tmp_path):
         with pytest.raises(RaggedLineError, match="line 1: header dimension"):
             load_embeddings(self._write(tmp_path, "2 0\na\nb\n"))
+
+    def test_loaded_table_keeps_one_copy_of_its_vectors(self, tmp_path):
+        vocab = [f"w{i}" for i in range(5000)]
+        path = tmp_path / "big.txt"
+        write_embeddings_file(path, vocab, generate_embeddings(vocab, 50, 3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = load_embeddings(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 5000 and "w4999" in table
+        # the matrix plus the ids dict; a second copy of every vector would
+        # take the ratio past 2
+        assert retained < 1.8 * table.matrix.nbytes
 
 
 @pytest.fixture
@@ -168,7 +239,7 @@ class TestEncodeDocument:
                 for wi, token in enumerate(sentence[:5]):
                     if token in small_table:
                         np.testing.assert_array_equal(
-                            block[si, wi], small_table.entries[token])
+                            block[si, wi], small_table.matrix[small_table.ids[token]])
 
     def test_encode_batch_matches_single(self, small_table):
         docs = [Document("", [["a", "b"], ["b"]], 1), Document("", [["zz"]], 0)]
