@@ -3,8 +3,9 @@ representation export, and synthetic-corpus generation.
 
 Exit codes: 0 success, 1 runtime failure (single-line diagnostic on
 stderr), 2 flag/usage errors (argparse). Every command touches only its
-declared output paths, and fixed seeds reproduce output files
-byte-for-byte.
+declared output paths. Fixed seeds reproduce every output file
+byte-for-byte, except the ``mean_runtime_s`` column of ``sweep.csv``,
+which is wall-clock time.
 """
 
 from __future__ import annotations

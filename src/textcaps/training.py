@@ -8,6 +8,11 @@ splitting, per-epoch shuffling, and adversarial augmentation all derive
 their randomness from the config seed. Model selection keeps the
 parameters of the epoch with the highest validation accuracy (earliest
 epoch on ties), with validation always computed on clean data.
+
+Adam keeps the parameter values and both moments as flat float64 vectors
+in ``AdamState``. From the first step on, every parameter tensor is a view
+into ``AdamState.values``, so the update runs over whole vectors and the
+best-epoch snapshot is one vector copy.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +29,7 @@ from .adversarial import PerturbationPolicy, SeededRng, augment_dataset
 from .capsule import CapsuleHeadConfig
 from .encoders import ENCODER_KINDS, EncoderConfig
 from .model import forward_batch, init_model
-from .tensor import Parameter, Tape, Tensor, backward, log, relu
+from .tensor import Parameter, Tape, Tensor, backward, clear_grads, log, relu
 from .text import Document, EmbeddingTable, encode_batch
 
 # Seed-mix tags keeping the independent random streams distinct.
@@ -197,34 +202,67 @@ _EPSILON = 1e-8
 
 @dataclass
 class AdamState:
+    """Adam's step count and its flat float64 vectors.
+
+    The first ``adam_step`` allocates ``values``, the moments ``m`` and
+    ``v`` and the two ``work`` buffers, each with one slot per parameter
+    element in ``params`` order, copies every parameter into ``values`` and
+    rebinds its tensor to a view of its slot. One state serves one
+    ``params`` collection, always passed in the same order.
+    """
     step_count: int = 0
-    m: Dict[str, np.ndarray] = field(default_factory=dict)
-    v: Dict[str, np.ndarray] = field(default_factory=dict)
+    values: Optional[np.ndarray] = None
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+    work: Tuple[np.ndarray, ...] = ()
+
+
+def _bind_arena(items: Sequence[Parameter], state: AdamState) -> None:
+    size = sum(p.tensor.size for p in items)
+    state.values = np.empty(size)
+    state.m, state.v = np.zeros(size), np.zeros(size)
+    state.work = (np.empty(size), np.empty(size))
+    offset = 0
+    for p in items:
+        slot = state.values[offset:offset + p.tensor.size].reshape(p.tensor.shape)
+        slot[...] = p.tensor.values
+        p.tensor.values = slot
+        offset += slot.size
 
 
 def adam_step(params, state: AdamState, lr: float) -> None:
-    """Standard bias-corrected Adam update; clears grads afterward."""
-    items = sorted(params.values() if isinstance(params, dict) else params,
-                   key=lambda p: p.name)
+    """Standard bias-corrected Adam update over the whole flat vectors;
+    clears grads afterward. Raises MissingGradientError, before changing
+    anything, when some parameter has no gradient."""
+    items = list(params.values() if isinstance(params, dict) else params)
+    missing = [p.name for p in items if p.tensor.grad is None]
+    if missing:
+        raise MissingGradientError(f"parameter {min(missing)!r} has no gradient")
+    if state.values is None:
+        _bind_arena(items, state)
+    g, work = state.work
+    np.concatenate([p.tensor.grad for p in items], axis=None, out=g)
+    clear_grads(items)
     state.step_count += 1
     t = state.step_count
-    for p in items:
-        grad = p.tensor.grad
-        if grad is None:
-            raise MissingGradientError(f"parameter {p.name!r} has no gradient")
-        m = state.m.get(p.name)
-        v = state.v.get(p.name)
-        if m is None:
-            m = np.zeros_like(p.tensor.values)
-            v = np.zeros_like(p.tensor.values)
-        m = _BETA1 * m + (1.0 - _BETA1) * grad
-        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
-        state.m[p.name] = m
-        state.v[p.name] = v
-        m_hat = m / (1.0 - _BETA1 ** t)
-        v_hat = v / (1.0 - _BETA2 ** t)
-        p.tensor.values -= lr * m_hat / (np.sqrt(v_hat) + _EPSILON)
-        p.tensor.grad = None
+    m, v = state.m, state.v
+    # Each expression keeps the per-element order of the per-name form, which
+    # fixes the bytes: m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g.
+    m *= _BETA1
+    np.multiply(g, 1.0 - _BETA1, out=work)
+    m += work
+    v *= _BETA2
+    np.multiply(g, 1.0 - _BETA2, out=work)
+    work *= g
+    v += work
+    # values -= (lr * m_hat) / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - _BETA1 ** t, out=g)
+    g *= lr
+    np.divide(v, 1.0 - _BETA2 ** t, out=work)
+    np.sqrt(work, out=work)
+    work += _EPSILON
+    g /= work
+    state.values -= g
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -293,7 +331,7 @@ def train(config: TrainConfig, docs: Sequence[Document],
     valid_blocks, valid_labels = encode_batch(valid_docs, table, config.n_s, config.n_w)
 
     history: List[EpochRecord] = []
-    best_snapshot: Dict[str, np.ndarray] = {}
+    best_values: Optional[np.ndarray] = None
     global_step = 0
 
     for epoch in range(config.epochs):
@@ -336,10 +374,9 @@ def train(config: TrainConfig, docs: Sequence[Document],
         record = EpochRecord(epoch=epoch, train=train_metrics, valid=valid_metrics)
         history.append(record)
         if best_epoch(history) is record:
-            best_snapshot = {n: p.tensor.values.copy() for n, p in params.items()}
+            best_values = state.values.copy()
 
-    for name, values in best_snapshot.items():
-        params[name].tensor.values[:] = values
+    state.values[:] = best_values
     return params, history
 
 

@@ -8,6 +8,7 @@ would otherwise surface only when the benchmark itself runs.
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -42,6 +43,14 @@ def test_probed_names_exist(perfbench_modules):
     bench, _ = perfbench_modules
     for name in bench.Probe.PROBED:
         assert hasattr(training, name), name
+
+
+def test_probed_calls_bind():
+    """The probe's wrappers pass these arguments positionally."""
+    calls = {"adam_step": ("params", "state", "lr"), "lr_at": ("epoch", "config"),
+             "bce_loss_batch": ("probs", "labels")}
+    for name, args in calls.items():
+        inspect.signature(getattr(training, name)).bind(*args)
 
 
 def test_counted_primitives_exist(perfbench_modules):

@@ -2,10 +2,13 @@
 
 import math
 import sys
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Dict, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textcaps import training
 from textcaps.adversarial import SeededRng
@@ -24,6 +27,7 @@ from textcaps.training import (
     TrainConfig,
     adam_step,
     bce_loss_batch,
+    best_epoch,
     compute_metrics,
     config_from_dict,
     config_to_dict,
@@ -140,6 +144,70 @@ class TestBceLoss:
         np.testing.assert_allclose(p.grad, [[0.0, -1.0 / 0.6]], rtol=0, atol=1e-12)
 
 
+# The per-name Adam that the flat-vector adam_step replaced, kept as the
+# reference: both must move the parameters and moments by the same bytes.
+@dataclass
+class ReferenceAdamState:
+    step_count: int = 0
+    m: Dict[str, np.ndarray] = field(default_factory=dict)
+    v: Dict[str, np.ndarray] = field(default_factory=dict)
+    values: Optional[np.ndarray] = None  # set by reference_train_step only
+
+
+def reference_adam_step(params, state: ReferenceAdamState, lr: float) -> None:
+    items = sorted(params.values() if isinstance(params, dict) else params,
+                   key=lambda p: p.name)
+    state.step_count += 1
+    t = state.step_count
+    for p in items:
+        grad = p.tensor.grad
+        if grad is None:
+            raise MissingGradientError(f"parameter {p.name!r} has no gradient")
+        m = state.m.get(p.name)
+        v = state.v.get(p.name)
+        if m is None:
+            m = np.zeros_like(p.tensor.values)
+            v = np.zeros_like(p.tensor.values)
+        m = training._BETA1 * m + (1.0 - training._BETA1) * grad
+        v = training._BETA2 * v + (1.0 - training._BETA2) * grad * grad
+        state.m[p.name] = m
+        state.v[p.name] = v
+        m_hat = m / (1.0 - training._BETA1 ** t)
+        v_hat = v / (1.0 - training._BETA2 ** t)
+        p.tensor.values -= lr * m_hat / (np.sqrt(v_hat) + training._EPSILON)
+        p.tensor.grad = None
+
+
+def reference_train_step(params, state: ReferenceAdamState, lr: float) -> None:
+    """The reference step, then the parameters rebound as views of one
+    vector, the layout that train's best-epoch snapshot copies."""
+    reference_adam_step(params, state, lr)
+    state.values = np.concatenate([p.tensor.values for p in params.values()], axis=None)
+    offset = 0
+    for p in params.values():
+        p.tensor.values = state.values[offset:offset + p.tensor.size].reshape(p.tensor.shape)
+        offset += p.tensor.size
+
+
+def _slot_offsets(params, state) -> list:
+    """Each parameter's element offset into state.values."""
+    base = state.values.__array_interface__["data"][0]
+    return [(p.tensor.values.__array_interface__["data"][0] - base) // state.values.itemsize
+            for p in params.values()]
+
+
+_SPECIAL_GRADS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,
+                           1.7e308, -1.7e308])
+
+
+def _mixed_grads(rng, shape) -> np.ndarray:
+    """Normals scaled across the float64 range, with signed zeros,
+    subnormals and near-overflow values mixed in."""
+    scaled = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    special = rng.choice(_SPECIAL_GRADS, size=shape)
+    return np.where(rng.random(shape) < 0.3, special, scaled)
+
+
 class TestAdam:
     def test_first_step_hand_arithmetic(self):
         p = Parameter(Tensor(np.zeros(3)), "w")
@@ -174,6 +242,44 @@ class TestAdam:
             return p.tensor.values.tobytes()
 
         assert run() == run()
+
+    def test_missing_gradient_changes_nothing(self):
+        # dict order z, a, b; a has a gradient and sorts before the missing b
+        a = Parameter(Tensor(np.ones(2)), "a")
+        a.tensor.grad = np.full(2, 0.5)
+        params = {"z": Parameter(Tensor(np.zeros(2)), "z"), "a": a,
+                  "b": Parameter(Tensor(np.zeros(2)), "b")}
+        state = AdamState()
+        with pytest.raises(MissingGradientError, match=r"^parameter 'b' has no gradient$"):
+            adam_step(params, state, lr=0.1)
+        assert state.step_count == 0 and state.values is None
+        np.testing.assert_array_equal(a.tensor.values, [1.0, 1.0])
+        np.testing.assert_array_equal(a.tensor.grad, [0.5, 0.5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes=st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple),
+                           min_size=1, max_size=4),
+           steps=st.integers(1, 50), lr=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_bytes(self, shapes, steps, lr, seed):
+        rng = np.random.default_rng(seed)
+        # names sort in the reverse of params order
+        init = {f"w{len(shapes) - i}": rng.standard_normal(shape)
+                for i, shape in enumerate(shapes)}
+        flat = {name: Parameter(Tensor(values.copy()), name) for name, values in init.items()}
+        ref = {name: Parameter(Tensor(values.copy()), name) for name, values in init.items()}
+        state, ref_state = AdamState(), ReferenceAdamState()
+        with np.errstate(all="ignore"):
+            for _ in range(steps):
+                for name, values in init.items():
+                    grad = _mixed_grads(rng, values.shape)
+                    flat[name].tensor.grad = grad.copy()
+                    ref[name].tensor.grad = grad.copy()
+                adam_step(flat, state, lr)
+                reference_adam_step(ref, ref_state, lr)
+        assert state.step_count == ref_state.step_count == steps
+        for got, want in [(state.values, {n: p.tensor.values for n, p in ref.items()}),
+                          (state.m, ref_state.m), (state.v, ref_state.v)]:
+            assert got.tobytes() == np.concatenate([want[n] for n in init], axis=None).tobytes()
 
 
 class TestLrSchedule:
@@ -361,6 +467,51 @@ class TestTrainLoop:
         _, _, test_docs = split_dataset(docs, config.split, config.seed)
         metrics = evaluate(params, test_docs, _toy_table(), config)
         assert metrics.accuracy >= 0.8
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"encoder": EncoderConfig(kind="cnn", kernel_sizes=(2, 3),
+                                               filters_per_kernel=3),
+                      "adversarial": True}, id="cnn-capsule-adv"),
+        pytest.param({"encoder": EncoderConfig(kind="bigru", hidden_dim=3)},
+                     id="bigru-capsule"),
+        pytest.param({"encoder": EncoderConfig(kind="cnn-bilstm", kernel_sizes=(2,),
+                                               filters_per_kernel=3, hidden_dim=3),
+                      "head": None}, id="cnn-bilstm-baseline"),
+    ])
+    def test_matches_reference_adam(self, monkeypatch, overrides):
+        config = _toy_config(epochs=3, **overrides)
+        params, history = train(config, _toy_corpus(), _toy_table())
+        monkeypatch.setattr(training, "AdamState", ReferenceAdamState)
+        monkeypatch.setattr(training, "adam_step", reference_train_step)
+        ref_params, ref_history = train(config, _toy_corpus(), _toy_table())
+        assert history == ref_history
+        assert list(params) == list(ref_params)
+        for name, p in params.items():
+            assert p.tensor.values.tobytes() == ref_params[name].tensor.values.tobytes()
+
+    def test_returns_best_epoch_parameters(self, monkeypatch):
+        states = []
+        step = training.adam_step
+
+        def spy(params, state, lr):
+            step(params, state, lr)
+            states.append(state)
+
+        monkeypatch.setattr(training, "adam_step", spy)
+        config = _toy_config(epochs=3)
+        docs, table = _toy_corpus(), _toy_table()
+        params, history = train(config, docs, table)
+        best = best_epoch(history)
+        # the best epoch is not the last, and the last one's parameters differ
+        assert best is not history[-1]
+        assert best.valid.loss != history[-1].valid.loss
+        _, valid_docs, _ = split_dataset(docs, config.split, config.seed)
+        assert replace(evaluate(params, valid_docs, table, config), split="valid") == best.valid
+        state = states[0]
+        assert all(s is state for s in states)
+        sizes = [p.tensor.size for p in params.values()]
+        assert _slot_offsets(params, state) == list(np.cumsum([0] + sizes[:-1]))
+        assert all(p.tensor.values.base is state.values for p in params.values())
 
 
 class TestAblation:
