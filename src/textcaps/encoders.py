@@ -13,9 +13,11 @@ shape rules:
 
 Hybrids feed the CNN map's position sequence into the bidirectional
 recurrence. Convolutions are valid (no padding); recurrent initial states
-are zero. Each recurrent direction is one fused ``gru_scan``/``lstm_scan``
-primitive over the whole sequence, with the per-gate parameters stacked
-inside it, so checkpoints keep one named tensor per gate.
+are zero. A recurrent encoder is one fused ``gru_scan``/``lstm_scan``
+primitive over the whole sequence. It stacks the per-gate parameters inside
+it, runs its D = 1 or 2 directions along a direction axis in one time loop
+and writes the (batch, T, D * hidden_dim) map; checkpoints keep one named
+tensor per gate and direction.
 """
 
 from __future__ import annotations
@@ -170,16 +172,17 @@ def _cnn_forward(config: EncoderConfig, params: Dict[str, Parameter], x: Tensor)
     return concat(maps, axis=1) if len(maps) > 1 else maps[0]
 
 
-def _recurrent_direction(config: EncoderConfig, params: Dict[str, Parameter],
-                         x: Tensor, prefix: str, reverse: bool) -> Tensor:
-    """Run one direction as one fused scan: (B, T, E) -> (B, T, H) hidden states."""
+def _recurrent_forward(config: EncoderConfig, params: Dict[str, Parameter],
+                       x: Tensor) -> Tensor:
+    """Run every direction as one fused scan: (B, T, E) -> (B, T, D * H)."""
     kind = config.recurrent_kind
     hidden = config.hidden_dim
     shapes = {"w": (x.shape[2], hidden), "u": (hidden, hidden), "b": (1, hidden)}
     weights = [_require(params, f"{prefix}.{piece}_{gate}", shapes[piece])
+               for prefix in _recurrent_prefixes(config)
                for piece in ("w", "u", "b") for gate in _GATE_NAMES[kind]]
     scan = gru_scan if kind == "gru" else lstm_scan
-    return scan(x, weights, reverse=reverse)
+    return scan(x, weights)
 
 
 def encoder_forward_batch(config: EncoderConfig, params: Dict[str, Parameter],
@@ -191,6 +194,4 @@ def encoder_forward_batch(config: EncoderConfig, params: Dict[str, Parameter],
         x = _cnn_forward(config, params, x)
         if config.kind == "cnn":
             return x
-    directions = [_recurrent_direction(config, params, x, prefix, reverse=prefix.endswith(".bw"))
-                  for prefix in _recurrent_prefixes(config)]
-    return concat(directions, axis=2) if len(directions) > 1 else directions[0]
+    return _recurrent_forward(config, params, x)

@@ -8,6 +8,7 @@ from typing import Dict, Optional, Tuple
 from .adversarial import SeededRng
 from .capsule import (
     CapsuleHeadConfig,
+    RoutingState,
     baseline_head_batch,
     class_probabilities_batch,
     compress_batch,
@@ -32,6 +33,7 @@ class ForwardResult:
     pooled: Optional[Tensor] = None           # (B, C)
     condensed: Optional[Tensor] = None        # (B, n_cc, d)
     class_capsules: Optional[Tensor] = None   # (B, n_cls, d)
+    routing: Optional[RoutingState] = None    # capsule heads: logits and couplings
 
 
 def parameter_shapes(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
@@ -52,7 +54,8 @@ def init_model(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
 def forward_batch(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
                   params: Dict[str, Parameter], x: Tensor,
                   want_stages: bool = False) -> ForwardResult:
-    """Run a (B, T, E_d) block through the full model."""
+    """Run a (B, T, E_d) block through the full model. A capsule head's
+    result carries its routing diagnostics, constants off the tape."""
     fm = encoder_forward_batch(encoder, params, x)
     stages = {}
     if want_stages:
@@ -62,7 +65,7 @@ def forward_batch(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
                              **stages)
     primary = primary_capsules_batch(fm, params["head.primary.w"].tensor, head)
     condensed = compress_batch(primary, params["head.compress.w"].tensor)
-    class_caps, _ = dynamic_routing_batch(condensed, params["head.routing.w"].tensor, head)
+    class_caps, routing = dynamic_routing_batch(condensed, params["head.routing.w"].tensor, head)
     if want_stages:
         stages.update(condensed=condensed, class_capsules=class_caps)
-    return ForwardResult(probs=class_probabilities_batch(class_caps), **stages)
+    return ForwardResult(probs=class_probabilities_batch(class_caps), routing=routing, **stages)

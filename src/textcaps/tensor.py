@@ -21,8 +21,9 @@ from-scratch engine. Values are always C-contiguous, so ``reshape`` and an
 axis-0 ``slice`` are views while ``transpose`` copies.
 
 Besides the elementwise, reduction and shape primitives there are fused ones
-with hand-written pullbacks: ``gru_scan`` and ``lstm_scan`` run a whole
-recurrent direction as one tape node (backpropagation through time),
+with hand-written pullbacks: ``gru_scan`` and ``lstm_scan`` run every
+direction of a recurrent encoder, stacked along a direction axis D, in one
+time loop and as one tape node (backpropagation through time),
 ``squash`` is the capsule non-linearity, and ``routing`` is the whole
 iterated dynamic routing of a capsule head.
 """
@@ -201,11 +202,12 @@ def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Primitive definitions. Each entry: (count, check, fn). count is the operand
-# count as a tuple of group sizes that sum to it, so that a message can show
-# the groups (a scan takes its input plus 3 weights per gate), or None for
-# one or more; apply_primitive checks it first. check(arrays, kw), or None,
-# raises on operands the primitive does not accept. fn(arrays, kw, needs)
+# Primitive definitions. Each entry: (count, check, fn). count is a tuple of
+# the operand counts the primitive accepts, each written as a tuple of group
+# sizes that sum to it, so that a message can show the groups (a scan takes
+# its input plus 3 weights per gate for each of its 1 or 2 directions), or
+# None for one or more; apply_primitive checks it first. check(arrays, kw),
+# or None, raises on operands the primitive does not accept. fn(arrays, kw, needs)
 # returns the output array and its pullback, a callable g_out -> per-operand
 # gradient contributions (ndarray, or None). ``needs`` holds one bool per operand
 # telling whether it needs a gradient: a pullback may skip the work for an
@@ -454,137 +456,179 @@ def _prim_log(arrays, kw, needs):
     return np.log(x), lambda g: (g / x,)
 
 
-# Fused recurrent scans. Operands: the (B, T, E) input, then the per-gate
-# input weights w_* (E, H), recurrent weights u_* (H, H) and biases b_* (1, H),
-# each group in gate order. The forward stacks each group into one
-# (., G*H) matrix (the cuDNN layout), runs the recurrence over time from a
-# zero state and returns the (B, T, H) hidden states in position order; with
-# ``reverse`` the scan runs from the last position to the first. The pullback
-# is hand-written BPTT over the gate activations and states the forward kept.
+# Fused recurrent scans: every direction of an encoder in one loop over time.
+# Operands: the (B, T, E) input, then for each of D = 1 or 2 directions,
+# forward first, the per-gate input weights w_* (E, H), recurrent weights
+# u_* (H, H) and biases b_* (1, H), each group in gate order. The forward
+# stacks each direction's groups into one (., G*H) matrix (the cuDNN layout)
+# and the directions along a leading axis D, so one batched product per step
+# serves them all (Appleyard et al. 2016). Direction 0 reads the positions
+# first to last and direction 1 last to first, each from a zero state. Per-step
+# buffers are (T, D, B, .), contiguous per step; buffers that feed one product
+# per direction are (D, T, B, .). The output is the (B, T, D*H) feature map in
+# position order, direction d in columns d*H:(d+1)*H. The pullback is
+# hand-written BPTT over the gate activations and states the forward kept, in
+# the same stacked layout. It transposes the recurrent weights as views: a
+# contiguous copy takes another BLAS path, whose summation order differs.
 
 _GRU_GATES = ("z", "r", "n")
 _LSTM_GATES = ("i", "f", "o", "g")
+_SCAN_ORDER = (slice(None), slice(None, None, -1))  # each direction's position order
 
 
 def _check_scan(kind, gates):
     n = len(gates)
 
     def check(arrays, kw):
-        if "reverse" not in kw:
-            raise _shape_error(kind, "missing 'reverse' argument")
         x, u0 = arrays[0], arrays[1 + n]
         if x.ndim != 3 or x.shape[1] < 1:
             raise _shape_error(kind, "input must be (B, T >= 1, E)", x.shape)
         if u0.ndim != 2:
             raise _shape_error(kind, f"u_{gates[0]} must be rank 2", u0.shape)
         e, h = x.shape[2], u0.shape[1]
-        for k, (piece, want) in enumerate((("w", (e, h)), ("u", (h, h)), ("b", (1, h)))):
-            for gate, arr in zip(gates, arrays[1 + k * n:1 + (k + 1) * n]):
-                if arr.shape != want:
-                    raise _shape_error(kind, f"{piece}_{gate} must be {want}", arr.shape)
+        for d in range((len(arrays) - 1) // (3 * n)):
+            for k, (piece, want) in enumerate((("w", (e, h)), ("u", (h, h)), ("b", (1, h)))):
+                first = 1 + (3 * d + k) * n
+                for gate, arr in zip(gates, arrays[first:first + n]):
+                    if arr.shape != want:
+                        raise _shape_error(kind, f"direction {d} {piece}_{gate} must be {want}",
+                                           arr.shape)
     return check
 
 
-def _to_steps(a: np.ndarray, reverse: bool) -> np.ndarray:
-    """(B, T, ...) in position order -> contiguous (T, B, ...) in scan order."""
-    a = np.swapaxes(a, 0, 1)
-    return np.ascontiguousarray(a[::-1] if reverse else a)
+def _scan_counts(n_gates):
+    """A scan's operand counts: the input, then 3 weights per gate per direction."""
+    return tuple((1,) + (3 * n_gates,) * dirs for dirs in (1, 2))
 
 
-def _from_steps(a: np.ndarray, reverse: bool) -> np.ndarray:
-    """(T, B, ...) in scan order -> contiguous (B, T, ...) in position order."""
-    return np.ascontiguousarray(np.swapaxes(a[::-1] if reverse else a, 0, 1))
+def _from_steps(steps: np.ndarray) -> np.ndarray:
+    """(T, D, B, H) in each direction's scan order -> the (B, T, D*H) map in
+    position order."""
+    t, dirs, b, h = steps.shape
+    out = np.empty((b, t, dirs * h))
+    for d, order in zip(range(dirs), _SCAN_ORDER):
+        out[:, :, d * h:(d + 1) * h] = np.swapaxes(steps[order, d], 0, 1)
+    return out
 
 
-def _scan_inputs(arrays, kw, n_gates):
-    """Step-major input, stacked w and u, and the (T, B, G*H) input projection."""
-    x = _to_steps(arrays[0], kw["reverse"])
-    w, u, bias = (np.concatenate(arrays[1 + k * n_gates:1 + (k + 1) * n_gates], axis=1)
-                  for k in range(3))
-    t, b, e = x.shape
-    proj = (x.reshape(t * b, e) @ w + bias).reshape(t, b, -1)
-    return x, w, u, proj
+def _to_steps(g: np.ndarray, dirs: int) -> np.ndarray:
+    """The (B, T, D*H) map's gradient -> (T, D, B, H) in each direction's scan order."""
+    b, t, width = g.shape
+    h = width // dirs
+    steps = np.empty((t, dirs, b, h))
+    for d, order in zip(range(dirs), _SCAN_ORDER):
+        steps[:, d] = np.swapaxes(g[:, order, d * h:(d + 1) * h], 0, 1)
+    return steps
 
 
-def _scan_grads(dproj, x, w, du, reverse, n_gates, need_x):
-    """dx (None unless ``need_x``), then dw, du and db split per gate, from the
-    (T, B, G*H) projection grads."""
-    t, b, width = dproj.shape
-    flat = dproj.reshape(t * b, width)
-    dw = x.reshape(t * b, -1).T @ flat
-    db = flat.sum(axis=0, keepdims=True)
-    dx = _from_steps((flat @ w.T).reshape(t, b, -1), reverse) if need_x else None
-    return (dx, *np.split(dw, n_gates, axis=1), *np.split(du, n_gates, axis=1),
-            *np.split(db, n_gates, axis=1))
+def _by_direction(steps: np.ndarray) -> np.ndarray:
+    """(T, D, B, k) -> contiguous (D, T*B, k): one block of rows per direction."""
+    t, dirs, b, k = steps.shape
+    return np.ascontiguousarray(np.swapaxes(steps, 0, 1)).reshape(dirs, t * b, k)
+
+
+def _scan_inputs(arrays, n_gates):
+    """The (D, T, B, E) input in each direction's scan order, the stacked
+    (D, ., G*H) w and u, and the (T, D, B, G*H) input projection."""
+    n = n_gates
+    dirs = (len(arrays) - 1) // (3 * n)
+    w, u, bias = (np.stack([np.concatenate(arrays[1 + (3 * d + k) * n:1 + (3 * d + k + 1) * n],
+                                           axis=1) for d in range(dirs)]) for k in range(3))
+    b, t, e = arrays[0].shape
+    positions = np.swapaxes(arrays[0], 0, 1)
+    xs = np.empty((dirs, t, b, e))
+    for d, order in zip(range(dirs), _SCAN_ORDER):
+        xs[d] = positions[order]
+    proj = (np.matmul(xs.reshape(dirs, t * b, e), w) + bias).reshape(dirs, t, b, -1)
+    return xs, w, u, np.swapaxes(proj, 0, 1)
+
+
+def _scan_grads(dproj, xs, w, du, n_gates, need_x):
+    """dx (None unless ``need_x``; the sum over directions), then each
+    direction's dw, du and db split per gate, from the (D, T, B, G*H)
+    projection grads and the (D, ., G*H) du."""
+    dirs, t, b, width = dproj.shape
+    flat = dproj.reshape(dirs, t * b, width)
+    dw = np.matmul(np.swapaxes(xs.reshape(dirs, t * b, -1), 1, 2), flat)
+    db = flat.sum(axis=1, keepdims=True)
+    dx = None
+    if need_x:
+        steps = np.matmul(flat, np.swapaxes(w, 1, 2)).reshape(dirs, t, b, -1)
+        dx = np.ascontiguousarray(np.swapaxes(steps[0], 0, 1))
+        if dirs == 2:
+            dx += np.swapaxes(steps[1, ::-1], 0, 1)
+    grads = [dx]
+    for d in range(dirs):
+        for piece in (dw, du, db):
+            grads += np.split(piece[d], n_gates, axis=1)
+    return grads
 
 
 def _prim_gru_scan(arrays, kw, needs):
     # z, r = sigmoid(x W_zr + b_zr + h U_zr); n = tanh(x W_n + b_n + (r * h) U_n)
     # h' = z * h + (1 - z) * n, written n + z * (h - n)
-    reverse = kw["reverse"]
-    x, w, u, proj = _scan_inputs(arrays, kw, 3)
-    t, b, _ = proj.shape
-    h = u.shape[0]
-    u_zr, u_n = u[:, :2 * h], u[:, 2 * h:]
-    states = np.zeros((t + 1, b, h))      # states[s] is the state before step s
-    zr = np.empty((t, b, 2 * h))
-    n = np.empty((t, b, h))
+    xs, w, u, proj = _scan_inputs(arrays, 3)
+    t, dirs, b, _ = proj.shape
+    h = u.shape[1]
+    u_zr, u_n = u[..., :2 * h], u[..., 2 * h:]
+    states = np.zeros((t + 1, dirs, b, h))  # states[s] is the state before step s
+    zr = np.empty((t, dirs, b, 2 * h))
+    n = np.empty((t, dirs, b, h))
     for s in range(t):
         prev = states[s]
-        _sigmoid(proj[s, :, :2 * h] + prev @ u_zr, out=zr[s])
-        np.tanh(proj[s, :, 2 * h:] + (zr[s, :, h:] * prev) @ u_n, out=n[s])
-        states[s + 1] = n[s] + zr[s, :, :h] * (prev - n[s])
+        _sigmoid(proj[s, ..., :2 * h] + prev @ u_zr, out=zr[s])
+        np.tanh(proj[s, ..., 2 * h:] + (zr[s, ..., h:] * prev) @ u_n, out=n[s])
+        np.add(n[s], zr[s, ..., :h] * (prev - n[s]), out=states[s + 1])
 
     def pullback(g):
-        g = _to_steps(g, reverse)
-        t, b, h = g.shape
+        g = _to_steps(g, dirs)
+        u_zr_t, u_n_t = np.swapaxes(u_zr, 1, 2), np.swapaxes(u_n, 1, 2)
+        dproj = np.empty((dirs, t, b, 3 * h))
+        dsteps = np.swapaxes(dproj, 0, 1)
+        carry = np.zeros((dirs, b, h))
         prev = states[:-1]
         z, r = zr[..., :h], zr[..., h:]
         # per-step Jacobian factors, formed for every step at once
         dn_dh = (1.0 - z) * (1.0 - n * n)        # dh -> d n_pre
         dz_dh = (prev - n) * z * (1.0 - z)       # dh -> d z_pre
         dr_drh = prev * r * (1.0 - r)            # d(r * h) -> d r_pre
-        u_zr_t, u_n_t = u[:, :2 * h].T, u[:, 2 * h:].T
-        dproj = np.empty((t, b, 3 * h))
-        carry = np.zeros((b, h))
         for s in range(t - 1, -1, -1):
             dh = g[s] + carry
-            d = dproj[s]
-            np.multiply(dh, dn_dh[s], out=d[:, 2 * h:])
-            drh = d[:, 2 * h:] @ u_n_t
-            np.multiply(dh, dz_dh[s], out=d[:, :h])
-            np.multiply(drh, dr_drh[s], out=d[:, h:2 * h])
-            carry = dh * z[s] + drh * r[s] + d[:, :2 * h] @ u_zr_t
+            d = dsteps[s]
+            np.multiply(dh, dn_dh[s], out=d[..., 2 * h:])
+            drh = d[..., 2 * h:] @ u_n_t
+            np.multiply(dh, dz_dh[s], out=d[..., :h])
+            np.multiply(drh, dr_drh[s], out=d[..., h:2 * h])
+            carry = dh * z[s] + drh * r[s] + d[..., :2 * h] @ u_zr_t
+        flat = dproj.reshape(dirs, t * b, 3 * h)
         du = np.concatenate([
-            prev.reshape(t * b, h).T @ dproj[..., :2 * h].reshape(t * b, 2 * h),
-            (r * prev).reshape(t * b, h).T @ dproj[..., 2 * h:].reshape(t * b, h)], axis=1)
-        return _scan_grads(dproj, x, w, du, reverse, 3, needs[0])
+            np.matmul(np.swapaxes(_by_direction(prev), 1, 2), flat[..., :2 * h]),
+            np.matmul(np.swapaxes(_by_direction(r * prev), 1, 2), flat[..., 2 * h:])], axis=2)
+        return _scan_grads(dproj, xs, w, du, 3, needs[0])
 
-    return _from_steps(states[1:], reverse), pullback
+    return _from_steps(states[1:]), pullback
 
 
 def _prim_lstm_scan(arrays, kw, needs):
     # i, f, o = sigmoid(.), g = tanh(.) of x W + b + h U (one (H, 4H) product)
     # c' = f * c + i * g; h' = o * tanh(c')
-    reverse = kw["reverse"]
-    x, w, u, proj = _scan_inputs(arrays, kw, 4)
-    t, b, _ = proj.shape
-    h = u.shape[0]
-    states = np.zeros((t + 1, b, h))
-    cells = np.zeros((t + 1, b, h))
-    gates = np.empty((t, b, 4 * h))
+    xs, w, u, proj = _scan_inputs(arrays, 4)
+    t, dirs, b, _ = proj.shape
+    h = u.shape[1]
+    states = np.zeros((t + 1, dirs, b, h))
+    cells = np.zeros((t + 1, dirs, b, h))
+    gates = np.empty((t, dirs, b, 4 * h))
     for s in range(t):
         pre = proj[s] + states[s] @ u
         act = gates[s]
-        _sigmoid(pre[:, :3 * h], out=act[:, :3 * h])
-        np.tanh(pre[:, 3 * h:], out=act[:, 3 * h:])
-        np.multiply(act[:, h:2 * h], cells[s], out=cells[s + 1])
-        cells[s + 1] += act[:, :h] * act[:, 3 * h:]
-        states[s + 1] = act[:, 2 * h:3 * h] * np.tanh(cells[s + 1])
+        _sigmoid(pre[..., :3 * h], out=act[..., :3 * h])
+        np.tanh(pre[..., 3 * h:], out=act[..., 3 * h:])
+        np.multiply(act[..., h:2 * h], cells[s], out=cells[s + 1])
+        cells[s + 1] += act[..., :h] * act[..., 3 * h:]
+        np.multiply(act[..., 2 * h:3 * h], np.tanh(cells[s + 1]), out=states[s + 1])
 
     def pullback(g):
-        g = _to_steps(g, reverse)
-        t, b, h = g.shape
+        g = _to_steps(g, dirs)
         i, f, o, gg = (gates[..., k * h:(k + 1) * h] for k in range(4))
         tc = np.tanh(cells[1:])
         # per-step Jacobian factors, formed for every step at once
@@ -593,24 +637,26 @@ def _prim_lstm_scan(arrays, kw, needs):
         di_dc = gg * i * (1.0 - i)               # dc -> d i_pre
         df_dc = cells[:-1] * f * (1.0 - f)       # dc -> d f_pre
         dg_dc = i * (1.0 - gg * gg)              # dc -> d g_pre
-        u_t = u.T
-        dproj = np.empty((t, b, 4 * h))
-        carry_h = np.zeros((b, h))
-        carry_c = np.zeros((b, h))
+        u_t = np.swapaxes(u, 1, 2)
+        dproj = np.empty((dirs, t, b, 4 * h))
+        dsteps = np.swapaxes(dproj, 0, 1)
+        carry_h = np.zeros((dirs, b, h))
+        carry_c = np.zeros((dirs, b, h))
         for s in range(t - 1, -1, -1):
             dh = g[s] + carry_h
             dc = dh * dc_dh[s] + carry_c
-            d = dproj[s]
-            np.multiply(dc, di_dc[s], out=d[:, :h])
-            np.multiply(dc, df_dc[s], out=d[:, h:2 * h])
-            np.multiply(dh, do_dh[s], out=d[:, 2 * h:3 * h])
-            np.multiply(dc, dg_dc[s], out=d[:, 3 * h:])
+            d = dsteps[s]
+            np.multiply(dc, di_dc[s], out=d[..., :h])
+            np.multiply(dc, df_dc[s], out=d[..., h:2 * h])
+            np.multiply(dh, do_dh[s], out=d[..., 2 * h:3 * h])
+            np.multiply(dc, dg_dc[s], out=d[..., 3 * h:])
             carry_c = dc * f[s]
             carry_h = d @ u_t
-        du = states[:-1].reshape(t * b, h).T @ dproj.reshape(t * b, 4 * h)
-        return _scan_grads(dproj, x, w, du, reverse, 4, needs[0])
+        du = np.matmul(np.swapaxes(_by_direction(states[:-1]), 1, 2),
+                       dproj.reshape(dirs, t * b, 4 * h))
+        return _scan_grads(dproj, xs, w, du, 4, needs[0])
 
-    return _from_steps(states[1:], reverse), pullback
+    return _from_steps(states[1:]), pullback
 
 
 # Fused capsule primitives. ``squash`` rescales vectors along the last axis to
@@ -720,7 +766,7 @@ def _prim_routing(arrays, kw, needs):
     return v, pullback
 
 
-_ONE, _TWO = (1,), (2,)
+_ONE, _TWO = ((1,),), ((2,),)
 
 _PRIMITIVES: dict = {
     "matmul": (_TWO, _check_matmul, _prim_matmul),
@@ -741,9 +787,9 @@ _PRIMITIVES: dict = {
     "sum": (_ONE, _check_sum, _prim_sum),
     "exp": (_ONE, None, _prim_exp),
     "log": (_ONE, None, _prim_log),
-    "gru_scan": ((1, 3 * len(_GRU_GATES)), _check_scan("gru_scan", _GRU_GATES),
+    "gru_scan": (_scan_counts(len(_GRU_GATES)), _check_scan("gru_scan", _GRU_GATES),
                  _prim_gru_scan),
-    "lstm_scan": ((1, 3 * len(_LSTM_GATES)), _check_scan("lstm_scan", _LSTM_GATES),
+    "lstm_scan": (_scan_counts(len(_LSTM_GATES)), _check_scan("lstm_scan", _LSTM_GATES),
                   _prim_lstm_scan),
     "squash": (_ONE, _check_squash, _prim_squash),
     "routing": (_TWO, _check_routing, _prim_routing),
@@ -766,8 +812,9 @@ def apply_primitive(kind: str, operands: Sequence[Tensor], **kw) -> Tensor:
             f"unknown primitive {kind!r}; known: {sorted(_PRIMITIVES)}")
     count, check, fn = entry
     arrays = [t.values for t in operands]
-    if (not arrays) if count is None else (len(arrays) != sum(count)):
-        want = "one or more" if count is None else " + ".join(map(str, count))
+    if (not arrays) if count is None else all(len(arrays) != sum(c) for c in count):
+        want = ("one or more" if count is None
+                else " or ".join(" + ".join(map(str, c)) for c in count))
         raise _shape_error(kind, f"expects {want} operand{'' if want == '1' else 's'}, "
                                  f"got {len(arrays)}")
     if check is not None:
@@ -918,14 +965,18 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return apply_primitive("concat", list(tensors), axis=axis)
 
 
-def gru_scan(x: Tensor, weights: Sequence[Tensor], reverse: bool = False) -> Tensor:
-    """One GRU direction; ``weights`` are w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n."""
-    return apply_primitive("gru_scan", [x, *weights], reverse=bool(reverse))
+def gru_scan(x: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """Every GRU direction in one scan: (B, T, E) -> (B, T, D*H). ``weights``
+    are, for each direction, forward first, w_z, w_r, w_n, u_z, u_r, u_n,
+    b_z, b_r, b_n; a second direction runs from the last position."""
+    return apply_primitive("gru_scan", [x, *weights])
 
 
-def lstm_scan(x: Tensor, weights: Sequence[Tensor], reverse: bool = False) -> Tensor:
-    """One LSTM direction; ``weights`` are w_*, then u_*, then b_*, each in i, f, o, g order."""
-    return apply_primitive("lstm_scan", [x, *weights], reverse=bool(reverse))
+def lstm_scan(x: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """Every LSTM direction in one scan: (B, T, E) -> (B, T, D*H). ``weights``
+    are, for each direction, forward first, w_*, then u_*, then b_*, each in
+    i, f, o, g order; a second direction runs from the last position."""
+    return apply_primitive("lstm_scan", [x, *weights])
 
 
 def squash(t: Tensor) -> Tensor:

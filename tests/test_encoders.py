@@ -170,6 +170,22 @@ class TestForwardSemantics:
             encoder_forward_batch(cfg, params, _random_block(rng, 1, 4, 3))
         assert "encoder.gru.w_z" in str(exc.value)
 
+    @pytest.mark.parametrize("kind", ["bigru", "cnn-bilstm"])
+    def test_backward_direction_parameter_named(self, kind):
+        # the backward direction's weights sit in the middle of the one scan's
+        # operands; a bad one is named as its forward twin is
+        cfg = _toy_config(kind)
+        name = f"encoder.{kind.removeprefix('cnn-')}.bw.u_{'r' if 'gru' in kind else 'f'}"
+        rng = np.random.default_rng(1)
+        for bad in (None, np.zeros((3, 4))):
+            params = init_encoder(cfg, 3, SeededRng(2))
+            if bad is None:
+                del params[name]
+            else:
+                params[name] = Parameter(Tensor(bad), name)
+            with pytest.raises(ShapeMismatchError, match=f"^encoder parameter '{name}' "):
+                encoder_forward_batch(cfg, params, _random_block(rng, 1, 4, 3))
+
 
 class TestGradientLaw:
     @pytest.mark.parametrize("kind", ENCODER_KINDS)
@@ -187,6 +203,28 @@ class TestGradientLaw:
         err = grad_check(fn, list(params.values()), epsilon=1e-5, sample_count=30,
                          rng=np.random.default_rng(3))
         assert err < 1e-4, f"{kind}: relative error {err:.3e}"
+
+    @pytest.mark.parametrize("kind", [k for k in ENCODER_KINDS if k != "cnn"])
+    def test_grad_check_batch_and_biases(self, kind):
+        # two documents and non-zero biases: the checks cover the scan's batch
+        # and direction axes and every bias gradient, sampled per parameter
+        cfg = _toy_config(kind)
+        e_d, t = 4, 6
+        params = init_encoder(cfg, e_d, SeededRng(18))
+        rng = np.random.default_rng(18)
+        for name, p in params.items():
+            if name.rpartition(".")[2].startswith("b"):
+                p.tensor.values[:] = rng.uniform(-0.5, 0.5, size=p.tensor.shape)
+        x = rng.uniform(-1, 1, size=(2, t, e_d))
+        weights = Tensor(rng.uniform(-1, 1, size=(2,) + encoder_output_shape(cfg, t, e_d)))
+
+        def fn(ps):
+            return (encoder_forward_batch(cfg, params, Tensor(x)) * weights).sum()
+
+        for name, p in params.items():
+            err = grad_check(fn, [p], epsilon=1e-5, sample_count=6,
+                             rng=np.random.default_rng(4))
+            assert err < 1e-5, f"{kind} {name}: relative error {err:.3e}"
 
 
 # The composed per-timestep recurrence that the fused gru_scan/lstm_scan
@@ -294,13 +332,22 @@ class TestFusedScanReference:
                                        err_msg=name)
         assert fused_nodes < ref_nodes
 
-    @pytest.mark.parametrize("kind, scans", [("gru", 1), ("bigru", 2), ("lstm", 1),
-                                             ("bilstm", 2), ("cnn-bigru", 2),
-                                             ("cnn-bilstm", 2)])
-    def test_one_tape_node_per_direction(self, kind, scans):
+    @pytest.mark.parametrize("kind, directions", [("gru", 1), ("bigru", 2), ("lstm", 1),
+                                                  ("bilstm", 2), ("cnn-bigru", 2),
+                                                  ("cnn-bilstm", 2)])
+    def test_one_scan_node_per_encoder(self, kind, directions):
+        # every direction runs in the one scan node, which writes the whole
+        # map: no concat joins directions (a hybrid's one concat joins its
+        # convolution banks)
         cfg, params, x, _ = self._case(kind, 6, 0, seed=5)
         with Tape() as tape:
             encoder_forward_batch(cfg, params, Tensor(x))
         kinds = [node.kind for node in tape.nodes]
-        assert kinds.count(f"{cfg.recurrent_kind}_scan") == scans
+        scan = f"{cfg.recurrent_kind}_scan"
+        assert kinds.count(scan) == 1
+        node = tape.nodes[kinds.index(scan)]
+        assert len(node.inputs) == 1 + 3 * len(_GATE_NAMES[cfg.recurrent_kind]) * directions
+        assert node.out.shape == (2,) + encoder_output_shape(cfg, 6, x.shape[2])
+        assert node.out.shape[2] == cfg.hidden_dim * directions
+        assert kinds.count("concat") == (1 if cfg.uses_cnn else 0)
         assert "sigmoid" not in kinds and "tanh" not in kinds

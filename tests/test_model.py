@@ -1,5 +1,6 @@
 """The parameter inventory: one ordered {name: shape} per configuration,
-which init_model fills and checkpoint loading checks against."""
+which init_model fills and checkpoint loading checks against; and what a
+forward pass hands back."""
 
 import hashlib
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from textcaps.adversarial import SeededRng
-from textcaps.capsule import CapsuleHeadConfig
+from textcaps.capsule import CapsuleHeadConfig, class_probabilities_batch, dynamic_routing_batch
 from textcaps.encoders import ENCODER_KINDS, EncoderConfig, init_parameters
-from textcaps.model import init_model, parameter_shapes
+from textcaps.model import forward_batch, init_model, parameter_shapes
+from textcaps.tensor import Tensor
 
 HEAD = CapsuleHeadConfig(n_pc=2, n_cc=3, d=2, routing_iterations=2)
 E_D, T = 5, 6
@@ -72,3 +74,27 @@ class TestParameterInventory:
             values = params[name].tensor.values
             assert values.shape == shapes[name] and values.all()
             assert np.abs(values).max() <= limit
+
+
+class TestForwardResult:
+    @pytest.mark.parametrize("kind", ["cnn", "bigru"])
+    def test_capsule_head_carries_its_routing(self, kind):
+        params = init_model(_encoder(kind), HEAD, E_D, T, SeededRng(7))
+        x = Tensor(np.random.default_rng(7).uniform(-1, 1, size=(3, T, E_D)))
+        out = forward_batch(_encoder(kind), HEAD, params, x, want_stages=True)
+        v, state = dynamic_routing_batch(out.condensed, params["head.routing.w"].tensor, HEAD)
+        assert out.routing.couplings.values.tobytes() == state.couplings.values.tobytes()
+        assert out.routing.logits.values.tobytes() == state.logits.values.tobytes()
+        assert ([c.values.tobytes() for c in out.routing.coupling_history]
+                == [c.values.tobytes() for c in state.coupling_history])
+        assert out.routing.couplings.shape == (3, HEAD.n_cc, 2)
+        # carrying the diagnostics changes no output
+        assert out.probs.values.tobytes() == class_probabilities_batch(v).values.tobytes()
+        plain = forward_batch(_encoder(kind), HEAD, params, x)
+        assert plain.probs.values.tobytes() == out.probs.values.tobytes()
+        assert plain.routing.couplings.values.tobytes() == state.couplings.values.tobytes()
+
+    def test_baseline_head_has_no_routing(self):
+        params = init_model(_encoder("gru"), None, E_D, T, SeededRng(7))
+        x = Tensor(np.random.default_rng(7).uniform(-1, 1, size=(2, T, E_D)))
+        assert forward_batch(_encoder("gru"), None, params, x).routing is None

@@ -37,12 +37,14 @@ from textcaps.tensor import (
 )
 
 
-def _scan_arrays(rng, gates, b=2, t=5, e=3, h=4):
-    """A (B, T, E) input, then w_*, u_*, b_* per gate, all non-zero."""
-    return ([rng.uniform(-1, 1, (b, t, e))]
-            + [rng.uniform(-1, 1, (e, h)) for _ in range(gates)]
-            + [rng.uniform(-1, 1, (h, h)) for _ in range(gates)]
-            + [rng.uniform(-1, 1, (1, h)) for _ in range(gates)])
+def _scan_arrays(rng, gates, b=2, t=5, e=3, h=4, directions=1):
+    """A (B, T, E) input, then per direction w_*, u_*, b_* per gate, all non-zero."""
+    arrays = [rng.uniform(-1, 1, (b, t, e))]
+    for _ in range(directions):
+        arrays += ([rng.uniform(-1, 1, (e, h)) for _ in range(gates)]
+                   + [rng.uniform(-1, 1, (h, h)) for _ in range(gates)]
+                   + [rng.uniform(-1, 1, (1, h)) for _ in range(gates)])
+    return arrays
 
 
 class TestForwardValues:
@@ -76,12 +78,17 @@ class TestForwardValues:
         np.testing.assert_array_equal(extreme, [0.0, 0.0, 1.0, 1.0])
 
     def test_scan_runs_backwards_on_reversed_input(self):
+        # a two-direction scan is a one-direction scan with the first
+        # direction's weights beside one over the reversed input with the
+        # second direction's, read back in position order
         rng = np.random.default_rng(15)
         for scan, gates in ((gru_scan, 3), (lstm_scan, 4)):
-            x, *weights = [Tensor(a) for a in _scan_arrays(rng, gates)]
-            forward = scan(x, weights).values
-            flipped = scan(Tensor(x.values[:, ::-1]), weights, reverse=True).values
-            assert forward.tobytes() == np.ascontiguousarray(flipped[:, ::-1]).tobytes()
+            x, *weights = [Tensor(a) for a in _scan_arrays(rng, gates, directions=2)]
+            both = scan(x, weights).values
+            forward = scan(x, weights[:3 * gates]).values
+            flipped = scan(Tensor(x.values[:, ::-1]), weights[3 * gates:]).values
+            want = np.concatenate([forward, flipped[:, ::-1]], axis=2)
+            assert both.shape == (2, 5, 8) and both.tobytes() == want.tobytes()
 
     def test_purity_bitwise(self):
         rng = np.random.default_rng(3)
@@ -119,16 +126,29 @@ class TestErrors:
 
     @pytest.mark.parametrize("kind, gates", [("gru_scan", 3), ("lstm_scan", 4)])
     def test_scan_operands_checked(self, kind, gates):
-        arrays = _scan_arrays(np.random.default_rng(0), gates)
-        with pytest.raises(ShapeMismatchError, match=f"{kind}: expects 1 \\+ {3 * gates}"):
-            apply_primitive(kind, [Tensor(a) for a in arrays[:-1]], reverse=False)
-        bad = list(arrays)
-        bad[1 + gates + 1] = np.zeros((4, 5))
-        with pytest.raises(ShapeMismatchError, match=r"u_\w must be \(4, 4\).*\(4, 5\)"):
-            apply_primitive(kind, [Tensor(a) for a in bad], reverse=False)
+        arrays = _scan_arrays(np.random.default_rng(0), gates, directions=2)
+        per = 3 * gates
+        for direction in (0, 1):
+            bad = list(arrays)
+            bad[1 + direction * per + gates + 1] = np.zeros((4, 5))
+            with pytest.raises(ShapeMismatchError,
+                               match=rf"direction {direction} u_\w must be \(4, 4\).*\(4, 5\)"):
+                apply_primitive(kind, [Tensor(a) for a in bad])
         with pytest.raises(ShapeMismatchError, match="input must be"):
-            apply_primitive(kind, [Tensor(arrays[0][0])] + [Tensor(a) for a in arrays[1:]],
-                            reverse=False)
+            apply_primitive(kind, [Tensor(arrays[0][0])] + [Tensor(a) for a in arrays[1:]])
+
+    @pytest.mark.parametrize("kind, gates", [("gru_scan", 3), ("lstm_scan", 4)])
+    def test_scan_operand_count_is_one_plus_weights_per_direction(self, kind, gates):
+        # 1 + 3 * gates * D operands for D = 1 or 2 directions, nothing else
+        arrays = _scan_arrays(np.random.default_rng(0), gates, directions=3)
+        per = 3 * gates
+        want = f"{kind}: expects 1 \\+ {per} or 1 \\+ {per} \\+ {per} operands"
+        for count in (1, per, 2 + per, 2 * per, 2 + 2 * per, 1 + 3 * per):
+            with pytest.raises(ShapeMismatchError, match=f"{want}, got {count}$"):
+                apply_primitive(kind, [Tensor(a) for a in arrays[:count]])
+        for directions in (1, 2):
+            out = apply_primitive(kind, [Tensor(a) for a in arrays[:1 + directions * per]])
+            assert out.shape == (2, 5, 4 * directions)
 
     def test_concat_axis_out_of_range(self):
         pair = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))]
@@ -277,8 +297,8 @@ def _forward_cases():
         "sum": ([arr(3, 4)], {"axis": 0}),
         "exp": ([arr(3, 4)], {}),
         "log": ([arr(3, 4, low=0.5)], {}),
-        "gru_scan": (_scan_arrays(rng, 3), {"reverse": True}),
-        "lstm_scan": (_scan_arrays(rng, 4), {"reverse": True}),
+        "gru_scan": (_scan_arrays(rng, 3, directions=2), {}),
+        "lstm_scan": (_scan_arrays(rng, 4, directions=2), {}),
         "squash": ([arr(2, 5, 4)], {}),
         "routing": ([arr(2, 4, 3), arr(4, 2, 3, 3)], {"iterations": 3}),
     }
@@ -337,11 +357,12 @@ class TestGradientsOnlyForParameters:
     @pytest.mark.parametrize("scan, gates", [(gru_scan, 3), (lstm_scan, 4)])
     def test_scan_over_constant_input_block(self, scan, gates):
         rng = np.random.default_rng(24)
-        arrays = _scan_arrays(rng, gates)
-        weights = Tensor(rng.uniform(-1, 1, arrays[0].shape[:2] + (4,)))
-        for reverse in (False, True):
+        for directions in (1, 2):
+            arrays = _scan_arrays(rng, gates, directions=directions)
+            weights = Tensor(rng.uniform(-1, 1, arrays[0].shape[:2] + (4 * directions,)))
+
             def forward(x, *ws):
-                return (scan(x, ws, reverse=reverse) * weights).sum()
+                return (scan(x, ws) * weights).sum()
 
             assert (_param_grads(forward, arrays, {0})
                     == _param_grads(forward, arrays, set())[1:])
@@ -401,11 +422,11 @@ class TestGradCheckPrimitives:
     def _check_scan(self, scan, gates, seed):
         # the input block is a parameter too: hybrids backpropagate into it
         rng = np.random.default_rng(seed)
-        for reverse in (False, True):
-            arrays = _scan_arrays(rng, gates)
-            weights = Tensor(rng.uniform(-1, 1, arrays[0].shape[:2] + (4,)))
-            self._check(lambda ps: (scan(ps[0].tensor, [p.tensor for p in ps[1:]],
-                                         reverse=reverse) * weights).sum(), arrays, seed)
+        for directions in (1, 2):
+            arrays = _scan_arrays(rng, gates, directions=directions)
+            weights = Tensor(rng.uniform(-1, 1, arrays[0].shape[:2] + (4 * directions,)))
+            self._check(lambda ps: (scan(ps[0].tensor, [p.tensor for p in ps[1:]])
+                                    * weights).sum(), arrays, seed)
 
     def test_squash(self):
         rng = np.random.default_rng(21)
