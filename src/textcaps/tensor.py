@@ -261,19 +261,28 @@ def _check_matmul(arrays, kw):
 def _prim_matmul(arrays, kw, needs):
     a, b = arrays
     need_a, need_b = needs
+    if a.ndim == 2 and b.ndim > 2:
+        # weight @ batch: the batch axes fold into the columns of one 2-D
+        # product, (m, k) @ (k, P*n), instead of P skinny products; the
+        # pullback reuses the copy bt for ga. The extents are spelled out
+        # because reshape cannot infer a -1 extent of a zero-size array.
+        m, k = a.shape
+        batch = b.shape[:-2] + b.shape[-1:]
+        bt = np.moveaxis(b, -2, 0).reshape(k, int(np.prod(batch)))
+        out = np.moveaxis((a @ bt).reshape((m,) + batch), 0, -2)
+    else:
+        out = np.matmul(a, b)
 
     def pullback(g):
         if a.ndim == 2 and b.ndim > 2:
-            # weight @ batch: the batch axes fold into the columns of one 2-D
-            # product, (m, P*n), for both gradients instead of P products each.
-            # gb comes out axis-swapped; it is made C-contiguous so that the
-            # consumer's elementwise backward runs in memory order.
-            m, k = a.shape
-            cols = np.moveaxis(g, -2, 0).reshape(m, -1)
-            ga = cols @ np.moveaxis(b, -2, 0).reshape(k, -1).T if need_a else None
+            # The same fold for both gradients. gb comes out axis-swapped; it is
+            # made C-contiguous so that the consumer's elementwise backward runs
+            # in memory order.
+            cols = np.moveaxis(g, -2, 0).reshape(m, bt.shape[1])
+            ga = cols @ bt.T if need_a else None
             if not need_b:
                 return ga, None
-            gb = (a.T @ cols).reshape((k,) + b.shape[:-2] + b.shape[-1:])
+            gb = (a.T @ cols).reshape((k,) + batch)
             return ga, np.ascontiguousarray(np.moveaxis(gb, 0, -2))
         if b.ndim == 2 and a.ndim > 2:
             # batch @ weight: the batch rows are rows of one 2-D product.
@@ -283,7 +292,7 @@ def _prim_matmul(arrays, kw, needs):
         return (_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape) if need_a else None,
                 _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape) if need_b else None)
 
-    return np.matmul(a, b), pullback
+    return out, pullback
 
 
 def _check_scale(arrays, kw):
@@ -702,7 +711,7 @@ def _prim_squash(arrays, kw, needs):
 
 def _check_routing(arrays, kw):
     iterations = kw.get("iterations")
-    if not isinstance(iterations, int) or iterations < 1:
+    if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 1:
         raise _shape_error("routing", f"iterations must be an int >= 1, got {iterations!r}")
     u, w = arrays
     if u.ndim != 3:
