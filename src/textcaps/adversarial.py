@@ -5,11 +5,25 @@ driven by its word count (1 below five words, 2 for five through twenty, 3
 above twenty), and every chosen word receives exactly one random character
 substitution drawn from the 31-letter Romanian lowercase alphabet. Word
 lengths, sentence boundaries, and labels are never altered.
+
+Draw rule. Document i draws from PCG64 seeded by ``SeedSequence([seed,
+epoch, i])``. Its raw 64-bit outputs are read in bulk and split into 32-bit
+halves, low half first. A draw below ``n`` takes the next half ``u`` and
+forms ``m = u * n``; while ``m mod 2**32 < (2**32 - n) mod n`` it takes
+another half, and it returns ``m >> 32`` (Lemire 2019, arXiv:1805.10941).
+``n == 1`` takes nothing. Per sentence, the words are picked by Floyd's
+sample: for ``j`` in ``n - k .. n - 1`` draw ``v`` below ``j + 1`` and pick
+``j`` if ``v`` is already picked, else ``v``; then ``k - 1`` draws with
+bounds ``k .. 2`` follow. Per picked word, in position order, one draw
+picks the character and one picks its substitute. This is the sequence
+numpy's ``Generator.choice(n, k, replace=False)`` and
+``Generator.integers(n)`` make on the same seed, so the copies match theirs
+byte for byte.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,13 +39,19 @@ ROMANIAN_ALPHABET: Tuple[str, ...] = tuple("abcdefghijklmnopqrstuvwxyz") + (
 )
 
 _SEED_MASK = (1 << 64) - 1
+_LOW32 = (1 << 32) - 1
+_RAW, _HALF = np.dtype("<u8"), np.dtype("<u4")  # little-endian: low half first
 
 
 class SeededRng:
     """Deterministic random source: numpy PCG64 seeded explicitly.
 
-    Identical seeds produce identical draw sequences across runs and
-    platforms (PCG64's stream is part of numpy's stability guarantee).
+    numpy keeps the output streams of ``SeedSequence`` and of PCG64's raw
+    bits stable across versions and platforms. It makes no such promise for
+    the streams of ``Generator`` methods (``integers``, ``normal``,
+    ``permutation``, ...), which a numpy release may change. Everything drawn
+    through ``generator`` reproduces for one numpy version; the adversarial
+    copies read only the raw stream (:class:`BoundedDraws`).
     """
 
     def __init__(self, seed: int) -> None:
@@ -45,11 +65,56 @@ class SeededRng:
             np.random.SeedSequence([c & _SEED_MASK for c in components])))
         return rng
 
+
+def _halves(bits: np.random.PCG64, count: int) -> Iterator[int]:
+    """32-bit halves of ``bits``' raw outputs, low half first: the first
+    ``count`` at once, then one output at a time."""
+    while True:
+        raw = bits.random_raw((count + 1) // 2)
+        yield from raw.astype(_RAW, copy=False).view(_HALF).tolist()
+        count = 2
+
+
+class BoundedDraws:
+    """Bounded integer draws on PCG64's raw stream, by the module's draw rule.
+
+    ``bulk`` is how many 32-bit halves to read at the first draw; a draw past
+    them reads more, so it only sets how often the bit generator is called.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self, bits: np.random.PCG64, bulk: int = 2) -> None:
+        self._next = _halves(bits, bulk).__next__
+
     def below(self, n: int) -> int:
-        return int(self.generator.integers(n))
+        """Uniform in ``[0, n)`` for ``1 <= n <= 2**32``: ``Generator.integers(n)``."""
+        if n == 1:
+            return 0
+        m = self._next() * n
+        if (m & _LOW32) < n:
+            threshold = ((1 << 32) - n) % n
+            while (m & _LOW32) < threshold:
+                m = self._next() * n
+        return m >> 32
 
     def sample_positions(self, n: int, k: int) -> List[int]:
-        return sorted(int(i) for i in self.generator.choice(n, size=k, replace=False))
+        """``k`` distinct positions of ``n``, sorted: ``Generator.choice(n, k,
+        replace=False)`` for ``k <= 3``, including the draws of its shuffle."""
+        picked: List[int] = []
+        for j in range(n - k, n):
+            v = self.below(j + 1)
+            picked.append(j if v in picked else v)
+        for bound in range(k, 1, -1):
+            self.below(bound)
+        picked.sort()
+        return picked
+
+
+# Each letter's substitutes: the alphabet without it. Any other character
+# may become any letter.
+_SUBSTITUTES: Dict[str, Tuple[str, ...]] = {
+    letter: tuple(c for c in ROMANIAN_ALPHABET if c != letter) for letter in ROMANIAN_ALPHABET}
 
 
 class PerturbationPolicy:
@@ -65,28 +130,30 @@ class PerturbationPolicy:
         """Words to perturb in a sentence of ``word_count`` (>= 1) words."""
         return 1 if word_count < 5 else 2 if word_count <= 20 else 3
 
+    def substitutes(self, character: str) -> Tuple[str, ...]:
+        """Alphabet letters that may replace ``character``."""
+        return _SUBSTITUTES.get(character, self.alphabet)
 
-def perturb_word(word: str, policy: PerturbationPolicy, rng: SeededRng) -> str:
+
+def perturb_word(word: str, policy: PerturbationPolicy, draws: BoundedDraws) -> str:
     """Replace one uniformly chosen character by a different alphabet character."""
     if not word:
         raise ValueError("cannot perturb an empty word")
-    position = rng.below(len(word))
-    original = word[position]
-    candidates = [c for c in policy.alphabet if c != original]
-    replacement = candidates[rng.below(len(candidates))]
-    return word[:position] + replacement + word[position + 1:]
+    position = draws.below(len(word))
+    candidates = policy.substitutes(word[position])
+    return word[:position] + candidates[draws.below(len(candidates))] + word[position + 1:]
 
 
 def perturb_sentence(
-    sentence: Sequence[str], policy: PerturbationPolicy, rng: SeededRng
+    sentence: Sequence[str], policy: PerturbationPolicy, draws: BoundedDraws
 ) -> List[str]:
     """Perturb k distinct words, k given by the sentence-length rule."""
     if not sentence:
         raise ValueError("cannot perturb an empty sentence")
-    chosen = rng.sample_positions(len(sentence), policy.replacements_for(len(sentence)))
+    chosen = draws.sample_positions(len(sentence), policy.replacements_for(len(sentence)))
     out = list(sentence)
     for position in chosen:
-        out[position] = perturb_word(out[position], policy, rng)
+        out[position] = perturb_word(out[position], policy, draws)
     return out
 
 
@@ -98,14 +165,19 @@ def augment_dataset(
 ) -> List[Document]:
     """One adversarial copy per document, reproducible per (seed, epoch).
 
-    Document i draws from an rng seeded by SeedSequence([base_seed, epoch, i]),
+    Document i draws from PCG64 seeded by SeedSequence([base_seed, epoch, i]),
     so augmentation is deterministic for a fixed epoch yet varies across
-    epochs.
+    epochs. Each document reads, in one call, the 32-bit halves its sentences
+    take when no draw is rejected: at most ``4 k - 1`` for a sentence with
+    ``k`` perturbed words.
     """
     out: List[Document] = []
+    seed, epoch = base_seed & _SEED_MASK, epoch & _SEED_MASK
     for index, doc in enumerate(docs):
-        rng = SeededRng.from_mix(base_seed, epoch, index)
-        sentences = [perturb_sentence(s, policy, rng) for s in doc.sentences if s]
+        sentences = [s for s in doc.sentences if s]
+        bulk = sum(4 * policy.replacements_for(len(s)) - 1 for s in sentences)
+        draws = BoundedDraws(np.random.PCG64(np.random.SeedSequence([seed, epoch, index])), bulk)
+        sentences = [perturb_sentence(s, policy, draws) for s in sentences]
         out.append(Document(raw_text=render_document(sentences),
                             sentences=sentences, label=doc.label))
     return out

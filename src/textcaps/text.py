@@ -65,6 +65,9 @@ class Document:
 
 
 def _strip_edge_punct(token: str) -> str:
+    # No alphanumeric character is in a P* category, so most tokens return here.
+    if token[:1].isalnum() and token[-1:].isalnum():
+        return token
     start, stop = 0, len(token)
     while start < stop and unicodedata.category(token[start]).startswith("P"):
         start += 1

@@ -13,7 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from textcaps.adversarial import PerturbationPolicy, SeededRng, perturb_sentence
+from textcaps.adversarial import (
+    BoundedDraws,
+    PerturbationPolicy,
+    SeededRng,
+    perturb_sentence,
+    perturb_word,
+)
 from textcaps.capsule import (
     N_CLASSES,
     CapsuleHeadConfig,
@@ -152,11 +158,11 @@ def test_criterion_3_routing_invariants():
 def test_criterion_4_adversarial_policy_laws():
     policy = PerturbationPolicy()
     ok = True
-    rng = SeededRng(404)
+    draws = BoundedDraws(np.random.PCG64(404))
     for length, expected in [(1, 1), (3, 1), (4, 1), (5, 2), (12, 2), (20, 2),
                              (21, 3), (40, 3)]:
         sentence = [f"cuvant{i}" for i in range(length)]
-        out = perturb_sentence(sentence, policy, rng)
+        out = perturb_sentence(sentence, policy, draws)
         changed = [(a, b) for a, b in zip(sentence, out) if a != b]
         ok &= len(changed) == min(expected, length)
         for a, b in changed:
@@ -164,15 +170,13 @@ def test_criterion_4_adversarial_policy_laws():
             ok &= sum(1 for x, y in zip(a, b) if x != y) == 1
     # bitwise determinism
     s = [f"w{i}" for i in range(10)]
-    ok &= (perturb_sentence(s, policy, SeededRng(5)) ==
-           perturb_sentence(s, policy, SeededRng(5)))
+    ok &= (perturb_sentence(s, policy, BoundedDraws(np.random.PCG64(5))) ==
+           perturb_sentence(s, policy, BoundedDraws(np.random.PCG64(5))))
     # position-selection frequency on a 5-character word
-    from textcaps.adversarial import perturb_word
-
     counts = np.zeros(5)
-    freq_rng = SeededRng(777)
+    freq_draws = BoundedDraws(np.random.PCG64(777))
     for _ in range(10_000):
-        out = perturb_word("abcde", policy, freq_rng)
+        out = perturb_word("abcde", policy, freq_draws)
         counts[[i for i in range(5) if out[i] != "abcde"[i]][0]] += 1
     freqs = counts / 10_000
     ok &= bool(np.all(np.abs(freqs - 0.2) <= 0.02))

@@ -1,20 +1,22 @@
-"""Adversarial perturbation policy laws: counts, edit distance, determinism."""
+"""Adversarial perturbation policy laws: counts, edit distance, determinism,
+and the raw-stream draws against numpy's ``Generator`` on the same seed."""
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from textcaps.adversarial import (
     ROMANIAN_ALPHABET,
+    BoundedDraws,
     PerturbationPolicy,
-    SeededRng,
     augment_dataset,
     perturb_sentence,
     perturb_word,
 )
 from textcaps.synth import generate_synthetic_corpus
-from textcaps.text import Document, read_dataset, write_dataset
+from textcaps.text import Document, read_dataset, render_document, tokenize, write_dataset
 
 # sha256 of the JSONL that write_dataset writes for the adversarial copies of
 # a 200-document synthetic corpus (vocab 60, corpus seed 17, augment seed 29),
@@ -24,6 +26,62 @@ AUGMENT_SHA256 = {
     0: "7161479aba09efc202ec15174e62636ac042ab830e7b2ce3cabac4a469c7620f",
     3: "e8f4d16cff9254daa44320eab772823e4126b5c9b1118b41d402107f44e33830",
 }
+
+_SEED_MASK = (1 << 64) - 1
+
+
+# The per-draw Generator implementation that BoundedDraws replaced, kept
+# verbatim (bar names) as the reference for the byte-identity properties.
+class GeneratorRng:
+    def __init__(self, seed):
+        self.generator = np.random.Generator(np.random.PCG64(seed & _SEED_MASK))
+
+    @classmethod
+    def from_mix(cls, *components):
+        rng = cls.__new__(cls)
+        rng.generator = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([c & _SEED_MASK for c in components])))
+        return rng
+
+    def below(self, n):
+        return int(self.generator.integers(n))
+
+    def sample_positions(self, n, k):
+        return sorted(int(i) for i in self.generator.choice(n, size=k, replace=False))
+
+
+def reference_perturb_word(word, policy, rng):
+    if not word:
+        raise ValueError("cannot perturb an empty word")
+    position = rng.below(len(word))
+    original = word[position]
+    candidates = [c for c in policy.alphabet if c != original]
+    replacement = candidates[rng.below(len(candidates))]
+    return word[:position] + replacement + word[position + 1:]
+
+
+def reference_perturb_sentence(sentence, policy, rng):
+    if not sentence:
+        raise ValueError("cannot perturb an empty sentence")
+    chosen = rng.sample_positions(len(sentence), policy.replacements_for(len(sentence)))
+    out = list(sentence)
+    for position in chosen:
+        out[position] = reference_perturb_word(out[position], policy, rng)
+    return out
+
+
+def reference_augment_dataset(docs, policy, base_seed, epoch):
+    out = []
+    for index, doc in enumerate(docs):
+        rng = GeneratorRng.from_mix(base_seed, epoch, index)
+        sentences = [reference_perturb_sentence(s, policy, rng) for s in doc.sentences if s]
+        out.append(Document(raw_text=render_document(sentences),
+                            sentences=sentences, label=doc.label))
+    return out
+
+
+def _draws(seed):
+    return BoundedDraws(np.random.PCG64(seed))
 
 
 def edit_distance_one_char(a: str, b: str) -> int:
@@ -48,25 +106,25 @@ class TestPolicy:
 class TestPerturbWord:
     def test_edit_distance_exactly_one(self):
         policy = PerturbationPolicy()
-        rng = SeededRng(123)
+        draws = _draws(123)
         for word in ["bun", "x", "recomand", "mărețe", "abcdefghij"]:
-            out = perturb_word(word, policy, rng)
+            out = perturb_word(word, policy, draws)
             assert len(out) == len(word)
             assert edit_distance_one_char(word, out) == 1
 
     def test_deterministic_under_seed(self):
         policy = PerturbationPolicy()
-        first = perturb_word("bun", policy, SeededRng(42))
-        second = perturb_word("bun", policy, SeededRng(42))
+        first = perturb_word("bun", policy, _draws(42))
+        second = perturb_word("bun", policy, _draws(42))
         assert first == second
 
     def test_position_selection_uniformity(self):
         # 5-character word; each position should be hit ~0.2 of the time.
         policy = PerturbationPolicy()
-        rng = SeededRng(2024)
+        draws = _draws(2024)
         counts = np.zeros(5)
         for _ in range(10_000):
-            out = perturb_word("abcde", policy, rng)
+            out = perturb_word("abcde", policy, draws)
             diff = [i for i in range(5) if out[i] != "abcde"[i]]
             counts[diff[0]] += 1
         freqs = counts / 10_000
@@ -78,7 +136,7 @@ class TestPerturbSentence:
     def test_word_counts_perturbed(self, length, expected):
         policy = PerturbationPolicy()
         sentence = [f"word{i}" for i in range(length)]
-        out = perturb_sentence(sentence, policy, SeededRng(7))
+        out = perturb_sentence(sentence, policy, _draws(7))
         changed = sum(1 for a, b in zip(sentence, out) if a != b)
         assert changed == expected
         for a, b in zip(sentence, out):
@@ -131,3 +189,86 @@ class TestAugmentDataset:
         write_dataset(tmp_path / "adv.jsonl", adversarial_copies)
         digest = hashlib.sha256((tmp_path / "adv.jsonl").read_bytes()).hexdigest()
         assert digest == AUGMENT_SHA256[epoch]
+
+
+class TestBoundedDraws:
+    # Odd counts leave a kept high half behind at the end of each run. At
+    # 2**31 + 1 about half of all halves are rejected.
+    @pytest.mark.parametrize("n", [1, 2, 30, 31, 2**31 + 1])
+    @pytest.mark.parametrize("count", [1, 7, 501])
+    def test_below_is_generator_integers(self, n, count):
+        for seed in (0, 11, 2**63 + 3):
+            draws, generator = _draws(seed), np.random.Generator(np.random.PCG64(seed))
+            assert ([draws.below(n) for _ in range(count)]
+                    == [int(generator.integers(n)) for _ in range(count)])
+            assert draws.below(1000) == int(generator.integers(1000))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, _SEED_MASK),
+           bounds=st.lists(st.one_of(st.integers(1, 40), st.integers(1, 2**32)), max_size=40))
+    def test_mixed_bounds_are_generator_integers(self, seed, bounds):
+        draws, generator = _draws(seed), np.random.Generator(np.random.PCG64(seed))
+        assert [draws.below(n) for n in bounds] == [int(generator.integers(n)) for n in bounds]
+
+    @pytest.mark.parametrize("bulk", [0, 1, 2, 3, 64])
+    def test_bulk_read_size_does_not_change_draws(self, bulk):
+        draws = BoundedDraws(np.random.PCG64(5), bulk)
+        generator = np.random.Generator(np.random.PCG64(5))
+        assert ([draws.below(2**31 + 1) for _ in range(9)]
+                == [int(generator.integers(2**31 + 1)) for _ in range(9)])
+
+    @pytest.mark.parametrize("seed", [3, 2**64 - 1])
+    def test_sample_consumes_what_choice_does(self, seed):
+        for n in range(1, 41):
+            for k in range(1, min(3, n) + 1):
+                draws = _draws(seed)
+                generator = np.random.Generator(np.random.PCG64(seed))
+                assert draws.sample_positions(n, k) == sorted(
+                    int(i) for i in generator.choice(n, size=k, replace=False))
+                assert draws.below(1000) == int(generator.integers(1000)), (n, k)
+
+
+# Words of alphabet letters, one-letter words, digits, a letter outside the
+# alphabet and a hyphen; sentences of one word up to past twenty; documents
+# with no sentences and with empty ones; any seed, negative or >= 2**63.
+_WORDS = st.text(alphabet=st.sampled_from(list("abzăț7é-")), min_size=1, max_size=6)
+_SENTENCES = st.lists(st.lists(_WORDS, min_size=0, max_size=26), max_size=4)
+_DOCS = st.lists(st.builds(lambda sentences, label: Document(
+    render_document(sentences), sentences, label), _SENTENCES, st.integers(0, 1)), max_size=4)
+_ANY_SEED = st.integers(-2**70, 2**70)
+
+
+class TestAgainstGeneratorReference:
+    @settings(max_examples=300, deadline=None)
+    @given(docs=_DOCS, seed=_ANY_SEED, epoch=_ANY_SEED)
+    @example(docs=[Document("", [], 0), Document("x.", [[], ["x"]], 1),
+                   Document("", [list("abcdefghijklmnopqrstuvwxy"), ["é-7"]], 0)],
+             seed=-5, epoch=2**63)
+    def test_same_copies_as_the_generator_calls(self, docs, seed, epoch):
+        ours = augment_dataset(docs, PerturbationPolicy(), seed, epoch)
+        reference = reference_augment_dataset(docs, PerturbationPolicy(), seed, epoch)
+        assert [(d.raw_text, d.sentences, d.label) for d in ours] == [
+            (d.raw_text, d.sentences, d.label) for d in reference]
+
+    def test_synthetic_corpus_matches_for_large_and_negative_seeds(self):
+        docs, _ = generate_synthetic_corpus(300, 60, 5)
+        for seed, epoch in [(2**63, 0), (2**64 - 1, 7), (-1, 2), (-(2**63), 1)]:
+            ours = augment_dataset(docs, PerturbationPolicy(), seed, epoch)
+            reference = reference_augment_dataset(docs, PerturbationPolicy(), seed, epoch)
+            assert [d.raw_text for d in ours] == [d.raw_text for d in reference]
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(_WORDS, min_size=1, max_size=30), seed=st.integers(0, _SEED_MASK))
+    def test_sentence_matches_reference(self, words, seed):
+        policy = PerturbationPolicy()
+        assert perturb_sentence(words, policy, _draws(seed)) == reference_perturb_sentence(
+            words, policy, GeneratorRng(seed))
+
+
+class TestRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(), seed=_ANY_SEED)
+    def test_raw_text_tokenizes_to_sentences(self, text, seed):
+        doc = Document(text, tokenize(text), 1)
+        (copy,) = augment_dataset([doc], PerturbationPolicy(), seed, 0)
+        assert tokenize(copy.raw_text) == copy.sentences

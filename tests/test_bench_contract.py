@@ -53,6 +53,11 @@ def test_probed_calls_bind():
         inspect.signature(getattr(training, name)).bind(*args)
 
 
+def test_augment_call_binds():
+    """bench.py's score pass calls augment_dataset(docs, policy, seed, epoch)."""
+    inspect.signature(augment_dataset).bind("docs", "policy", "seed", "epoch")
+
+
 def test_counted_primitives_exist(perfbench_modules):
     _, tracer = perfbench_modules
     assert set(tracer.PRIMITIVES) <= set(tensor._PRIMITIVES)

@@ -1,6 +1,8 @@
 """Tokenizer, embedding loader, and document encoding tests."""
 
+import sys
 import tracemalloc
+import unicodedata
 
 import numpy as np
 import pytest
@@ -27,6 +29,16 @@ from textcaps.text import (
 SENTENCE_TERMINATORS = ".!?;"
 
 
+def strip_edge_punct_reference(token):
+    """The edge scan without _strip_edge_punct's alphanumeric fast path."""
+    start, stop = 0, len(token)
+    while start < stop and unicodedata.category(token[start]).startswith("P"):
+        start += 1
+    while stop > start and unicodedata.category(token[stop - 1]).startswith("P"):
+        stop -= 1
+    return token[start:stop]
+
+
 def tokenize_reference(raw_text):
     """The character loop that tokenize's regex split replaced, kept as its oracle.
 
@@ -47,7 +59,7 @@ def tokenize_reference(raw_text):
     for ch in text + SENTENCE_TERMINATORS[0]:
         if ch in SENTENCE_TERMINATORS or ch.isspace():
             if current:
-                token = _strip_edge_punct("".join(current))
+                token = strip_edge_punct_reference("".join(current))
                 if token:
                     segment_tokens.append(token)
                 current.clear()
@@ -125,6 +137,17 @@ class TestTokenize:
     @given(text=_TRICKY_TEXT)
     def test_matches_reference_on_terminators_and_whitespace(self, text):
         assert tokenize(text) == tokenize_reference(text)
+
+    def test_no_alphanumeric_character_is_punctuation(self):
+        # _strip_edge_punct returns a token with alphanumeric ends unchanged.
+        offenders = [hex(cp) for cp in range(sys.maxunicode + 1)
+                     if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
+        assert offenders == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(token=st.text() | _TRICKY_TEXT)
+    def test_strip_matches_the_edge_scan(self, token):
+        assert _strip_edge_punct(token) == strip_edge_punct_reference(token)
 
 
 class TestEmbeddings:
