@@ -275,15 +275,15 @@ def _prim_matmul(arrays, kw, needs):
 
     def pullback(g):
         if a.ndim == 2 and b.ndim > 2:
-            # The same fold for both gradients. gb comes out axis-swapped; it is
-            # made C-contiguous so that the consumer's elementwise backward runs
-            # in memory order.
+            # The same fold for both gradients. gb is handed on axis-swapped,
+            # as a view: a C-ordered copy cost more than the consumer's
+            # strided elementwise backward saves.
             cols = np.moveaxis(g, -2, 0).reshape(m, bt.shape[1])
             ga = cols @ bt.T if need_a else None
             if not need_b:
                 return ga, None
             gb = (a.T @ cols).reshape((k,) + batch)
-            return ga, np.ascontiguousarray(np.moveaxis(gb, 0, -2))
+            return ga, np.moveaxis(gb, 0, -2)
         if b.ndim == 2 and a.ndim > 2:
             # batch @ weight: the batch rows are rows of one 2-D product.
             rows = g.reshape(-1, g.shape[-1])
@@ -669,16 +669,20 @@ def _prim_lstm_scan(arrays, kw, needs):
 
 
 # Fused capsule primitives. ``squash`` rescales vectors along the last axis to
-# x * |x| / (1 + |x|^2). ``routing`` runs dynamic routing by agreement (Sabour
-# et al. 2017) from (B, n_cc, d) capsules u through an (n_cc, n_cls, d, d)
-# transform W to (B, n_cls, d) class capsules, as one tape node: the forward
-# performs the same numpy operations, in the same order, as the composed graph
-# it replaces, and the pullback walks the iterations in reverse by hand.
+# x * |x| / (1 + |x|^2); its norms and its pullback's radial term g . x are
+# einsum dot products over the last axis. ``routing`` runs dynamic routing by
+# agreement (Sabour et al. 2017) from (B, n_cc, d) capsules u through an
+# (n_cc, n_cls, d, d) transform W to (B, n_cls, d) class capsules, as one tape
+# node. It keeps the prediction vectors class-major, as a (B, n_cls, n_cc, d)
+# array, so that each iteration's coupled sums and agreements are batched
+# matrix-vector products, and its pullback forms their gradient as one batched
+# GEMM over every iteration. Both agree with the composed graphs they replace
+# up to rounding, not bit for bit: the sums run in another order.
 
 
 def _squash_factor(x: np.ndarray) -> tuple:
     """|x| and |x| / (1 + |x|^2) along the last axis, both kept as size-1 axes."""
-    norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+    norm = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
     return norm, norm / (1.0 + norm * norm)
 
 
@@ -691,7 +695,7 @@ def _squash_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray,
     """
     n2 = norm * norm
     den = 1.0 + n2
-    radial = np.sum(g * x, axis=-1, keepdims=True)
+    radial = np.einsum("...i,...i->...", g, x)[..., None]
     radial *= (1.0 - n2) / (den * den * np.maximum(norm, 1e-300))
     grad = x * radial
     grad += g * factor
@@ -719,57 +723,70 @@ def _check_routing(arrays, kw):
     _, n_cc, d = u.shape
     if w.ndim != 4 or w.shape[0] != n_cc or w.shape[2:] != (d, d):
         raise _shape_error("routing", "transform must be (n_cc, n_cls, d, d)", u.shape, w.shape)
+    if w.shape[1] < 1:
+        raise _shape_error("routing", "transform must have n_cls >= 1", w.shape)
 
 
 def _prim_routing(arrays, kw, needs):
-    # u_hat[b, j, k] = W[j, k] @ u[b, j]; logits start at zero. Each iteration:
+    # u_hat[b, k, j] = W[j, k] @ u[b, j]; logits start at zero. Each iteration:
     # c = softmax(logits) over classes, s = sum_j c * u_hat, v = squash(s),
-    # then, except after the last, logits += u_hat . v.
+    # then, except after the last, logits += u_hat . v. Class-major layout:
+    # u_hat is (B, n_cls, n_cc, d), logits and c are (B, n_cls, n_cc). The
+    # extents are spelled out because reshape cannot infer a -1 extent of a
+    # zero-size array.
     u, w = arrays
     b, n_cc, d = u.shape
     n_cls = w.shape[1]
     iterations = kw["iterations"]
-    w_t = np.ascontiguousarray(np.transpose(w, (0, 1, 3, 2)))
-    u_hat = np.matmul(u.reshape(b, n_cc, 1, 1, d), w_t).reshape(b, n_cc, n_cls, d)
-    logits = np.zeros((b, n_cc, n_cls))
+    # per condensed capsule j, W[j] as (n_cls*d, d): n_cc products of
+    # (B, d) by (d, n_cls*d), the form the pullback uses for du and dw
+    w_rows = w.reshape(n_cc, n_cls * d, d)
+    u_cols = u.transpose(1, 0, 2)
+    u_hat = np.ascontiguousarray(np.matmul(u_cols, w_rows.transpose(0, 2, 1))
+                                 .reshape(n_cc, b, n_cls, d).transpose(1, 2, 0, 3))
+    logits = np.zeros((b, n_cls, n_cc))
     couplings, steps = [], []
     for r in range(iterations):
-        c = _softmax(logits, -1)
-        s = (c.reshape(b, n_cc, n_cls, 1) * u_hat).sum(axis=1)
+        c = _softmax(logits, 1)
+        s = np.matmul(c.reshape(b, n_cls, 1, n_cc), u_hat).reshape(b, n_cls, d)
         norm, factor = _squash_factor(s)
         v = s * factor
         couplings.append(c)
         steps.append((s, norm, factor, v))
         if r < iterations - 1:
-            logits = logits + (u_hat * v.reshape(b, 1, n_cls, d)).sum(axis=-1)
+            logits = logits + np.matmul(u_hat, v.reshape(b, n_cls, d, 1)).reshape(b, n_cls, n_cc)
     sink = kw.get("diagnostics")
     if sink is not None:
-        sink[:] = [logits, couplings]
+        sink[:] = [np.ascontiguousarray(logits.transpose(0, 2, 1)),
+                   [np.ascontiguousarray(c.transpose(0, 2, 1)) for c in couplings]]
 
     def pullback(g):
-        du_hat = np.zeros_like(u_hat)
-        scratch = np.empty_like(u_hat)
+        # du_hat = sum_r c_r (x) gs_r + sum_{r < R-1} dlogits_{r+1} (x) v_r, as
+        # one batched GEMM: left columns [c_r, dlogits_{r+1}], right rows
+        # [gs_r, v_r], 2R - 1 of each.
+        left = np.empty((b, n_cls, n_cc, 2 * iterations - 1))
+        right = np.empty((b, n_cls, 2 * iterations - 1, d))
         gv, dlogits = g, None    # dlogits: gradient of the next iteration's logits
-        for c, (s, norm, factor, v) in zip(reversed(couplings), reversed(steps)):
+        for r in reversed(range(iterations)):
+            c = couplings[r]
+            s, norm, factor, v = steps[r]
             if dlogits is not None:
                 # this iteration's agreement u_hat . v was added to those logits
-                np.multiply(u_hat, dlogits[..., None], out=scratch)
-                gv = scratch.sum(axis=1)
-                np.multiply(dlogits[..., None], v.reshape(b, 1, n_cls, d), out=scratch)
-                du_hat += scratch
+                gv = np.matmul(dlogits.reshape(b, n_cls, 1, n_cc), u_hat).reshape(b, n_cls, d)
+                left[..., iterations + r] = dlogits
+                right[:, :, iterations + r] = v
             gs = _squash_grad(gv, s, norm, factor)
-            np.multiply(u_hat, gs.reshape(b, 1, n_cls, d), out=scratch)
-            dc = scratch.sum(axis=-1)
-            np.multiply(c[..., None], gs.reshape(b, 1, n_cls, d), out=scratch)
-            du_hat += scratch
-            dl = _softmax_grad(dc, c, -1)
+            left[..., r] = c
+            right[:, :, r] = gs
+            dc = np.matmul(u_hat, gs.reshape(b, n_cls, d, 1)).reshape(b, n_cls, n_cc)
+            dl = _softmax_grad(dc, c, 1)
             dlogits = dl if dlogits is None else dlogits + dl
-        del scratch  # lowers the peak while the products below allocate
-        # per condensed capsule j, u_hat[:, j] = u[:, j] @ W[j]^T with
-        # W[j] as (n_cls*d, d): n_cc products of (B, d) by (d, n_cls*d)
-        rows = du_hat.reshape(b, n_cc, n_cls * d).transpose(1, 0, 2)
-        du = np.matmul(rows, w.reshape(n_cc, n_cls * d, d)).transpose(1, 0, 2)
-        dw = np.matmul(rows.transpose(0, 2, 1), u.transpose(1, 0, 2))
+        # du_hat written straight into the (n_cc, B, n_cls, d) layout of the
+        # n_cc products below, which give du and dw
+        rows = np.empty((n_cc, b, n_cls * d))
+        np.matmul(left, right, out=rows.reshape(n_cc, b, n_cls, d).transpose(1, 2, 0, 3))
+        du = np.matmul(rows, w_rows).transpose(1, 0, 2)
+        dw = np.matmul(rows.transpose(0, 2, 1), u_cols)
         return du, dw.reshape(w.shape)
 
     return v, pullback

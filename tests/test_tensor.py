@@ -159,6 +159,12 @@ class TestErrors:
                            match=rf"routing: iterations must be an int >= 1, got {iterations!r}$"):
             routing(Tensor(arrays[0]), Tensor(arrays[1]), iterations)
 
+    def test_routing_empty_class_axis_names_transform(self):
+        # no class to route to: the softmax over classes would reduce an empty axis
+        with pytest.raises(ShapeMismatchError,
+                           match=r"routing: transform must have n_cls >= 1 \(\(4, 0, 3, 3\)\)$"):
+            routing(Tensor(np.ones((2, 4, 3))), Tensor(np.ones((4, 0, 3, 3))), 3)
+
     def test_concat_axis_out_of_range(self):
         pair = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))]
         for axis in (2, 5, -3):
@@ -440,8 +446,8 @@ class TestWeightTimesBatch:
         # is held from the forward to the pullback, without one it is freed
         # with the unused pullback. Measured, in copies of the batch: 0.09
         # left after a tape-free forward (the output), 1.19 held after a taped
-        # forward, 3.78 at the backward's peak (with gb, its C-ordered copy and
-        # the parameter's own gradient).
+        # forward, 3.78 at the backward's peak (with gb and the parameter's own
+        # C-ordered gradient).
         b, count, d, n_cc = 32, 1368, 16, 128
         rng = np.random.default_rng(15)
         w = Parameter(Tensor(rng.normal(size=(n_cc, count))), "w").tensor
@@ -466,6 +472,40 @@ class TestWeightTimesBatch:
         assert left < 0.25 * copy and peak_free < 1.5 * copy, f"{left}, {peak_free}"
         assert held < 1.5 * copy, f"held {held / 2**20:.1f} MiB"
         assert peak < 4 * copy, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestCapsuleZeroExtents:
+    """``routing`` and ``squash`` run forward and backward over an empty batch,
+    an empty capsule axis or zero-length vectors, with every shape kept."""
+
+    @pytest.mark.parametrize("b, n_cc, d", [(0, 4, 3), (2, 0, 3), (2, 4, 0), (0, 0, 0)])
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_routing(self, b, n_cc, d, iterations):
+        n_cls = 2
+        u = Parameter(Tensor(np.ones((b, n_cc, d))), "u").tensor
+        w = Parameter(Tensor(np.ones((n_cc, n_cls, d, d))), "w").tensor
+        with Tape() as tape:
+            v, logits, couplings = routing(u, w, iterations)
+            loss = (v * v).sum()
+        assert v.shape == (b, n_cls, d)
+        assert logits.shape == (b, n_cc, n_cls) and not np.any(logits)
+        assert len(couplings) == iterations
+        for c in couplings:
+            assert c.shape == (b, n_cc, n_cls) and c.flags.c_contiguous
+            np.testing.assert_array_equal(c, np.full((b, n_cc, n_cls), 0.5))
+        # no capsule routes anything: the class capsules and gradients are 0
+        np.testing.assert_array_equal(v.values, np.zeros((b, n_cls, d)))
+        backward(loss, tape)
+        np.testing.assert_array_equal(u.grad, np.zeros((b, n_cc, d)))
+        np.testing.assert_array_equal(w.grad, np.zeros((n_cc, n_cls, d, d)))
+
+    @pytest.mark.parametrize("shape", [(0, 5, 4), (2, 0, 4), (2, 5, 0), (0,)])
+    def test_squash(self, shape):
+        x = Parameter(Tensor(np.ones(shape)), "x").tensor
+        with Tape() as tape:
+            loss = squash(x).sum()
+        backward(loss, tape)
+        assert x.grad.shape == shape and not np.any(x.grad)
 
 
 def _as_params(arrays):
