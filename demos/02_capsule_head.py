@@ -33,8 +33,8 @@ transform = Tensor(rng.normal(size=(5, 2, 4, 4)))
 
 class_caps, state = dynamic_routing_batch(condensed, transform, config)
 print("\ncoupling rows after each iteration (sum to 1 across classes):")
-for i, couplings in enumerate(state.coupling_history):
-    print(f"  iteration {i}: first row = {np.round(couplings.values[0, 0], 4)}")
+for i, couplings in enumerate(state.couplings):
+    print(f"  iteration {i}: first row = {np.round(couplings[0, 0], 4)}")
 
 probs = class_probabilities_batch(class_caps).values[0]
 print("\nclass-capsule norms:", np.round(np.linalg.norm(class_caps.values[0], axis=1), 4))

@@ -44,11 +44,16 @@ metrics = evaluate(params, test_docs, table, config)
 print(f"\ntest: accuracy {metrics.accuracy:.3f} precision {metrics.precision:.3f} "
       f"recall {metrics.recall:.3f} loss {metrics.loss:.4f}")
 
+# One forward hands back every stage it computed: the feature map, the
+# condensed and class capsules, and the routing couplings of each iteration.
+blocks, labels = encode_batch(test_docs[:8], table, config.n_s, config.n_w)
+result = forward_batch(config.encoder, config.head, params, Tensor(blocks))
+print(f"\nfeature map {result.feature_map.shape}, condensed {result.condensed.shape}, "
+      f"class capsules {result.class_capsules.shape}, "
+      f"{len(result.routing.couplings)} coupling arrays {result.routing.couplings[-1].shape}")
+
 # Class-capsule representations separate by label (these are the vectors
 # `textcaps export-repr` writes for downstream t-SNE or plotting).
-blocks, labels = encode_batch(test_docs[:8], table, config.n_s, config.n_w)
-result = forward_batch(config.encoder, config.head, params, Tensor(blocks),
-                       want_stages=True)
 norms = np.linalg.norm(result.class_capsules.values, axis=2)
 print("\nlabel  |class-0 capsule|  |class-1 capsule|")
 for label, (n0, n1) in zip(labels, norms):

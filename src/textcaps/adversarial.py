@@ -43,8 +43,15 @@ _LOW32 = (1 << 32) - 1
 _RAW, _HALF = np.dtype("<u8"), np.dtype("<u4")  # little-endian: low half first
 
 
+def seed_sequence(*components: int) -> np.random.SeedSequence:
+    """numpy's SeedSequence over the components, each reduced modulo 2**64.
+    For one component s it seeds PCG64 as PCG64(s mod 2**64) does."""
+    return np.random.SeedSequence([c & _SEED_MASK for c in components])
+
+
 class SeededRng:
-    """Deterministic random source: numpy PCG64 seeded explicitly.
+    """Deterministic random source: numpy PCG64 seeded by
+    ``seed_sequence(*components)``, the one seeding rule of every stream.
 
     numpy keeps the output streams of ``SeedSequence`` and of PCG64's raw
     bits stable across versions and platforms. It makes no such promise for
@@ -54,16 +61,8 @@ class SeededRng:
     copies read only the raw stream (:class:`BoundedDraws`).
     """
 
-    def __init__(self, seed: int) -> None:
-        self.generator = np.random.Generator(np.random.PCG64(seed & _SEED_MASK))
-
-    @classmethod
-    def from_mix(cls, *components: int) -> "SeededRng":
-        """Derive an rng from several integers via numpy's SeedSequence."""
-        rng = cls.__new__(cls)
-        rng.generator = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([c & _SEED_MASK for c in components])))
-        return rng
+    def __init__(self, *components: int) -> None:
+        self.generator = np.random.Generator(np.random.PCG64(seed_sequence(*components)))
 
 
 def _halves(bits: np.random.PCG64, count: int) -> Iterator[int]:

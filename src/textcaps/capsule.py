@@ -16,14 +16,12 @@ document is a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .encoders import init_parameters
 from .tensor import (
-    Parameter,
     ShapeMismatchError,
     Tensor,
     l2_norm,
@@ -57,14 +55,14 @@ class CapsuleHeadConfig:
 
 @dataclass
 class RoutingState:
-    """Final routing logits and couplings (couplings: softmax over classes).
+    """Final routing logits and each iteration's couplings (softmax over
+    classes), the last being final: C-contiguous (B, n_cc, n_cls) arrays.
 
-    Diagnostics only: the tensors are constants, off the tape.
+    Diagnostics only: plain arrays, off the tape.
     """
 
-    logits: Tensor
-    couplings: Tensor
-    coupling_history: List[Tensor] = field(default_factory=list)
+    logits: np.ndarray
+    couplings: List[np.ndarray]
 
 
 def squash(x: Union[Tensor, np.ndarray]) -> Tensor:
@@ -114,13 +112,11 @@ def dynamic_routing_batch(condensed: Tensor, transform: Tensor,
     the class axis, forms the coupled sums, squashes them, and adds the
     agreement u_hat . v to the logits (skipped after the final iteration).
     The whole routing is one ``routing`` primitive; the returned state holds
-    constants for inspection and is not differentiated.
+    arrays for inspection and is not differentiated.
     """
     _check_rank3("routing input", condensed)
     v, logits, couplings = routing(condensed, transform, config.routing_iterations)
-    history = [Tensor(c) for c in couplings]
-    return v, RoutingState(logits=Tensor(logits), couplings=history[-1],
-                           coupling_history=history)
+    return v, RoutingState(logits=logits, couplings=couplings)
 
 
 def class_probabilities_batch(class_caps: Tensor) -> Tensor:
@@ -149,9 +145,3 @@ def head_parameter_shapes(head: Optional[CapsuleHeadConfig], positions: int,
         "head.compress.w": (head.n_cc, positions * head.n_pc),
         "head.routing.w": (head.n_cc, N_CLASSES, head.d, head.d),
     }
-
-
-def init_capsule_head(config: CapsuleHeadConfig, positions: int, channels: int,
-                      rng) -> Dict[str, Parameter]:
-    """Glorot-uniform projection/compression/routing parameters."""
-    return init_parameters(head_parameter_shapes(config, positions, channels), rng)

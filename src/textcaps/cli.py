@@ -198,10 +198,10 @@ def cmd_export_repr(args) -> int:
     vectors = []
     for start in range(0, len(labels), config.batch_size):
         stop = min(start + config.batch_size, len(labels))
-        result = forward_batch(config.encoder, config.head, params,
-                               Tensor(blocks[start:stop]), want_stages=True)
+        result = forward_batch(config.encoder, config.head, params, Tensor(blocks[start:stop]))
         if args.stage == "encoder-pooled":
-            stage = result.pooled.values
+            fm = result.feature_map.values
+            stage = fm.sum(axis=1) * (1.0 / fm.shape[1])
         elif args.stage == "condensed":
             stage = result.condensed.values
         else:

@@ -28,12 +28,14 @@ from .tensor import Parameter, Tensor
 
 @dataclass
 class ForwardResult:
-    probs: Tensor                       # (B, n_cls)
-    feature_map: Optional[Tensor] = None      # (B, L, C)
-    pooled: Optional[Tensor] = None           # (B, C)
+    """Every stage a forward computes; the capsule stages are None for the
+    baseline head."""
+
+    probs: Tensor                             # (B, n_cls)
+    feature_map: Tensor                       # (B, L, C)
     condensed: Optional[Tensor] = None        # (B, n_cc, d)
     class_capsules: Optional[Tensor] = None   # (B, n_cls, d)
-    routing: Optional[RoutingState] = None    # capsule heads: logits and couplings
+    routing: Optional[RoutingState] = None    # logits and per-iteration couplings
 
 
 def parameter_shapes(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
@@ -52,20 +54,15 @@ def init_model(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
 
 
 def forward_batch(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
-                  params: Dict[str, Parameter], x: Tensor,
-                  want_stages: bool = False) -> ForwardResult:
-    """Run a (B, T, E_d) block through the full model. A capsule head's
-    result carries its routing diagnostics, constants off the tape."""
+                  params: Dict[str, Parameter], x: Tensor) -> ForwardResult:
+    """Run a (B, T, E_d) block through the full model. The result carries
+    every stage the head computed; the routing diagnostics are off the tape."""
     fm = encoder_forward_batch(encoder, params, x)
-    stages = {}
-    if want_stages:
-        stages = {"feature_map": fm, "pooled": fm.sum(axis=1).scale(1.0 / fm.shape[1])}
     if head is None:
         return ForwardResult(probs=baseline_head_batch(fm, params["head.dense.w"].tensor),
-                             **stages)
+                             feature_map=fm)
     primary = primary_capsules_batch(fm, params["head.primary.w"].tensor, head)
     condensed = compress_batch(primary, params["head.compress.w"].tensor)
     class_caps, routing = dynamic_routing_batch(condensed, params["head.routing.w"].tensor, head)
-    if want_stages:
-        stages.update(condensed=condensed, class_capsules=class_caps)
-    return ForwardResult(probs=class_probabilities_batch(class_caps), routing=routing, **stages)
+    return ForwardResult(probs=class_probabilities_batch(class_caps), feature_map=fm,
+                         condensed=condensed, class_capsules=class_caps, routing=routing)

@@ -226,15 +226,13 @@ def _metrics_row(epoch: int, m: Metrics) -> str:
                      fmt_float(m.precision), fmt_float(m.recall)])
 
 
-def write_metrics_csv(path, history: Sequence[EpochRecord],
-                      test: Optional[Metrics] = None,
-                      test_epoch: Optional[int] = None) -> None:
+def write_metrics_csv(path, history: Sequence[EpochRecord], test: Metrics,
+                      test_epoch: int) -> None:
     lines = [_METRICS_HEADER]
     for record in history:
         lines.append(_metrics_row(record.epoch, record.train))
         lines.append(_metrics_row(record.epoch, record.valid))
-    if test is not None:
-        lines.append(_metrics_row(test_epoch if test_epoch is not None else -1, test))
+    lines.append(_metrics_row(test_epoch, test))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -42,7 +42,7 @@ def generate_synthetic_corpus(
         class_probs[label, markers] = (1.0 - SHARED_MASS) / n_markers
         class_probs[label, shared_ids] = SHARED_MASS / len(shared_ids)
 
-    rng = SeededRng.from_mix(seed, _TAG_CORPUS).generator
+    rng = SeededRng(seed, _TAG_CORPUS).generator
     n_pos = n_docs // 2
     labels = np.array([0] * (n_docs - n_pos) + [1] * n_pos)
     rng.shuffle(labels)
@@ -64,7 +64,7 @@ def generate_embeddings(vocab: List[str], e_d: int, seed: int) -> np.ndarray:
     """Unit-norm Gaussian embedding per vocabulary token, (V, e_d)."""
     if e_d < 1:
         raise ValueError("embedding dimension must be positive")
-    rng = SeededRng.from_mix(seed, _TAG_EMBED).generator
+    rng = SeededRng(seed, _TAG_EMBED).generator
     vectors = rng.normal(size=(len(vocab), e_d))
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     return vectors / np.maximum(norms, 1e-12)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adversarial import PerturbationPolicy, SeededRng, augment_dataset
+from .adversarial import PerturbationPolicy, SeededRng, augment_dataset, seed_sequence
 from .capsule import CapsuleHeadConfig
 from .encoders import ENCODER_KINDS, EncoderConfig
 from .model import forward_batch, init_model
@@ -279,10 +279,10 @@ def _forward_metrics(encoder, head, params, blocks, labels, batch_size, split):
     preds = np.empty(n, dtype=np.int64)
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        out = forward_batch(encoder, head, params, Tensor(blocks[start:stop]))
-        loss = bce_loss_batch(out.probs, labels[start:stop])
+        probs = forward_batch(encoder, head, params, Tensor(blocks[start:stop])).probs
+        loss = bce_loss_batch(probs, labels[start:stop])
         loss_sum += loss.item() * (stop - start)
-        preds[start:stop] = np.argmax(out.probs.values, axis=1)
+        preds[start:stop] = np.argmax(probs.values, axis=1)
     return compute_metrics(labels, preds, loss_sum / n, split)
 
 
@@ -323,7 +323,7 @@ def train(config: TrainConfig, docs: Sequence[Document],
 
     t = config.n_s * config.n_w
     params = init_model(config.encoder, config.head, table.dimension, t,
-                        SeededRng.from_mix(config.seed, _TAG_INIT))
+                        SeededRng(config.seed, _TAG_INIT))
     state = AdamState()
     policy = PerturbationPolicy()
 
@@ -344,8 +344,7 @@ def train(config: TrainConfig, docs: Sequence[Document],
         else:
             blocks, labels = clean_blocks, clean_labels
 
-        order = SeededRng.from_mix(config.seed, _TAG_SHUFFLE, epoch).generator.permutation(
-            len(labels))
+        order = SeededRng(config.seed, _TAG_SHUFFLE, epoch).generator.permutation(len(labels))
         loss_sum = 0.0
         preds = np.empty(len(labels), dtype=np.int64)
         for start in range(0, len(order), config.batch_size):
@@ -353,8 +352,8 @@ def train(config: TrainConfig, docs: Sequence[Document],
             xb = Tensor(blocks[idx])
             yb = labels[idx]
             with Tape() as tape:
-                out = forward_batch(config.encoder, config.head, params, xb)
-                loss = bce_loss_batch(out.probs, yb)
+                probs = forward_batch(config.encoder, config.head, params, xb).probs
+                loss = bce_loss_batch(probs, yb)
             step_loss = loss.item()
             if not math.isfinite(step_loss):
                 raise _diverged(params, "training loss", step_loss, epoch, global_step)
@@ -362,7 +361,7 @@ def train(config: TrainConfig, docs: Sequence[Document],
             adam_step(params, state, lr)
             global_step += 1
             loss_sum += step_loss * len(idx)
-            preds[start:start + len(idx)] = np.argmax(out.probs.values, axis=1)
+            preds[start:start + len(idx)] = np.argmax(probs.values, axis=1)
         stream_labels = labels[order]
         train_metrics = compute_metrics(stream_labels, preds,
                                         loss_sum / len(labels), "train")
@@ -417,7 +416,7 @@ def run_ablation(base: TrainConfig, docs: Sequence[Document],
 
 
 def _derived_seed(*components: int) -> int:
-    return int(np.random.SeedSequence(list(components)).generate_state(1, np.uint64)[0])
+    return int(seed_sequence(*components).generate_state(1, np.uint64)[0])
 
 
 def run_sweep(base: TrainConfig, n_pc_values: Sequence[int],

@@ -30,8 +30,8 @@ from textcaps.capsule import (
     squash,
 )
 from textcaps.cli import main as cli_main
-from textcaps.encoders import EncoderConfig, encoder_forward_batch, init_encoder
-from textcaps.capsule import init_capsule_head
+from textcaps.encoders import EncoderConfig, encoder_forward_batch
+from textcaps.model import init_model
 from textcaps.tensor import Tensor, grad_check, log
 from textcaps.text import read_dataset
 from textcaps.training import (
@@ -79,9 +79,7 @@ def test_criterion_1_gradient_correctness():
                             filters_per_kernel=2, hidden_dim=3)
     head_cfg = CapsuleHeadConfig(n_pc=2, n_cc=4, d=3, routing_iterations=3)
     e_d, t = 4, 6
-    rng = SeededRng(1234)
-    params = init_encoder(enc_cfg, e_d, rng)
-    params.update(init_capsule_head(head_cfg, t, 2 * enc_cfg.hidden_dim, rng))
+    params = init_model(enc_cfg, head_cfg, e_d, t, SeededRng(1234))
     x = np.random.default_rng(1234).uniform(-1, 1, size=(2, t, e_d))
     labels = np.array([0, 1])
 
@@ -138,10 +136,10 @@ def test_criterion_3_routing_invariants():
         u = Tensor(rng.normal(size=(2, cfg.n_cc, cfg.d)))
         w = Tensor(rng.normal(size=(cfg.n_cc, N_CLASSES, cfg.d, cfg.d)))
         _, state = dynamic_routing_batch(u, w, cfg)
-        assert len(state.coupling_history) == 3
-        for c in state.coupling_history:
+        assert len(state.couplings) == 3
+        for c in state.couplings:
             row_sum_gap = max(row_sum_gap,
-                              float(np.max(np.abs(c.values.sum(axis=-1) - 1.0))))
+                              float(np.max(np.abs(c.sum(axis=-1) - 1.0))))
     for _ in range(10):
         cfg = CapsuleHeadConfig(n_pc=2, n_cc=1, d=int(rng.integers(1, 5)),
                                 routing_iterations=3)

@@ -11,6 +11,7 @@ from textcaps.adversarial import (
     ROMANIAN_ALPHABET,
     BoundedDraws,
     PerturbationPolicy,
+    SeededRng,
     augment_dataset,
     perturb_sentence,
     perturb_word,
@@ -31,17 +32,12 @@ _SEED_MASK = (1 << 64) - 1
 
 
 # The per-draw Generator implementation that BoundedDraws replaced, kept
-# verbatim (bar names) as the reference for the byte-identity properties.
+# verbatim (bar names and the one seeding constructor) as the reference for
+# the byte-identity properties.
 class GeneratorRng:
-    def __init__(self, seed):
-        self.generator = np.random.Generator(np.random.PCG64(seed & _SEED_MASK))
-
-    @classmethod
-    def from_mix(cls, *components):
-        rng = cls.__new__(cls)
-        rng.generator = np.random.Generator(np.random.PCG64(
+    def __init__(self, *components):
+        self.generator = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([c & _SEED_MASK for c in components])))
-        return rng
 
     def below(self, n):
         return int(self.generator.integers(n))
@@ -73,7 +69,7 @@ def reference_perturb_sentence(sentence, policy, rng):
 def reference_augment_dataset(docs, policy, base_seed, epoch):
     out = []
     for index, doc in enumerate(docs):
-        rng = GeneratorRng.from_mix(base_seed, epoch, index)
+        rng = GeneratorRng(base_seed, epoch, index)
         sentences = [reference_perturb_sentence(s, policy, rng) for s in doc.sentences if s]
         out.append(Document(raw_text=render_document(sentences),
                             sentences=sentences, label=doc.label))
@@ -189,6 +185,19 @@ class TestAugmentDataset:
         write_dataset(tmp_path / "adv.jsonl", adversarial_copies)
         digest = hashlib.sha256((tmp_path / "adv.jsonl").read_bytes()).hexdigest()
         assert digest == AUGMENT_SHA256[epoch]
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 + 7, 2**63 + 5, 2**64 - 1, -1, 2**64 + 5])
+    def test_one_seed_is_pcg64_of_it_modulo_2_64(self, seed):
+        want = np.random.PCG64(seed & _SEED_MASK).random_raw(8)
+        got = SeededRng(seed).generator.bit_generator.random_raw(8)
+        assert got.tobytes() == want.tobytes()
+
+    def test_components_reduce_modulo_2_64(self):
+        a = SeededRng(-1, 23, 2).generator.bit_generator.random_raw(4)
+        b = SeededRng(_SEED_MASK, 23 + 2**64, 2).generator.bit_generator.random_raw(4)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestBoundedDraws:

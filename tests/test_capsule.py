@@ -24,11 +24,11 @@ from textcaps.capsule import (
     class_probabilities_batch,
     compress_batch,
     dynamic_routing_batch,
-    init_capsule_head,
     primary_capsules_batch,
     squash,
 )
-from textcaps.encoders import EncoderConfig, encoder_forward_batch, init_encoder
+from textcaps.encoders import EncoderConfig, encoder_forward_batch
+from textcaps.model import init_model
 from textcaps.tensor import (
     Parameter,
     ShapeMismatchError,
@@ -284,8 +284,8 @@ class TestOnesMatmulReference:
         v_ref, logits_ref, couplings_ref = routing_ones_reference(Tensor(u), Tensor(w),
                                                                   iterations)
         _assert_within(v.values, v_ref.values)
-        _assert_within(state.logits.values, logits_ref.values)
-        _assert_within(state.couplings.values, couplings_ref.values)
+        _assert_within(state.logits, logits_ref.values)
+        _assert_within(state.couplings[-1], couplings_ref.values)
 
         # RoutingState is a diagnostic off the tape: only v is differentiated
         wv = Tensor(rng.uniform(-1, 1, size=(b, n_cls, d)))
@@ -331,14 +331,13 @@ class TestFusedReference:
         v_ref, logits_ref, history_ref = routing_composed_reference(Tensor(u), Tensor(w),
                                                                     iterations)
         _assert_within(v.values, v_ref.values)
-        _assert_within(state.logits.values, logits_ref.values)
-        _assert_within(state.couplings.values, history_ref[-1].values)
-        assert len(state.coupling_history) == iterations
-        for got, want in zip(state.coupling_history, history_ref):
-            _assert_within(got.values, want.values)
-        # the state is a diagnostic: constants, never recorded on the tape
-        for t in [state.logits, state.couplings, *state.coupling_history]:
-            assert t.node_id is None
+        _assert_within(state.logits, logits_ref.values)
+        assert len(state.couplings) == iterations
+        for got, want in zip(state.couplings, history_ref):
+            _assert_within(got, want.values)
+        # the state is a diagnostic: plain arrays, never recorded on the tape
+        for a in [state.logits, *state.couplings]:
+            assert type(a) is np.ndarray and a.flags.c_contiguous
 
     @pytest.mark.parametrize("b, n_cc, n_cls, d, iterations", ROUTING_CASES)
     def test_routing_gradients(self, b, n_cc, n_cls, d, iterations):
@@ -578,7 +577,7 @@ class TestDynamicRouting:
         u = Tensor(rng.normal(size=(1, cfg.n_cc, cfg.d)))
         w = Tensor(rng.normal(size=(cfg.n_cc, N_CLASSES, cfg.d, cfg.d)))
         _, state = dynamic_routing_batch(u, w, cfg)
-        np.testing.assert_allclose(state.couplings.values, 0.5, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(state.couplings[-1], 0.5, rtol=0, atol=1e-15)
 
     def test_coupling_rows_sum_to_one_each_iteration(self):
         rng = np.random.default_rng(7)
@@ -589,11 +588,11 @@ class TestDynamicRouting:
             u = Tensor(rng.normal(size=(2, cfg.n_cc, cfg.d)))
             w = Tensor(rng.normal(size=(cfg.n_cc, N_CLASSES, cfg.d, cfg.d)))
             _, state = dynamic_routing_batch(u, w, cfg)
-            assert len(state.coupling_history) == 3
-            for c in state.coupling_history:
-                sums = c.values.sum(axis=-1)
+            assert len(state.couplings) == 3
+            for c in state.couplings:
+                sums = c.sum(axis=-1)
                 np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-9)
-                assert np.all(c.values > 0.0) and np.all(c.values < 1.0)
+                assert np.all(c > 0.0) and np.all(c < 1.0)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(8)
@@ -606,8 +605,8 @@ class TestDynamicRouting:
             v_ref, logits_ref, c_ref = routing_oracle(u, w, cfg.routing_iterations)
             caps, state = dynamic_routing_batch(Tensor(u[None]), Tensor(w), cfg)
             np.testing.assert_allclose(caps.values[0], v_ref, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(state.logits.values[0], logits_ref, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(state.couplings.values[0], c_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(state.logits[0], logits_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(state.couplings[-1][0], c_ref, rtol=0, atol=1e-9)
 
     def test_single_condensed_capsule_closed_form(self):
         # One input capsule: couplings stay uniform (softmax of a zero row at
@@ -725,10 +724,7 @@ class TestFullPipelineGradient:
                                 filters_per_kernel=2, hidden_dim=3)
         head_cfg = _head_config(n_pc=2, n_cc=4, d=3)
         e_d, t = 4, 6
-        rng = SeededRng(33)
-        params = init_encoder(enc_cfg, e_d, rng)
-        channels = 2 * enc_cfg.hidden_dim
-        params.update(init_capsule_head(head_cfg, t, channels, rng))
+        params = init_model(enc_cfg, head_cfg, e_d, t, SeededRng(33))
         data_rng = np.random.default_rng(33)
         x = data_rng.uniform(-1, 1, size=(1, t, e_d))
 

@@ -5,9 +5,19 @@ import json
 import numpy as np
 import pytest
 
+from textcaps.adversarial import SeededRng
 from textcaps.cli import build_parser, main
-from textcaps.serialize import load_model, save_model
-from textcaps.text import read_dataset
+from textcaps.model import forward_batch, init_model
+from textcaps.serialize import (
+    config_parts_from_meta,
+    fmt_float,
+    load_model,
+    model_meta,
+    save_model,
+)
+from textcaps.tensor import Tensor
+from textcaps.text import encode_batch, load_embeddings, read_dataset
+from textcaps.training import TrainConfig, config_from_dict
 
 
 def run_cli(argv):
@@ -407,6 +417,25 @@ class TestAblationAndSweep:
         stable2 = [",".join(line.split(",")[:3]) for line in outs[1].splitlines()]
         assert stable == stable2
 
+    def test_sweep_seed_reduces_modulo_2_64(self, workspace, tmp_path):
+        # a negative seed is accepted, as by train, and names the same streams
+        config = json.loads((workspace / "config.json").read_text())
+        rows = []
+        for seed in (-1, 2**64 - 1):
+            path = tmp_path / f"config{seed}.json"
+            path.write_text(json.dumps({**config, "seed": seed}), encoding="utf-8")
+            code = run_cli(["sweep", "--config", str(path),
+                            "--data", str(workspace / "corpus.jsonl"),
+                            "--embeddings", str(workspace / "emb.txt"),
+                            "--out", str(tmp_path / str(seed)), "--max-docs", "40",
+                            "--n-pc", "1", "--n-cc", "2", "--repeats", "2"])
+            assert code == 0
+            lines = (tmp_path / str(seed) / "sweep.csv").read_text().splitlines()
+            # every column but mean_runtime_s
+            rows.append([line.split(",")[:3] + line.split(",")[4:] for line in lines])
+        assert len(rows[0]) == 1 + 2
+        assert rows[0] == rows[1]
+
 
 class TestCsvConventions:
     def test_newlines_decimal_and_precision(self, trained):
@@ -438,3 +467,29 @@ class TestExportRepr:
         assert all(len(row.split(",")) == columns for row in rows)
         labels = [int(row.split(",")[0]) for row in rows]
         assert set(labels) <= {0, 1}
+
+    @pytest.mark.parametrize("capsule", [True, False], ids=["capsule", "baseline"])
+    def test_encoder_pooled_is_the_mean_feature_map(self, trained, workspace, tmp_path,
+                                                    capsule):
+        model = trained / "model.caps"
+        if not capsule:
+            config = config_from_dict({**json.loads((workspace / "config.json").read_text()),
+                                       "head": {"type": "baseline"}})
+            model = tmp_path / "baseline.caps"
+            params = init_model(config.encoder, None, 8, config.n_s * config.n_w, SeededRng(3))
+            save_model(model, params, model_meta(config, 8))
+        data, out = trained / "splits" / "test.jsonl", tmp_path / "pooled.csv"
+        code = run_cli(["export-repr", "--model", str(model), "--data", str(data),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--stage", "encoder-pooled", "--out", str(out)])
+        assert code == 0
+        params, meta = load_model(model)
+        encoder, head, n_s, n_w, _ = config_parts_from_meta(meta)
+        blocks, _ = encode_batch(read_dataset(data), load_embeddings(workspace / "emb.txt"),
+                                 n_s, n_w)
+        batch_size, want = TrainConfig(encoder=encoder, head=head).batch_size, []
+        for start in range(0, len(blocks), batch_size):
+            fm = forward_batch(encoder, head, params,
+                               Tensor(blocks[start:start + batch_size])).feature_map.values
+            want.extend([fmt_float(v) for v in row] for row in fm.sum(1) * (1 / fm.shape[1]))
+        assert [row.split(",")[1:] for row in out.read_text().splitlines()] == want

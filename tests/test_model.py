@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from textcaps.adversarial import SeededRng
-from textcaps.capsule import CapsuleHeadConfig, class_probabilities_batch, dynamic_routing_batch
-from textcaps.encoders import ENCODER_KINDS, EncoderConfig, init_parameters
+from textcaps.capsule import (
+    N_CLASSES,
+    CapsuleHeadConfig,
+    class_probabilities_batch,
+    dynamic_routing_batch,
+)
+from textcaps.encoders import ENCODER_KINDS, EncoderConfig, encoder_forward_batch, init_parameters
 from textcaps.model import forward_batch, init_model, parameter_shapes
-from textcaps.tensor import Tensor
+from textcaps.tensor import Tape, Tensor
+from textcaps.training import bce_loss_batch
 
 HEAD = CapsuleHeadConfig(n_pc=2, n_cc=3, d=2, routing_iterations=2)
 E_D, T = 5, 6
@@ -77,27 +83,70 @@ class TestParameterInventory:
 
 
 class TestForwardResult:
+    @pytest.mark.parametrize("kind, capsule", CASES)
+    def test_result_carries_every_stage_of_its_head(self, kind, capsule):
+        head = HEAD if capsule else None
+        params = init_model(_encoder(kind), head, E_D, T, SeededRng(7))
+        x = Tensor(np.random.default_rng(7).uniform(-1, 1, size=(3, T, E_D)))
+        out = forward_batch(_encoder(kind), head, params, x)
+        fm = encoder_forward_batch(_encoder(kind), params, x)
+        assert out.feature_map.values.tobytes() == fm.values.tobytes()
+        capsule_stages = (out.condensed, out.class_capsules, out.routing)
+        if not capsule:
+            assert capsule_stages == (None, None, None)
+            return
+        assert all(stage is not None for stage in capsule_stages)
+        assert out.condensed.shape == (3, HEAD.n_cc, HEAD.d)
+        assert out.class_capsules.shape == (3, N_CLASSES, HEAD.d)
+        assert len(out.routing.couplings) == HEAD.routing_iterations
+        for a in (out.routing.logits, *out.routing.couplings):
+            assert type(a) is np.ndarray and a.flags.c_contiguous
+            assert a.shape == (3, HEAD.n_cc, N_CLASSES)
+        want = class_probabilities_batch(out.class_capsules).values
+        assert out.probs.values.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kind", ["cnn", "bigru"])
     def test_capsule_head_carries_its_routing(self, kind):
         params = init_model(_encoder(kind), HEAD, E_D, T, SeededRng(7))
         x = Tensor(np.random.default_rng(7).uniform(-1, 1, size=(3, T, E_D)))
-        out = forward_batch(_encoder(kind), HEAD, params, x, want_stages=True)
+        out = forward_batch(_encoder(kind), HEAD, params, x)
         v, state = dynamic_routing_batch(out.condensed, params["head.routing.w"].tensor, HEAD)
-        assert out.routing.couplings.values.tobytes() == state.couplings.values.tobytes()
-        assert out.routing.logits.values.tobytes() == state.logits.values.tobytes()
-        assert ([c.values.tobytes() for c in out.routing.coupling_history]
-                == [c.values.tobytes() for c in state.coupling_history])
-        assert out.routing.couplings.shape == (3, HEAD.n_cc, 2)
-        # carrying the diagnostics changes no output
-        assert out.probs.values.tobytes() == class_probabilities_batch(v).values.tobytes()
-        plain = forward_batch(_encoder(kind), HEAD, params, x)
-        assert plain.probs.values.tobytes() == out.probs.values.tobytes()
-        assert plain.routing.couplings.values.tobytes() == state.couplings.values.tobytes()
+        assert out.class_capsules.values.tobytes() == v.values.tobytes()
+        assert out.routing.logits.tobytes() == state.logits.tobytes()
+        assert ([c.tobytes() for c in out.routing.couplings]
+                == [c.tobytes() for c in state.couplings])
 
     def test_baseline_head_has_no_routing(self):
         params = init_model(_encoder("gru"), None, E_D, T, SeededRng(7))
         x = Tensor(np.random.default_rng(7).uniform(-1, 1, size=(2, T, E_D)))
         assert forward_batch(_encoder("gru"), None, params, x).routing is None
+
+
+# The benchmark workloads' encoders and heads over 60 tokens of 16 dimensions.
+WORKLOAD_MODELS = [
+    (EncoderConfig(kind="cnn", kernel_sizes=(3, 4, 5), filters_per_kernel=64),
+     CapsuleHeadConfig(n_pc=8, n_cc=128, d=16)),
+    (EncoderConfig(kind="bigru", hidden_dim=32), CapsuleHeadConfig(n_pc=8, n_cc=32, d=8)),
+    (EncoderConfig(kind="cnn", kernel_sizes=(3, 4, 5), filters_per_kernel=16),
+     CapsuleHeadConfig(n_pc=4, n_cc=16, d=8)),
+]
+WORKLOAD_IDS = ["train-cnn-caps", "train-bigru-desk", "score-adv"]
+
+
+class TestTapeNodesPerStep:
+    """A training step's forward and loss record a fixed number of tape nodes;
+    the stages a result carries add none."""
+
+    @pytest.mark.parametrize("model, nodes", zip(WORKLOAD_MODELS, [28, 16, 28]),
+                             ids=WORKLOAD_IDS)
+    def test_forward_and_loss(self, model, nodes):
+        encoder, head = model
+        params = init_model(encoder, head, 16, 60, SeededRng(7))
+        x = Tensor(np.random.default_rng(3).uniform(-1, 1, size=(2, 60, 16)))
+        with Tape() as tape:
+            probs = forward_batch(encoder, head, params, x).probs
+            bce_loss_batch(probs, np.array([0, 1]))
+        assert len(tape.nodes) == nodes
 
 
 class TestBatchComposition:
@@ -108,20 +157,13 @@ class TestBatchComposition:
 
     COMPOSE_TOL = 1e-14
 
-    # the benchmark workloads' encoders and heads over 60 tokens of 16 dimensions
-    @pytest.mark.parametrize("encoder, head", [
-        (EncoderConfig(kind="cnn", kernel_sizes=(3, 4, 5), filters_per_kernel=64),
-         CapsuleHeadConfig(n_pc=8, n_cc=128, d=16)),
-        (EncoderConfig(kind="bigru", hidden_dim=32), CapsuleHeadConfig(n_pc=8, n_cc=32, d=8)),
-        (EncoderConfig(kind="cnn", kernel_sizes=(3, 4, 5), filters_per_kernel=16),
-         CapsuleHeadConfig(n_pc=4, n_cc=16, d=8)),
-    ], ids=["train-cnn-caps", "train-bigru-desk", "score-adv"])
+    @pytest.mark.parametrize("encoder, head", WORKLOAD_MODELS, ids=WORKLOAD_IDS)
     def test_alone_and_in_batch_agree(self, encoder, head):
         params = init_model(encoder, head, 16, 60, SeededRng(7))
         x = np.random.default_rng(3).uniform(-1, 1, size=(32, 60, 16))
-        whole = forward_batch(encoder, head, params, Tensor(x), want_stages=True)
+        whole = forward_batch(encoder, head, params, Tensor(x))
         for i in range(len(x)):
-            alone = forward_batch(encoder, head, params, Tensor(x[i:i + 1]), want_stages=True)
+            alone = forward_batch(encoder, head, params, Tensor(x[i:i + 1]))
             for stage in ("condensed", "probs"):
                 want = getattr(whole, stage).values[i]
                 np.testing.assert_allclose(getattr(alone, stage).values[0], want, rtol=0,

@@ -1,6 +1,8 @@
 """Training engine tests: splits, BCE, Adam, LR decay, metrics, determinism."""
 
+import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -548,6 +550,32 @@ class TestConfigRoundTrip:
     def test_split_validation(self):
         with pytest.raises(ValueError):
             _toy_config(split=(0.5, 0.2, 0.2))
+
+
+def _flat(data, prefix=""):
+    out = {}
+    for key, value in data.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, prefix + key + "."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+class TestReadmeConfig:
+    # the keys whose defaults README's text says differ from its example
+    NOT_DEFAULTS = {"adversarial", "seed"}
+
+    def test_example_shows_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert ("every other key takes the value shown above when absent, except "
+                "`adversarial` and `seed`,") in " ".join(readme.split())
+        example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        shown = _flat(config_to_dict(config_from_dict(example)))
+        defaults = _flat(config_to_dict(config_from_dict(
+            {"encoder": {"kind": example["encoder"]["kind"]}})))
+        assert _flat(example).keys() == shown.keys() == defaults.keys()
+        assert {key for key in shown if shown[key] != defaults[key]} == self.NOT_DEFAULTS
 
 
 @pytest.fixture(scope="module")
