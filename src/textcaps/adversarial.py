@@ -164,18 +164,17 @@ def augment_dataset(
 ) -> List[Document]:
     """One adversarial copy per document, reproducible per (seed, epoch).
 
-    Document i draws from PCG64 seeded by SeedSequence([base_seed, epoch, i]),
+    Document i draws from PCG64 seeded by ``seed_sequence(base_seed, epoch, i)``,
     so augmentation is deterministic for a fixed epoch yet varies across
     epochs. Each document reads, in one call, the 32-bit halves its sentences
     take when no draw is rejected: at most ``4 k - 1`` for a sentence with
     ``k`` perturbed words.
     """
     out: List[Document] = []
-    seed, epoch = base_seed & _SEED_MASK, epoch & _SEED_MASK
     for index, doc in enumerate(docs):
         sentences = [s for s in doc.sentences if s]
         bulk = sum(4 * policy.replacements_for(len(s)) - 1 for s in sentences)
-        draws = BoundedDraws(np.random.PCG64(np.random.SeedSequence([seed, epoch, index])), bulk)
+        draws = BoundedDraws(np.random.PCG64(seed_sequence(base_seed, epoch, index)), bulk)
         sentences = [perturb_sentence(s, policy, draws) for s in sentences]
         out.append(Document(raw_text=render_document(sentences),
                             sentences=sentences, label=doc.label))

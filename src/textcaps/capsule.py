@@ -124,14 +124,18 @@ def class_probabilities_batch(class_caps: Tensor) -> Tensor:
     return softmax(l2_norm(class_caps, axis=-1), axis=-1)
 
 
+def mean_pool(fm: Tensor) -> Tensor:
+    """Mean over the positions of a feature map: (B, L, C) -> (B, C)."""
+    return fm.sum(axis=1).scale(1.0 / fm.shape[1])
+
+
 def baseline_head_batch(fm: Tensor, dense: Tensor) -> Tensor:
     """Mean-pool positions, one dense layer, softmax: the no-capsule head."""
-    b, l, c = fm.shape
+    _, _, c = fm.shape
     if dense.values.ndim != 2 or dense.shape[0] != c:
         raise ShapeMismatchError(
             f"baseline dense weights {dense.shape} incompatible with {c} channels")
-    pooled = fm.sum(axis=1).scale(1.0 / l)
-    return softmax(pooled @ dense, axis=-1)
+    return softmax(mean_pool(fm) @ dense, axis=-1)
 
 
 def head_parameter_shapes(head: Optional[CapsuleHeadConfig], positions: int,

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .adversarial import PerturbationPolicy, augment_dataset
+from .capsule import mean_pool
 from .model import forward_batch, parameter_shapes
 from .serialize import (
     ModelFormatError,
@@ -66,7 +67,7 @@ def _positive_int(text: str) -> int:
 def _load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "config" in data and isinstance(data["config"], dict):
+    if isinstance(data, dict) and isinstance(data.get("config"), dict):
         data = data["config"]  # a manifest also works as a config source
     return config_from_dict(data)
 
@@ -200,8 +201,7 @@ def cmd_export_repr(args) -> int:
         stop = min(start + config.batch_size, len(labels))
         result = forward_batch(config.encoder, config.head, params, Tensor(blocks[start:stop]))
         if args.stage == "encoder-pooled":
-            fm = result.feature_map.values
-            stage = fm.sum(axis=1) * (1.0 / fm.shape[1])
+            stage = mean_pool(result.feature_map).values
         elif args.stage == "condensed":
             stage = result.condensed.values
         else:

@@ -176,22 +176,15 @@ def split_dataset(docs: Sequence[Document], split: Sequence[float],
             shuffled[n_train + n_valid:])
 
 
-_BCE_CLAMP = 1e-12
-
-
-def _clamped_log(t: Tensor) -> Tensor:
-    # max(t, 1e-12) built from primitives: relu(t - c) + c
-    floor_const = Tensor(np.full((1,) * t.values.ndim, _BCE_CLAMP))
-    return log(relu(t - floor_const) + floor_const)
-
-
 def bce_loss_batch(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean of -log(probs[b, labels[b]]), each probability clamped at 1e-12."""
+    """Mean of -log(probs[b, labels[b]]), each probability clamped at 1e-12
+    as relu(p - c) + c (zero gradient below the floor): one log-sum weighted
+    -1/B at each document's label and 0 elsewhere, picking and averaging."""
     b, n_cls = probs.shape
-    onehot = np.zeros((b, n_cls))
-    onehot[np.arange(b), labels] = 1.0
-    picked = (probs * Tensor(onehot)).sum(axis=1)
-    return _clamped_log(picked).sum().scale(-1.0 / b)
+    weights = np.zeros((b, n_cls))
+    weights[np.arange(b), labels] = -1.0 / b
+    floor = Tensor(np.full((1, 1), 1e-12))
+    return (log(relu(probs - floor) + floor) * Tensor(weights)).sum()
 
 
 # Adam's published defaults (Kingma & Ba 2015).

@@ -331,6 +331,16 @@ class TestMalformedInputs:
         assert code == 1
         _assert_one_line_error(capsys, "'learning_rat'")
 
+    @pytest.mark.parametrize("raw", ["5", "null", '"config"', "[1]"])
+    def test_config_not_an_object(self, workspace, tmp_path, capsys, raw):
+        (tmp_path / "scalar.json").write_text(raw)
+        code = run_cli(["train", "--config", str(tmp_path / "scalar.json"),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        _assert_one_line_error(capsys, "config must be a JSON object")
+
     @pytest.mark.parametrize("key, raw", [("learning_rate", "NaN"),
                                           ("learning_rate", "Infinity"),
                                           ("learning_rate", "0"),

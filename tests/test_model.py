@@ -16,7 +16,7 @@ from textcaps.capsule import (
 )
 from textcaps.encoders import ENCODER_KINDS, EncoderConfig, encoder_forward_batch, init_parameters
 from textcaps.model import forward_batch, init_model, parameter_shapes
-from textcaps.tensor import Tape, Tensor
+from textcaps.tensor import _PRIMITIVES, Tape, Tensor
 from textcaps.training import bce_loss_batch
 
 HEAD = CapsuleHeadConfig(n_pc=2, n_cc=3, d=2, routing_iterations=2)
@@ -133,20 +133,50 @@ WORKLOAD_MODELS = [
 WORKLOAD_IDS = ["train-cnn-caps", "train-bigru-desk", "score-adv"]
 
 
-class TestTapeNodesPerStep:
-    """A training step's forward and loss record a fixed number of tape nodes;
-    the stages a result carries add none."""
+def _step_kinds(encoder, head, e_d=16, t=60):
+    """The kind of every tape node a training step's forward and loss record."""
+    params = init_model(encoder, head, e_d, t, SeededRng(7))
+    x = Tensor(np.random.default_rng(3).uniform(-1, 1, size=(2, t, e_d)))
+    with Tape() as tape:
+        probs = forward_batch(encoder, head, params, x).probs
+        bce_loss_batch(probs, np.array([0, 1]))
+    return [node.kind for node in tape.nodes]
 
-    @pytest.mark.parametrize("model, nodes", zip(WORKLOAD_MODELS, [28, 16, 28]),
+
+# The head and the loss of a capsule step, after the encoder's nodes.
+CAPSULE_STEP_KINDS = {"matmul", "reshape", "squash", "routing", "l2norm", "softmax",
+                      "sub", "relu", "add", "log", "mul", "sum"}
+
+
+class TestTapeNodesPerStep:
+    """A training step's forward and loss record a fixed number of tape nodes
+    of fixed kinds; the stages a result carries add none."""
+
+    @pytest.mark.parametrize("model, nodes", zip(WORKLOAD_MODELS, [26, 14, 26]),
                              ids=WORKLOAD_IDS)
     def test_forward_and_loss(self, model, nodes):
-        encoder, head = model
-        params = init_model(encoder, head, 16, 60, SeededRng(7))
-        x = Tensor(np.random.default_rng(3).uniform(-1, 1, size=(2, 60, 16)))
-        with Tape() as tape:
-            probs = forward_batch(encoder, head, params, x).probs
-            bce_loss_batch(probs, np.array([0, 1]))
-        assert len(tape.nodes) == nodes
+        assert len(_step_kinds(*model)) == nodes
+
+    @pytest.mark.parametrize("model, encoder_kinds", zip(WORKLOAD_MODELS, [
+        {"add", "relu", "concat"}, {"gru_scan"}, {"add", "relu", "concat"}]), ids=WORKLOAD_IDS)
+    def test_kinds(self, model, encoder_kinds):
+        kinds = _step_kinds(*model)
+        assert set(kinds) == CAPSULE_STEP_KINDS | encoder_kinds
+        assert kinds[-6:] == ["sub", "relu", "add", "log", "mul", "sum"]  # the loss
+        assert "scale" not in kinds
+
+    def test_kinds_no_model_runs(self, monkeypatch):
+        # every application counts, recorded or not (the CNN slices its
+        # constant input block and records no slice)
+        ran = set()
+        for kind, (count, check, fn) in list(_PRIMITIVES.items()):
+            def counted(arrays, kw, needs, kind=kind, fn=fn):
+                ran.add(kind)
+                return fn(arrays, kw, needs)
+            monkeypatch.setitem(_PRIMITIVES, kind, (count, check, counted))
+        for kind, capsule in CASES:
+            _step_kinds(_encoder(kind), HEAD if capsule else None, E_D, T)
+        assert set(_PRIMITIVES) - ran == {"div", "exp", "sigmoid", "tanh", "transpose"}
 
 
 class TestBatchComposition:

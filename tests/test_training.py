@@ -17,7 +17,7 @@ from textcaps.adversarial import SeededRng
 from textcaps.capsule import CapsuleHeadConfig
 from textcaps.encoders import EncoderConfig
 from textcaps.model import forward_batch, init_model
-from textcaps.tensor import Tape, Tensor, backward, Parameter
+from textcaps.tensor import Tape, Tensor, backward, log, Parameter, relu
 from textcaps.text import Document, EmbeddingTable
 from textcaps.training import (
     AdamState,
@@ -144,6 +144,53 @@ class TestBceLoss:
         backward(loss, tape)
         # d(-log p1)/dp1 = -1/0.6
         np.testing.assert_allclose(p.grad, [[0.0, -1.0 / 0.6]], rtol=0, atol=1e-12)
+
+
+# The composed BCE that the weighted log-sum replaced, kept as the reference:
+# a one-hot pick, the clamped log of the picked column, then sum and scale.
+def reference_bce_loss_batch(probs: Tensor, labels: np.ndarray) -> Tensor:
+    b, n_cls = probs.shape
+    onehot = np.zeros((b, n_cls))
+    onehot[np.arange(b), labels] = 1.0
+    picked = (probs * Tensor(onehot)).sum(axis=1)
+    floor = Tensor(np.full((1,), 1e-12))
+    return log(relu(picked - floor) + floor).sum().scale(-1.0 / b)
+
+
+def _bce_cases():
+    rng = np.random.default_rng(5)
+    logits = rng.normal(size=(32, 2)) * 3.0
+    random = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    below = np.array([[1e-13, 1.0], [0.0, 1.0], [1.0, 1e-300], [1e-12, 1.0], [0.3, 0.7]])
+    ones = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    return {"random": (random, rng.integers(0, 2, size=32)),
+            "below-floor": (below, np.array([0, 0, 1, 0, 1])),
+            "exactly-one": (ones, np.array([0, 1, 0])),
+            "three-classes": (rng.dirichlet(np.ones(3), size=7), rng.integers(0, 3, size=7))}
+
+
+class TestBceMatchesReference:
+    """The weighted log-sum and the composed reference: the same probs gradient
+    at every label entry, byte for byte (zero elsewhere), and the same loss
+    within 4 ulp; the sums run over different terms."""
+
+    @pytest.mark.parametrize("case", sorted(_bce_cases()))
+    def test_gradient_and_loss(self, case):
+        probs, labels = _bce_cases()[case]
+        results = []
+        for loss_fn in (bce_loss_batch, reference_bce_loss_batch):
+            p = Parameter(Tensor(probs), "p").tensor
+            with Tape() as tape:
+                loss = loss_fn(p, labels)
+            backward(loss, tape)
+            results.append((loss.item(), p.grad))
+        (loss, grad), (ref_loss, ref_grad) = results
+        at_label = (np.arange(len(labels)), labels)
+        assert grad[at_label].tobytes() == ref_grad[at_label].tobytes()
+        off_label = np.ones(probs.shape, dtype=bool)
+        off_label[at_label] = False
+        assert not grad[off_label].any() and not ref_grad[off_label].any()
+        assert abs(loss - ref_loss) <= 4 * np.spacing(abs(ref_loss))
 
 
 # The per-name Adam that the flat-vector adam_step replaced, kept as the
@@ -422,7 +469,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("kind", ["cnn", "bigru"])
     def test_only_parameters_get_gradients(self, monkeypatch, kind):
-        # every train step: the input block, the one-hot labels and the BCE
+        # every train step: the input block, the label weights and the BCE
         # floor constant get no grad; every parameter tensor gets one
         config = _toy_config(encoder=EncoderConfig(kind=kind, kernel_sizes=(2,),
                                                    filters_per_kernel=3, hidden_dim=3),
@@ -447,7 +494,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "forward_batch", recording_forward)
         monkeypatch.setattr(training, "backward", checked_backward)
         train(config, _toy_corpus(), _toy_table())
-        # constants: the block, the one-hot, the floor; and the CNN's windows
+        # constants: the block, the label weights, the floor; and the CNN's windows
         assert steps and steps == [(True, 4 if kind == "cnn" else 3, False)] * len(steps)
 
     def test_baseline_head_runs(self):
@@ -711,7 +758,7 @@ class TestTapeShape:
     windows of the input block)."""
 
     @pytest.mark.parametrize("name, nodes, matmuls", [
-        ("train-cnn-caps", 28, 5), ("train-bigru-desk", 16, 2)])
+        ("train-cnn-caps", 26, 5), ("train-bigru-desk", 14, 2)])
     def test_only_weight_products(self, bench_workloads, name, nodes, matmuls):
         config = config_from_dict({**bench_workloads[name].config, "seed": 0})
         e_d = 4
