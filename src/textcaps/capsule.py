@@ -83,11 +83,7 @@ def primary_capsules_batch(fm: Tensor, projection: Tensor,
                            config: CapsuleHeadConfig) -> Tensor:
     """(B, L, C) feature map -> (B, L * n_pc, d) squashed primary capsules."""
     _check_rank3("primary capsule input", fm)
-    b, l, c = fm.shape
-    want = (c, config.n_pc * config.d)
-    if projection.shape != want:
-        raise ShapeMismatchError(
-            f"primary projection shape {projection.shape} != {want}")
+    b, l, _ = fm.shape
     grouped = (fm @ projection).reshape((b, l * config.n_pc, config.d))
     return squash(grouped)
 
@@ -95,10 +91,6 @@ def primary_capsules_batch(fm: Tensor, projection: Tensor,
 def compress_batch(primary: Tensor, weights: Tensor) -> Tensor:
     """(B, count, d) -> (B, n_cc, d): condensed_j = sum_i w_ji * p_i."""
     _check_rank3("compression input", primary)
-    _, count, _ = primary.shape
-    if weights.values.ndim != 2 or weights.shape[1] != count:
-        raise ShapeMismatchError(
-            f"compression weights {weights.shape} incompatible with {count} primaries")
     return weights @ primary
 
 
@@ -131,10 +123,6 @@ def mean_pool(fm: Tensor) -> Tensor:
 
 def baseline_head_batch(fm: Tensor, dense: Tensor) -> Tensor:
     """Mean-pool positions, one dense layer, softmax: the no-capsule head."""
-    _, _, c = fm.shape
-    if dense.values.ndim != 2 or dense.shape[0] != c:
-        raise ShapeMismatchError(
-            f"baseline dense weights {dense.shape} incompatible with {c} channels")
     return softmax(mean_pool(fm) @ dense, axis=-1)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .adversarial import PerturbationPolicy, augment_dataset
 from .capsule import mean_pool
-from .model import forward_batch, parameter_shapes
+from .model import check_parameters, forward_batch, parameter_shapes
 from .serialize import (
     ModelFormatError,
     build_manifest,
@@ -35,7 +35,7 @@ from .serialize import (
     write_representations_csv,
     write_sweep_csv,
 )
-from .tensor import Tensor, TensorError
+from .tensor import ShapeMismatchError, Tensor, TensorError
 from .text import DatasetError, encode_batch, load_embeddings, read_dataset, write_dataset
 from .training import (
     TrainConfig,
@@ -72,18 +72,15 @@ def _load_config(path):
     return config_from_dict(data)
 
 
-def _read_docs(args):
-    docs = read_dataset(args.data)
-    limit = getattr(args, "max_docs", None)
-    if limit is not None:
-        docs = docs[:limit]
-    return docs
+def _run_inputs(args):
+    """The config, the first --max-docs documents and the embedding table of
+    a train, ablation or sweep run."""
+    return (_load_config(args.config), read_dataset(args.data)[:args.max_docs],
+            load_embeddings(args.embeddings))
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    docs = _read_docs(args)
-    table = load_embeddings(args.embeddings)
+    config, docs, table = _run_inputs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -117,30 +114,33 @@ def _rebuild_from_checkpoint(model_path):
     encoder, head, n_s, n_w, e_d = config_parts_from_meta(meta)
     config = TrainConfig(encoder=encoder, head=head, n_s=n_s, n_w=n_w)
     try:
-        expected = parameter_shapes(encoder, head, e_d, n_s * n_w)
+        check_parameters(params, parameter_shapes(encoder, head, e_d, n_s * n_w))
     except ValueError as exc:
         raise ModelFormatError(f"{model_path}: metadata describes no buildable model: {exc}")
-    for name in sorted(expected.keys() | params.keys()):
-        if name not in params:
-            raise ModelFormatError(f"{model_path}: parameter {name!r} is missing")
-        if name not in expected:
-            raise ModelFormatError(f"{model_path}: unexpected parameter {name!r}")
-        shape, want = params[name].tensor.shape, expected[name]
-        if shape != want:
-            raise ModelFormatError(
-                f"{model_path}: parameter {name!r} has shape {shape}, expected {want}")
+    except ShapeMismatchError as exc:
+        raise ModelFormatError(f"{model_path}: {exc}")
+    for name in sorted(params):
         if not np.isfinite(params[name].tensor.values).all():
             raise ModelFormatError(f"{model_path}: parameter {name!r} holds non-finite values")
     return params, config, e_d
 
 
-def cmd_eval(args) -> int:
+def _checkpoint_inputs(args):
+    """The rebuilt checkpoint of an eval or export-repr run, its embedding
+    table, checked against the model's dimension, and a non-empty dataset."""
     params, config, e_d = _rebuild_from_checkpoint(args.model)
     table = load_embeddings(args.embeddings)
     if table.dimension != e_d:
         raise DatasetError(
             f"embedding dimension {table.dimension} != model dimension {e_d}")
     docs = read_dataset(args.data)
+    if not docs:
+        raise DatasetError("dataset is empty")
+    return params, config, table, docs
+
+
+def cmd_eval(args) -> int:
+    params, config, table, docs = _checkpoint_inputs(args)
     metrics = evaluate(params, docs, table, config)
     print(json.dumps({
         "accuracy": metrics.accuracy,
@@ -159,9 +159,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    config = _load_config(args.config)
-    docs = _read_docs(args)
-    table = load_embeddings(args.embeddings)
+    config, docs, table = _run_inputs(args)
     rows = run_ablation(config, docs, table)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,9 +171,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    docs = _read_docs(args)
-    table = load_embeddings(args.embeddings)
+    config, docs, table = _run_inputs(args)
     cells = run_sweep(config, args.n_pc, args.n_cc, args.repeats, docs, table)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,13 +183,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_repr(args) -> int:
-    params, config, e_d = _rebuild_from_checkpoint(args.model)
+    params, config, table, docs = _checkpoint_inputs(args)
     if config.head is None and args.stage in ("condensed", "class"):
         raise TrainingError(f"stage {args.stage!r} requires a capsule-head model")
-    table = load_embeddings(args.embeddings)
-    docs = read_dataset(args.data)
-    if not docs:
-        raise DatasetError("dataset is empty")
     blocks, labels = encode_batch(docs, table, config.n_s, config.n_w)
 
     vectors = []
@@ -228,13 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, config=True, out=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON config (or manifest)")
+    def add_io(p):
+        p.add_argument("--config", required=True, help="JSON config (or manifest)")
         p.add_argument("--data", required=True, help="JSON Lines dataset")
         p.add_argument("--embeddings", required=True, help="word2vec text embeddings")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--max-docs", type=_positive_int, default=None,
                        help="truncate the dataset to its first N documents")
 

@@ -148,23 +148,12 @@ def init_encoder(config: EncoderConfig, e_d: int, rng: SeededRng) -> Dict[str, P
     return init_parameters(encoder_parameter_shapes(config, e_d), rng)
 
 
-def _require(params: Dict[str, Parameter], name: str, shape: Tuple[int, ...]) -> Tensor:
-    p = params.get(name)
-    if p is None:
-        raise ShapeMismatchError(f"encoder parameter {name!r} is missing")
-    if p.tensor.shape != shape:
-        raise ShapeMismatchError(
-            f"encoder parameter {name!r} has shape {p.tensor.shape}, expected {shape}")
-    return p.tensor
-
-
 def _cnn_forward(config: EncoderConfig, params: Dict[str, Parameter], x: Tensor) -> Tensor:
-    _, t, e = x.shape
+    t = x.shape[1]
     maps: List[Tensor] = []
     for k in config.kernel_sizes:
         l_k = t - k + 1
-        w = _require(params, f"encoder.cnn.k{k}.w", (k * e, config.filters_per_kernel))
-        bias = _require(params, f"encoder.cnn.k{k}.b", (1, config.filters_per_kernel))
+        w, bias = params[f"encoder.cnn.k{k}.w"].tensor, params[f"encoder.cnn.k{k}.b"].tensor
         # valid 1-d convolution as concatenated shifted slices + one matmul;
         # the slices and windows of a constant block are not recorded
         windows = concat([x.slice(axis=1, start=i, stop=l_k + i) for i in range(k)], axis=2)
@@ -176,9 +165,7 @@ def _recurrent_forward(config: EncoderConfig, params: Dict[str, Parameter],
                        x: Tensor) -> Tensor:
     """Run every direction as one fused scan: (B, T, E) -> (B, T, D * H)."""
     kind = config.recurrent_kind
-    hidden = config.hidden_dim
-    shapes = {"w": (x.shape[2], hidden), "u": (hidden, hidden), "b": (1, hidden)}
-    weights = [_require(params, f"{prefix}.{piece}_{gate}", shapes[piece])
+    weights = [params[f"{prefix}.{piece}_{gate}"].tensor
                for prefix in _recurrent_prefixes(config)
                for piece in ("w", "u", "b") for gate in _GATE_NAMES[kind]]
     scan = gru_scan if kind == "gru" else lstm_scan
@@ -187,7 +174,8 @@ def _recurrent_forward(config: EncoderConfig, params: Dict[str, Parameter],
 
 def encoder_forward_batch(config: EncoderConfig, params: Dict[str, Parameter],
                           x: Tensor) -> Tensor:
-    """Map a (batch, T, E_d) block to the (batch, L, C) feature map."""
+    """Map a (batch, T, E_d) block to the (batch, L, C) feature map. The
+    parameters are not checked here: ``model.forward_batch`` checks them."""
     if x.values.ndim != 3:
         raise ShapeMismatchError(f"encoder input must be rank 3, got {x.shape}")
     if config.uses_cnn:

@@ -9,6 +9,7 @@ from .adversarial import SeededRng
 from .capsule import (
     CapsuleHeadConfig,
     RoutingState,
+    _check_rank3,
     baseline_head_batch,
     class_probabilities_batch,
     compress_batch,
@@ -23,7 +24,7 @@ from .encoders import (
     encoder_parameter_shapes,
     init_parameters,
 )
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, ShapeMismatchError, Tensor
 
 
 @dataclass
@@ -47,6 +48,20 @@ def parameter_shapes(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
             **head_parameter_shapes(head, positions, channels)}
 
 
+def check_parameters(params: Dict[str, Parameter],
+                     shapes: Dict[str, Tuple[int, ...]]) -> None:
+    """Raise ShapeMismatchError naming the first parameter, in name order,
+    that is missing from params, absent from shapes or of another shape."""
+    for name in sorted(shapes.keys() | params.keys()):
+        if name not in params:
+            raise ShapeMismatchError(f"parameter {name!r} is missing")
+        if name not in shapes:
+            raise ShapeMismatchError(f"unexpected parameter {name!r}")
+        shape, want = params[name].tensor.shape, shapes[name]
+        if shape != want:
+            raise ShapeMismatchError(f"parameter {name!r} has shape {shape}, expected {want}")
+
+
 def init_model(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
                e_d: int, t: int, rng: SeededRng) -> Dict[str, Parameter]:
     """Initialize encoder and head parameters; head=None means baseline."""
@@ -56,7 +71,14 @@ def init_model(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
 def forward_batch(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
                   params: Dict[str, Parameter], x: Tensor) -> ForwardResult:
     """Run a (B, T, E_d) block through the full model. The result carries
-    every stage the head computed; the routing diagnostics are off the tape."""
+    every stage the head computed; the routing diagnostics are off the tape.
+    Raises ShapeMismatchError when params do not fit the model at x's shape."""
+    _check_rank3("model input", x)
+    try:
+        shapes = parameter_shapes(encoder, head, x.shape[2], x.shape[1])
+    except ValueError as exc:
+        raise ShapeMismatchError(str(exc)) from None
+    check_parameters(params, shapes)
     fm = encoder_forward_batch(encoder, params, x)
     if head is None:
         return ForwardResult(probs=baseline_head_batch(fm, params["head.dense.w"].tensor),

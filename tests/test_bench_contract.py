@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from textcaps import tensor, training
+from textcaps import tensor, text, training
 from textcaps.adversarial import PerturbationPolicy, augment_dataset
 from textcaps.synth import generate_synthetic_corpus
 
@@ -51,6 +51,20 @@ def test_probed_calls_bind():
              "bce_loss_batch": ("probs", "labels")}
     for name, args in calls.items():
         inspect.signature(getattr(training, name)).bind(*args)
+
+
+def test_encode_batch_calls_are_positional():
+    """The tracer reads encode_batch's docs, n_s and n_w as args[0], args[2]
+    and args[3], so every call in textcaps passes all four positionally."""
+    inspect.signature(text.encode_batch).bind("docs", "table", "n_s", "n_w")
+    source = Path(text.__file__).parent
+    calls = [(path.name, node.lineno, len(node.args), len(node.keywords))
+             for path in sorted(source.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "encode_batch"]
+    assert calls, "textcaps no longer calls encode_batch"
+    assert [c for c in calls if c[2:] != (4, 0)] == []
 
 
 def test_augment_call_binds():

@@ -261,6 +261,24 @@ class TestMalformedInputs:
         assert self._eval(tmp_path / "m.caps", workspace) == 1
         _assert_one_line_error(capsys, "'head.routing.w' has shape")
 
+    @pytest.mark.parametrize("command", ["eval", "export-repr"])
+    def test_embedding_dimension_mismatch(self, trained, workspace, tmp_path, capsys,
+                                          command):
+        # the 8-dim checkpoint meets a 4-dim table: the table is blamed, not
+        # the checkpoint's weights
+        assert run_cli(["gen-synth", "--docs", "4", "--vocab", "10", "--seed", "1",
+                        "--out", str(tmp_path / "c.jsonl"),
+                        "--embeddings-out", str(tmp_path / "e4.txt"),
+                        "--embedding-dim", "4"]) == 0
+        capsys.readouterr()
+        extra = [] if command == "eval" else ["--stage", "class", "--out", str(tmp_path / "r.csv")]
+        code = run_cli([command, "--model", str(trained / "model.caps"),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(tmp_path / "e4.txt"), *extra])
+        assert code == 1
+        _assert_one_line_error(capsys, "embedding dimension 4 != model dimension 8")
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("key, value", [("lr_decay", "epoch"),
                                             ("adversarial_resample", True),
                                             ("head.n_cls", 2)])

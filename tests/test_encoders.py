@@ -14,6 +14,7 @@ from textcaps.encoders import (
     encoder_output_shape,
     init_encoder,
 )
+from textcaps.model import forward_batch, init_model
 from textcaps.tensor import (
     Parameter,
     ShapeMismatchError,
@@ -152,23 +153,22 @@ class TestForwardSemantics:
         both = encoder_forward_batch(cfg, params, Tensor(block))
         np.testing.assert_allclose(fm.values[0], both.values[0], rtol=0, atol=1e-14)
 
+    # the model's entry checks every parameter against the inventory
     def test_missing_parameter_named(self):
         cfg = _toy_config("gru")
-        params = init_encoder(cfg, 3, SeededRng(2))
+        params = init_model(cfg, None, 3, 4, SeededRng(2))
         del params["encoder.gru.u_r"]
         rng = np.random.default_rng(1)
-        with pytest.raises(ShapeMismatchError) as exc:
-            encoder_forward_batch(cfg, params, _random_block(rng, 1, 4, 3))
-        assert "encoder.gru.u_r" in str(exc.value)
+        with pytest.raises(ShapeMismatchError, match="^parameter 'encoder.gru.u_r' "):
+            forward_batch(cfg, None, params, _random_block(rng, 1, 4, 3))
 
     def test_wrong_parameter_shape_named(self):
         cfg = _toy_config("gru")
-        params = init_encoder(cfg, 3, SeededRng(2))
+        params = init_model(cfg, None, 3, 4, SeededRng(2))
         params["encoder.gru.w_z"] = Parameter(Tensor(np.zeros((5, 5))), "encoder.gru.w_z")
         rng = np.random.default_rng(1)
-        with pytest.raises(ShapeMismatchError) as exc:
-            encoder_forward_batch(cfg, params, _random_block(rng, 1, 4, 3))
-        assert "encoder.gru.w_z" in str(exc.value)
+        with pytest.raises(ShapeMismatchError, match="^parameter 'encoder.gru.w_z' "):
+            forward_batch(cfg, None, params, _random_block(rng, 1, 4, 3))
 
     @pytest.mark.parametrize("kind", ["bigru", "cnn-bilstm"])
     def test_backward_direction_parameter_named(self, kind):
@@ -178,13 +178,13 @@ class TestForwardSemantics:
         name = f"encoder.{kind.removeprefix('cnn-')}.bw.u_{'r' if 'gru' in kind else 'f'}"
         rng = np.random.default_rng(1)
         for bad in (None, np.zeros((3, 4))):
-            params = init_encoder(cfg, 3, SeededRng(2))
+            params = init_model(cfg, None, 3, 4, SeededRng(2))
             if bad is None:
                 del params[name]
             else:
                 params[name] = Parameter(Tensor(bad), name)
-            with pytest.raises(ShapeMismatchError, match=f"^encoder parameter '{name}' "):
-                encoder_forward_batch(cfg, params, _random_block(rng, 1, 4, 3))
+            with pytest.raises(ShapeMismatchError, match=f"^parameter '{name}' "):
+                forward_batch(cfg, None, params, _random_block(rng, 1, 4, 3))
 
 
 class TestGradientLaw:

@@ -16,7 +16,7 @@ from textcaps.capsule import (
 )
 from textcaps.encoders import ENCODER_KINDS, EncoderConfig, encoder_forward_batch, init_parameters
 from textcaps.model import forward_batch, init_model, parameter_shapes
-from textcaps.tensor import _PRIMITIVES, Tape, Tensor
+from textcaps.tensor import _PRIMITIVES, Parameter, ShapeMismatchError, Tape, Tensor
 from textcaps.training import bce_loss_batch
 
 HEAD = CapsuleHeadConfig(n_pc=2, n_cc=3, d=2, routing_iterations=2)
@@ -120,6 +120,25 @@ class TestForwardResult:
         params = init_model(_encoder("gru"), None, E_D, T, SeededRng(7))
         x = Tensor(np.random.default_rng(7).uniform(-1, 1, size=(2, T, E_D)))
         assert forward_batch(_encoder("gru"), None, params, x).routing is None
+
+
+class TestParameterCheck:
+    """forward_batch checks the parameters against the inventory at x's shape."""
+
+    @pytest.mark.parametrize("shape, extra, match", [
+        ((2, 2, E_D), None, "^kernel size 3 exceeds sequence length 2$"),
+        ((2, T, E_D - 1), None,
+         r"^parameter 'encoder.cnn.k2.w' has shape \(10, 3\), expected \(8, 3\)$"),
+        ((2, T + 1, E_D), None, r"^parameter 'head.compress.w' has shape \(3, 18\), expected \(3, 22\)$"),
+        ((2, T, E_D), "head.extra.w", "^unexpected parameter 'head.extra.w'$"),
+        ((T, E_D), None, r"^model input must be rank 3, got \(6, 5\)$"),
+    ], ids=["kernel-longer-than-T", "wrong-E", "longer-T", "extra-parameter", "rank-2"])
+    def test_mismatch_is_named(self, shape, extra, match):
+        params = init_model(_encoder("cnn"), HEAD, E_D, T, SeededRng(7))
+        if extra:
+            params[extra] = Parameter(Tensor(np.zeros((1, 1))), extra)
+        with pytest.raises(ShapeMismatchError, match=match):
+            forward_batch(_encoder("cnn"), HEAD, params, Tensor(np.zeros(shape)))
 
 
 # The benchmark workloads' encoders and heads over 60 tokens of 16 dimensions.
