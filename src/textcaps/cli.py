@@ -66,7 +66,12 @@ def _positive_int(text: str) -> int:
 
 def _load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # malformed text, an integer beyond Python's digit limit, or
+            # nesting beyond the stack: named like read_dataset's lines
+            raise ValueError(f"{path}: unreadable JSON: {exc}") from exc
     if isinstance(data, dict) and isinstance(data.get("config"), dict):
         data = data["config"]  # a manifest also works as a config source
     return config_from_dict(data)

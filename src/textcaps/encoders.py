@@ -13,17 +13,20 @@ shape rules:
 
 Hybrids feed the CNN map's position sequence into the bidirectional
 recurrence. Convolutions are valid (no padding); recurrent initial states
-are zero. A recurrent encoder is one fused ``gru_scan``/``lstm_scan``
-primitive over the whole sequence. It stacks the per-gate parameters inside
-it, runs its D = 1 or 2 directions along a direction axis in one time loop
-and writes the (batch, T, D * hidden_dim) map; checkpoints keep one named
-tensor per gate and direction.
+are zero. The CNN is one fused ``conv1d`` primitive: per kernel, one strided
+copy of the input's windows, one product, the bias and the ReLU, each
+kernel's rows written in ``kernel_sizes`` order into the one (batch, L, C)
+map. A recurrent encoder is one fused ``gru_scan``/``lstm_scan`` primitive
+over the whole sequence. It stacks the per-gate parameters inside it, runs
+its D = 1 or 2 directions along a direction axis in one time loop and writes
+the (batch, T, D * hidden_dim) map; checkpoints keep one named tensor per
+gate and direction, and one ``w`` and ``b`` per kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -34,10 +37,9 @@ from .tensor import (
     Parameter,
     ShapeMismatchError,
     Tensor,
-    concat,
+    conv1d,
     gru_scan,
     lstm_scan,
-    relu,
 )
 
 ENCODER_KINDS = ("cnn", "gru", "bigru", "cnn-bigru", "lstm", "bilstm", "cnn-bilstm")
@@ -149,16 +151,9 @@ def init_encoder(config: EncoderConfig, e_d: int, rng: SeededRng) -> Dict[str, P
 
 
 def _cnn_forward(config: EncoderConfig, params: Dict[str, Parameter], x: Tensor) -> Tensor:
-    t = x.shape[1]
-    maps: List[Tensor] = []
-    for k in config.kernel_sizes:
-        l_k = t - k + 1
-        w, bias = params[f"encoder.cnn.k{k}.w"].tensor, params[f"encoder.cnn.k{k}.b"].tensor
-        # valid 1-d convolution as concatenated shifted slices + one matmul;
-        # the slices and windows of a constant block are not recorded
-        windows = concat([x.slice(axis=1, start=i, stop=l_k + i) for i in range(k)], axis=2)
-        maps.append(relu(windows @ w + bias.reshape((1, 1, config.filters_per_kernel))))
-    return concat(maps, axis=1) if len(maps) > 1 else maps[0]
+    """Every convolution bank as one fused ``conv1d``: (B, T, E) -> (B, L, F)."""
+    return conv1d(x, [params[f"encoder.cnn.k{k}.{piece}"].tensor
+                      for k in config.kernel_sizes for piece in ("w", "b")])
 
 
 def _recurrent_forward(config: EncoderConfig, params: Dict[str, Parameter],

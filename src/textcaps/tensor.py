@@ -21,9 +21,10 @@ from-scratch engine. Values are always C-contiguous, so ``reshape`` and an
 axis-0 ``slice`` are views while ``transpose`` copies.
 
 Besides the elementwise, reduction and shape primitives there are fused ones
-with hand-written pullbacks: ``gru_scan`` and ``lstm_scan`` run every
-direction of a recurrent encoder, stacked along a direction axis D, in one
-time loop and as one tape node (backpropagation through time),
+with hand-written pullbacks: ``conv1d`` is a CNN encoder's whole bank of
+valid convolutions with their biases and ReLU, ``gru_scan`` and ``lstm_scan``
+run every direction of a recurrent encoder, stacked along a direction axis D,
+in one time loop and as one tape node (backpropagation through time),
 ``squash`` is the capsule non-linearity, and ``routing`` is the whole
 iterated dynamic routing of a capsule head.
 """
@@ -465,6 +466,77 @@ def _prim_log(arrays, kw, needs):
     return np.log(x), lambda g: (g / x,)
 
 
+# Fused convolution bank: every kernel of a CNN encoder as one tape node.
+# Operands: the (B, T, E) input, then (w, b) per kernel, w (k * E, F) and b
+# (1, F); the kernel size k is w's row count over E, and every kernel has the
+# same F. Kernel i reads the windows x[:, p:p + k] flattened position-major,
+# so its output rows are relu(windows @ w + b), written to its block of the
+# (B, sum_i (T - k_i + 1), F) output in operand order. Each kernel's windows
+# are one strided copy of x, (B, T - k + 1, k * E) (Chellapilla et al. 2006),
+# multiplied by the same numpy product as the composed slice-concat-matmul
+# graph, and the pullback forms dw and db with that graph's reductions, so
+# outputs and weight gradients equal its bytes. The pullback keeps only the
+# windows and the output, whose sign is the ReLU mask.
+
+
+def _check_conv1d(arrays, kw):
+    if len(arrays) < 3 or len(arrays) % 2 == 0:
+        raise _shape_error("conv1d", f"expects 1 + 2 per kernel operands, got {len(arrays)}")
+    x = arrays[0]
+    if x.ndim != 3 or x.shape[2] < 1:
+        raise _shape_error("conv1d", "input must be (B, T, E >= 1)", x.shape)
+    _, t, e = x.shape
+    for i, (w, bias) in enumerate(zip(arrays[1::2], arrays[2::2])):
+        if w.ndim != 2 or w.shape[0] % e or not 1 <= w.shape[0] // e <= t:
+            raise _shape_error("conv1d", f"kernel {i} w must be (k * E, F) with 1 <= k <= T",
+                               x.shape, w.shape)
+        f = arrays[1].shape[1]  # kernel 0's, checked first
+        if w.shape[1] != f:
+            raise _shape_error("conv1d", f"kernel {i} w must have kernel 0's F = {f} columns",
+                               w.shape)
+        if bias.shape != (1, f):
+            raise _shape_error("conv1d", f"kernel {i} b must be {(1, f)}", bias.shape)
+
+
+def _prim_conv1d(arrays, kw, needs):
+    x = arrays[0]
+    b, t, e = x.shape
+    f = arrays[1].shape[1]
+    sizes = [w.shape[0] // e for w in arrays[1::2]]
+    out = np.empty((b, sum(t - k + 1 for k in sizes), f))
+    banks = []   # (windows, w, first output row, row count) per kernel
+    start = 0
+    for k, w, bias in zip(sizes, arrays[1::2], arrays[2::2]):
+        rows = t - k + 1
+        # the strided view's rows overlap; copied, the product runs in BLAS
+        view = np.lib.stride_tricks.sliding_window_view(x, k, axis=1).swapaxes(2, 3)
+        windows = np.ascontiguousarray(view.reshape(b, rows, k * e))
+        # the product in its own array, as the composed graph formed it
+        block = np.add(windows @ w, bias, out=out[:, start:start + rows])
+        np.maximum(block, 0.0, out=block)
+        banks.append((windows, w, start, rows))
+        start += rows
+
+    def pullback(g):
+        dx = np.zeros(x.shape) if needs[0] else None
+        grads = [dx]
+        for windows, w, start, rows in banks:
+            # the composed graph's relu, add and matmul rules, in its order;
+            # extents spelled out for zero-size arrays
+            width = windows.shape[2]
+            dpre = g[:, start:start + rows] * (out[:, start:start + rows] > 0.0)
+            flat = dpre.reshape(b * rows, f)
+            grads += [windows.reshape(b * rows, width).T @ flat,
+                      _unbroadcast(dpre, (1, 1, f)).reshape(1, f)]
+            if dx is not None:
+                dwindows = (flat @ w.T).reshape(b, rows, width)
+                for j in range(width // e):
+                    dx[:, j:j + rows] += dwindows[..., j * e:(j + 1) * e]
+        return grads
+
+    return out, pullback
+
+
 # Fused recurrent scans: every direction of an encoder in one loop over time.
 # Operands: the (B, T, E) input, then for each of D = 1 or 2 directions,
 # forward first, the per-gate input weights w_* (E, H), recurrent weights
@@ -813,6 +885,7 @@ _PRIMITIVES: dict = {
     "sum": (_ONE, _check_sum, _prim_sum),
     "exp": (_ONE, None, _prim_exp),
     "log": (_ONE, None, _prim_log),
+    "conv1d": (None, _check_conv1d, _prim_conv1d),  # the check counts its operands
     "gru_scan": (_scan_counts(len(_GRU_GATES)), _check_scan("gru_scan", _GRU_GATES),
                  _prim_gru_scan),
     "lstm_scan": (_scan_counts(len(_LSTM_GATES)), _check_scan("lstm_scan", _LSTM_GATES),
@@ -989,6 +1062,13 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return apply_primitive("concat", list(tensors), axis=axis)
+
+
+def conv1d(x: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """Every kernel of a CNN bank in one node: (B, T, E) -> (B, sum_k (T - k + 1), F).
+    ``weights`` are w (k * E, F) then b (1, F) for each kernel, in output
+    order; each block of rows is relu(valid convolution + b)."""
+    return apply_primitive("conv1d", [x, *weights])
 
 
 def gru_scan(x: Tensor, weights: Sequence[Tensor]) -> Tensor:

@@ -359,6 +359,21 @@ class TestMalformedInputs:
         assert code == 1
         _assert_one_line_error(capsys, "config must be a JSON object")
 
+    @pytest.mark.parametrize("raw, fragment", [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),  # beyond the stack
+        ('{"epochs": ', "Expecting value"),
+        ('{"epochs": ' + "9" * 5000 + "}", "Exceeds the limit"),
+    ], ids=["deeply-nested", "truncated", "long-integer"])
+    def test_unreadable_config(self, workspace, tmp_path, capsys, raw, fragment):
+        (tmp_path / "bad.json").write_text(raw)
+        code = run_cli(["train", "--config", str(tmp_path / "bad.json"),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        _assert_one_line_error(capsys, "bad.json: unreadable JSON: ", fragment)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key, raw", [("learning_rate", "NaN"),
                                           ("learning_rate", "Infinity"),
                                           ("learning_rate", "0"),

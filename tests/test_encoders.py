@@ -1,5 +1,8 @@
-"""Encoder shape laws, zero-parameter fixed points, gradient checks, and the
-fused recurrent scans against the composed per-timestep reference."""
+"""Encoder shape laws, zero-parameter fixed points, gradient checks, the
+fused convolution bank against the composed CNN, and the fused recurrent
+scans against the composed per-timestep reference."""
+
+from typing import List
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from textcaps.encoders import (
     _GATE_NAMES,
     ENCODER_KINDS,
     EncoderConfig,
-    _cnn_forward,
+    _recurrent_forward,
     encoder_forward_batch,
     encoder_output_shape,
     init_encoder,
@@ -23,6 +26,7 @@ from textcaps.tensor import (
     backward,
     concat,
     grad_check,
+    relu,
     sigmoid,
     tanh,
 )
@@ -227,6 +231,101 @@ class TestGradientLaw:
             assert err < 1e-5, f"{kind} {name}: relative error {err:.3e}"
 
 
+# The composed CNN that the fused conv1d primitive replaced, kept as the
+# reference: per kernel, k slices and a concat build the windows, then a
+# matmul, a bias add and a relu; a concat joins the kernels' maps.
+
+def _cnn_forward_reference(config, params, x):
+    t = x.shape[1]
+    maps: List[Tensor] = []
+    for k in config.kernel_sizes:
+        l_k = t - k + 1
+        w, bias = params[f"encoder.cnn.k{k}.w"].tensor, params[f"encoder.cnn.k{k}.b"].tensor
+        # valid 1-d convolution as concatenated shifted slices + one matmul;
+        # the slices and windows of a constant block are not recorded
+        windows = concat([x.slice(axis=1, start=i, stop=l_k + i) for i in range(k)], axis=2)
+        maps.append(relu(windows @ w + bias.reshape((1, 1, config.filters_per_kernel))))
+    return concat(maps, axis=1) if len(maps) > 1 else maps[0]
+
+
+def _composed_cnn_encoder(config, params, x):
+    """The encoder with its CNN composed, its recurrence (if any) the fused scan."""
+    x = _cnn_forward_reference(config, params, x)
+    return x if config.kind == "cnn" else _recurrent_forward(config, params, x)
+
+
+def _run_encoder(forward, cfg, params, x, weights):
+    """Feature map, the gradients of sum(forward(x) * weights) by parameter
+    name and, under "x", by the input (wrapped in a Parameter), and the
+    tape's node count."""
+    xt = Parameter(Tensor(x), "x").tensor
+    for p in params.values():
+        p.tensor.grad = None
+    with Tape() as tape:
+        fm = forward(cfg, params, xt)
+        loss = (fm * Tensor(weights)).sum()
+    backward(loss, tape)
+    grads = {name: p.tensor.grad.copy() for name, p in params.items()}
+    grads["x"] = xt.grad.copy()
+    return fm.values, grads, len(tape.nodes)
+
+
+CNN_KINDS = [kind for kind in ENCODER_KINDS if kind.startswith("cnn")]
+
+
+class TestFusedConvReference:
+    """The fused conv1d gives the composed CNN's feature map and parameter
+    gradients to the byte; the input gradient, whose shifted slices it sums in
+    another order, within INPUT_TOL of its largest entry."""
+
+    INPUT_TOL = 1e-13
+
+    # (B, T, E, kernel_sizes, F, zero-padded tail): the train-cnn-caps and
+    # score-adv encoders, k = 1, k = T (one position), one kernel, unsorted
+    # kernels, a padded tail
+    CASES = {
+        "train-cnn-caps": (32, 60, 16, (3, 4, 5), 64, 0),
+        "score-adv": (32, 60, 16, (3, 4, 5), 16, 0),
+        "k1": (3, 5, 2, (1, 2), 3, 0),
+        "k-equals-T": (2, 4, 3, (4, 2), 3, 0),
+        "one-kernel": (2, 6, 3, (3,), 4, 0),
+        "unsorted": (2, 9, 3, (5, 3), 2, 0),
+        "padded": (3, 8, 2, (2, 3), 3, 4),
+    }
+
+    @pytest.mark.parametrize("kind", CNN_KINDS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_fused_matches_composed(self, kind, case):
+        b, t, e_d, kernels, filters, pad = self.CASES[case]
+        cfg = EncoderConfig(kind=kind, kernel_sizes=kernels, filters_per_kernel=filters,
+                            hidden_dim=4)
+        params = init_encoder(cfg, e_d, SeededRng(t + filters))
+        rng = np.random.default_rng(t + filters)
+        for name, p in params.items():  # non-zero biases exercise their gradients
+            if name.rpartition(".")[2].startswith("b"):
+                p.tensor.values[:] = rng.uniform(-0.3, 0.3, size=p.tensor.shape)
+        x = rng.uniform(-1, 1, size=(b, t, e_d))
+        if pad:
+            x[:, t - pad:] = 0.0  # a zero-padded tail, as short documents give
+        weights = rng.uniform(-1, 1, size=(b,) + encoder_output_shape(cfg, t, e_d))
+        fused, fused_grads, fused_nodes = _run_encoder(encoder_forward_batch, cfg, params, x,
+                                                       weights)
+        ref, ref_grads, ref_nodes = _run_encoder(_composed_cnn_encoder, cfg, params, x, weights)
+        fused_dx, ref_dx = fused_grads.pop("x"), ref_grads.pop("x")
+        assert fused.tobytes() == ref.tobytes()
+        cnn_map = _cnn_forward_reference(cfg, params, Tensor(x)).values
+        assert np.any(cnn_map > 0) and np.any(cnn_map == 0)  # the ReLU cuts both ways
+        assert sorted(fused_grads) == sorted(ref_grads)
+        for name, grad in ref_grads.items():
+            assert fused_grads[name].tobytes() == grad.tobytes(), name
+        np.testing.assert_allclose(fused_dx, ref_dx, rtol=0,
+                                   atol=self.INPUT_TOL * np.abs(ref_dx).max())
+        # per kernel k slices, the windows' concat, matmul, bias reshape, add
+        # and relu, then the maps' concat, become one node
+        convolutions = sum(k + 5 for k in kernels) + (len(kernels) > 1)
+        assert ref_nodes - fused_nodes == convolutions - 1
+
+
 # The composed per-timestep recurrence that the fused gru_scan/lstm_scan
 # primitives replaced, kept as the reference: about 21 engine primitives per
 # step and direction, each gate with its own input and recurrent product.
@@ -267,7 +366,7 @@ def _reference_direction(config, params, x, prefix, reverse):
 
 def encoder_forward_reference(config, params, x):
     if config.uses_cnn:
-        x = _cnn_forward(config, params, x)
+        x = _cnn_forward_reference(config, params, x)
         if config.kind == "cnn":
             return x
     base = f"encoder.{'bi' if config.bidirectional else ''}{config.recurrent_kind}"
@@ -302,28 +401,16 @@ class TestFusedScanReference:
             x[:, t - pad:] = 0.0  # a zero-padded tail, as short documents give
         return cfg, params, x, rng
 
-    def _run(self, forward, cfg, params, x, weights):
-        xt = Parameter(Tensor(x), "x").tensor
-        for p in params.values():
-            p.tensor.grad = None
-        with Tape() as tape:
-            fm = forward(cfg, params, xt)
-            loss = (fm * Tensor(weights)).sum()
-        backward(loss, tape)
-        grads = {name: p.tensor.grad.copy() for name, p in params.items()}
-        grads["x"] = xt.grad.copy()
-        return fm.values, grads, len(tape.nodes)
-
     @pytest.mark.parametrize("kind", RECURRENT_KINDS)
     @pytest.mark.parametrize("t, pad", [(1, 0), (7, 0), (7, 3)], ids=["T1", "T7", "T7-padded"])
     def test_fused_matches_reference(self, kind, t, pad):
         cfg, params, x, rng = self._case(kind, t, pad, seed=31 + t + pad)
         l, c = encoder_output_shape(cfg, t, x.shape[2])
         weights = rng.uniform(-1, 1, size=(2, l, c))
-        fused, fused_grads, fused_nodes = self._run(encoder_forward_batch, cfg, params, x,
-                                                    weights)
-        ref, ref_grads, ref_nodes = self._run(encoder_forward_reference, cfg, params, x,
-                                              weights)
+        fused, fused_grads, fused_nodes = _run_encoder(encoder_forward_batch, cfg, params, x,
+                                                       weights)
+        ref, ref_grads, ref_nodes = _run_encoder(encoder_forward_reference, cfg, params, x,
+                                                 weights)
         np.testing.assert_allclose(fused, ref, rtol=0, atol=self.TOL)
         assert sorted(fused_grads) == sorted(ref_grads)
         for name, grad in ref_grads.items():
@@ -337,8 +424,8 @@ class TestFusedScanReference:
                                                   ("cnn-bilstm", 2)])
     def test_one_scan_node_per_encoder(self, kind, directions):
         # every direction runs in the one scan node, which writes the whole
-        # map: no concat joins directions (a hybrid's one concat joins its
-        # convolution banks)
+        # map: no concat joins directions (nor a hybrid's convolution banks,
+        # which its one conv1d node writes)
         cfg, params, x, _ = self._case(kind, 6, 0, seed=5)
         with Tape() as tape:
             encoder_forward_batch(cfg, params, Tensor(x))
@@ -349,5 +436,6 @@ class TestFusedScanReference:
         assert len(node.inputs) == 1 + 3 * len(_GATE_NAMES[cfg.recurrent_kind]) * directions
         assert node.out.shape == (2,) + encoder_output_shape(cfg, 6, x.shape[2])
         assert node.out.shape[2] == cfg.hidden_dim * directions
-        assert kinds.count("concat") == (1 if cfg.uses_cnn else 0)
+        assert kinds.count("conv1d") == (1 if cfg.uses_cnn else 0)
+        assert "concat" not in kinds
         assert "sigmoid" not in kinds and "tanh" not in kinds

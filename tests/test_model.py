@@ -171,13 +171,13 @@ class TestTapeNodesPerStep:
     """A training step's forward and loss record a fixed number of tape nodes
     of fixed kinds; the stages a result carries add none."""
 
-    @pytest.mark.parametrize("model, nodes", zip(WORKLOAD_MODELS, [26, 14, 26]),
+    @pytest.mark.parametrize("model, nodes", zip(WORKLOAD_MODELS, [14, 14, 14]),
                              ids=WORKLOAD_IDS)
     def test_forward_and_loss(self, model, nodes):
         assert len(_step_kinds(*model)) == nodes
 
     @pytest.mark.parametrize("model, encoder_kinds", zip(WORKLOAD_MODELS, [
-        {"add", "relu", "concat"}, {"gru_scan"}, {"add", "relu", "concat"}]), ids=WORKLOAD_IDS)
+        {"conv1d"}, {"gru_scan"}, {"conv1d"}]), ids=WORKLOAD_IDS)
     def test_kinds(self, model, encoder_kinds):
         kinds = _step_kinds(*model)
         assert set(kinds) == CAPSULE_STEP_KINDS | encoder_kinds
@@ -185,8 +185,8 @@ class TestTapeNodesPerStep:
         assert "scale" not in kinds
 
     def test_kinds_no_model_runs(self, monkeypatch):
-        # every application counts, recorded or not (the CNN slices its
-        # constant input block and records no slice)
+        # every application counts, recorded or not (a primitive applied to
+        # constants alone records nothing)
         ran = set()
         for kind, (count, check, fn) in list(_PRIMITIVES.items()):
             def counted(arrays, kw, needs, kind=kind, fn=fn):
@@ -195,7 +195,8 @@ class TestTapeNodesPerStep:
             monkeypatch.setitem(_PRIMITIVES, kind, (count, check, counted))
         for kind, capsule in CASES:
             _step_kinds(_encoder(kind), HEAD if capsule else None, E_D, T)
-        assert set(_PRIMITIVES) - ran == {"div", "exp", "sigmoid", "tanh", "transpose"}
+        assert set(_PRIMITIVES) - ran == {"concat", "div", "exp", "sigmoid", "slice", "tanh",
+                                          "transpose"}
 
 
 class TestBatchComposition:

@@ -494,8 +494,8 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "forward_batch", recording_forward)
         monkeypatch.setattr(training, "backward", checked_backward)
         train(config, _toy_corpus(), _toy_table())
-        # constants: the block, the label weights, the floor; and the CNN's windows
-        assert steps and steps == [(True, 4 if kind == "cnn" else 3, False)] * len(steps)
+        # constants: the block, the label weights, the floor
+        assert steps and steps == [(True, 3, False)] * len(steps)
 
     def test_baseline_head_runs(self):
         config = _toy_config(head=None, epochs=1)
@@ -750,15 +750,15 @@ class TestNonFiniteGuard:
 
 class TestTapeShape:
     """One forward+loss on each benchmark training config: every matmul
-    multiplies by a weight (no constant ones operand), the recurrent encoder
-    is one fused scan over weights that runs both directions and writes the
-    whole feature map (no concat joins them), routing is one fused node whose
-    transform is a weight, and the node counts are those of the fused engine,
-    which records nothing computed from constants alone (the CNN's slices and
-    windows of the input block)."""
+    multiplies by a weight (no constant ones operand), the CNN encoder is one
+    fused conv1d over weights that writes every kernel's map, the recurrent
+    encoder is one fused scan over weights that runs both directions and
+    writes the whole feature map (no concat joins either), routing is one
+    fused node whose transform is a weight, and the node counts are those of
+    the fused engine, which records nothing computed from constants alone."""
 
     @pytest.mark.parametrize("name, nodes, matmuls", [
-        ("train-cnn-caps", 26, 5), ("train-bigru-desk", 14, 2)])
+        ("train-cnn-caps", 14, 2), ("train-bigru-desk", 14, 2)])
     def test_only_weight_products(self, bench_workloads, name, nodes, matmuls):
         config = config_from_dict({**bench_workloads[name].config, "seed": 0})
         e_d = 4
@@ -774,13 +774,13 @@ class TestTapeShape:
                 weights.add(id(node.out))
             elif node.kind == "matmul":
                 assert any(id(t) in weights for t in node.inputs)
-            elif node.kind == "gru_scan":
+            elif node.kind in ("conv1d", "gru_scan"):
                 assert all(id(t) in weights for t in node.inputs[1:])
             elif node.kind == "routing":
                 assert id(node.inputs[1]) in weights
         kinds = [node.kind for node in tape.nodes]
         assert (len(kinds), kinds.count("matmul")) == (nodes, matmuls)
         assert kinds.count("gru_scan") == (1 if config.encoder.kind == "bigru" else 0)
-        if config.encoder.kind == "bigru":
-            assert "concat" not in kinds
+        assert kinds.count("conv1d") == (1 if config.encoder.kind == "cnn" else 0)
+        assert "concat" not in kinds
         assert (kinds.count("routing"), kinds.count("squash")) == (1, 1)
