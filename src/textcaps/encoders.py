@@ -42,6 +42,7 @@ from .tensor import (
     lstm_scan,
 )
 
+# A checkpoint stores the encoder kind as its index here: append new kinds, never reorder.
 ENCODER_KINDS = ("cnn", "gru", "bigru", "cnn-bigru", "lstm", "bilstm", "cnn-bilstm")
 
 

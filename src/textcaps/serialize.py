@@ -3,9 +3,13 @@
 Checkpoint layout: the magic bytes ``CAPS1`` followed by one record per
 tensor: a little-endian uint32 name length, the UTF-8 name, a uint32
 rank, one uint32 per extent, then the float64 little-endian values.
-Records named ``meta.*`` carry the numeric model configuration (encoder
-kind code, capsule extents, truncation limits) and are separated from
-parameters on load, so a checkpoint alone is enough to rebuild the model.
+Records named ``meta.*`` are separated from parameters on load and carry
+the model configuration, so a checkpoint alone is enough to rebuild the
+model: the config's encoder and head sections flattened, with the encoder
+kind and head type as codes (their index in ``ENCODER_KINDS`` and in
+``("baseline", "capsule")``), plus the format version, the truncation
+limits n_s and n_w and the embedding dimension e_d. On load they are checked
+by the config file's own rules.
 
 CSV files use newline line endings, '.' decimals, and floats rendered at
 17 significant digits so equal runs produce byte-identical files.
@@ -17,6 +21,7 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,14 +36,15 @@ from .training import (
     Metrics,
     SweepCell,
     TrainConfig,
+    config_from_dict,
+    config_to_dict,
 )
 
 MAGIC = b"CAPS1"
 FORMAT_VERSION = 1
 
-_KIND_CODE = {kind: i for i, kind in enumerate(ENCODER_KINDS)}
-_CODE_KIND = {i: kind for kind, i in _KIND_CODE.items()}
-_HEAD_BASELINE, _HEAD_CAPSULE = 0, 1
+# A checkpoint's head type code is the type's index here.
+_HEAD_TYPES = ("baseline", "capsule")
 
 
 class ModelFormatError(ValueError):
@@ -63,70 +69,57 @@ def _write_record(fh, name: str, values: np.ndarray) -> None:
 
 
 def model_meta(config: TrainConfig, e_d: int) -> Dict[str, object]:
-    """Numeric metadata embedded in a checkpoint."""
-    meta: Dict[str, object] = {
-        "format_version": FORMAT_VERSION,
-        "encoder_kind": _KIND_CODE[config.encoder.kind],
-        "kernel_sizes": list(config.encoder.kernel_sizes),
-        "filters_per_kernel": config.encoder.filters_per_kernel,
-        "hidden_dim": config.encoder.hidden_dim,
-        "head_type": _HEAD_BASELINE if config.head is None else _HEAD_CAPSULE,
-        "n_s": config.n_s,
-        "n_w": config.n_w,
-        "e_d": e_d,
-    }
-    if config.head is not None:
-        meta.update({
-            "n_pc": config.head.n_pc,
-            "n_cc": config.head.n_cc,
-            "d": config.head.d,
-            "routing_iterations": config.head.routing_iterations,
-        })
-    return meta
+    """The checkpoint's metadata: the encoder and head sections of
+    ``config_to_dict(config)`` flattened into one dict, the encoder kind and
+    the head type stored as their codes, plus the format version, n_s, n_w
+    and the embedding dimension e_d."""
+    data = config_to_dict(config)
+    kind, head_type = data["encoder"].pop("kind"), data["head"].pop("type")
+    return {"format_version": FORMAT_VERSION, "encoder_kind": ENCODER_KINDS.index(kind),
+            "head_type": _HEAD_TYPES.index(head_type), **data["encoder"], **data["head"],
+            "n_s": config.n_s, "n_w": config.n_w, "e_d": e_d}
 
 
-def _meta_int(meta: Dict[str, object], key: str) -> int:
+def _present(meta: Dict[str, object], key: str) -> object:
     if key not in meta:
         raise ModelFormatError(f"checkpoint metadata lacks {key!r}")
-    value = meta[key]
-    if not isinstance(value, int):
-        raise ModelFormatError(f"checkpoint metadata {key!r} must be an integer, got {value!r}")
-    return value
+    return meta[key]
+
+
+def _decoded(meta: Dict[str, object], key: str, table: Tuple[str, ...], what: str) -> str:
+    code = _present(meta, key)
+    if code not in range(len(table)):
+        raise ModelFormatError(f"unknown {what} code {code}")
+    return table[code]
 
 
 def config_parts_from_meta(meta: Dict[str, object]) -> Tuple[
         EncoderConfig, Optional[CapsuleHeadConfig], int, int, int]:
     """Rebuild (encoder, head, n_s, n_w, e_d) from checkpoint metadata.
 
-    Raises ModelFormatError for a missing key, a wrong type, an unknown
-    format version, encoder kind or head type code, or an invalid extent.
+    Checks the format version, the two codes, that every key the model
+    needs is present and that e_d is an integer >= 1; the encoder and head
+    sections and n_s, n_w then go through ``config_from_dict``, so their
+    type and range errors are a config file's. Records the model does not
+    need are ignored. Every failure raises ModelFormatError.
     """
-    version = _meta_int(meta, "format_version")
+    version = _present(meta, "format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported checkpoint format version {version}")
-    kind_code = _meta_int(meta, "encoder_kind")
-    if kind_code not in _CODE_KIND:
-        raise ModelFormatError(f"unknown encoder kind code {kind_code}")
-    head_type = _meta_int(meta, "head_type")
-    if head_type not in (_HEAD_BASELINE, _HEAD_CAPSULE):
-        raise ModelFormatError(f"unknown head type code {head_type}")
-    kernel_sizes = meta.get("kernel_sizes")
-    if not isinstance(kernel_sizes, list) or not all(isinstance(k, int) for k in kernel_sizes):
-        raise ModelFormatError(
-            f"checkpoint metadata 'kernel_sizes' must be a list of integers, got {kernel_sizes!r}")
-    n_s, n_w, e_d, filters, hidden = (_meta_int(meta, key) for key in (
-        "n_s", "n_w", "e_d", "filters_per_kernel", "hidden_dim"))
-    head_extents = None if head_type == _HEAD_BASELINE else {
-        key: _meta_int(meta, key) for key in ("n_pc", "n_cc", "d", "routing_iterations")}
+    encoder = {"kind": _decoded(meta, "encoder_kind", ENCODER_KINDS, "encoder kind")}
+    head = {"type": _decoded(meta, "head_type", _HEAD_TYPES, "head type")}
+    encoder.update((f.name, _present(meta, f.name))
+                   for f in fields(EncoderConfig) if f.name != "kind")
+    if head["type"] == "capsule":
+        head.update((f.name, _present(meta, f.name)) for f in fields(CapsuleHeadConfig))
+    n_s, n_w, e_d = (_present(meta, key) for key in ("n_s", "n_w", "e_d"))
+    if not isinstance(e_d, int) or e_d < 1:
+        raise ModelFormatError(f"checkpoint metadata 'e_d' must be an integer >= 1, got {e_d!r}")
     try:
-        encoder = EncoderConfig(kind=_CODE_KIND[kind_code], kernel_sizes=tuple(kernel_sizes),
-                                filters_per_kernel=filters, hidden_dim=hidden)
-        head = None if head_extents is None else CapsuleHeadConfig(**head_extents)
+        config = config_from_dict({"encoder": encoder, "head": head, "n_s": n_s, "n_w": n_w})
     except ValueError as exc:
         raise ModelFormatError(f"checkpoint metadata is invalid: {exc}") from exc
-    if min(n_s, n_w, e_d) < 1:
-        raise ModelFormatError("checkpoint metadata 'n_s', 'n_w' and 'e_d' must be >= 1")
-    return encoder, head, n_s, n_w, e_d
+    return config.encoder, config.head, config.n_s, config.n_w, e_d
 
 
 def save_model(path, params: Dict[str, Parameter], meta: Dict[str, object]) -> None:

@@ -60,8 +60,9 @@ class Document:
     label: int
 
     def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise BadLabelError(f"label must be 0 or 1, got {self.label!r}")
+        # Exactly the int 0 or 1, the labels a written dataset reads back as.
+        if type(self.label) is not int or self.label not in (0, 1):
+            raise BadLabelError(f"'label' must be 0 or 1, got {self.label!r}")
 
 
 def _strip_edge_punct(token: str) -> str:
@@ -100,7 +101,8 @@ class EmbeddingTable:
     vector and the last row, index ``V``, is the zero vector shared by
     out-of-vocabulary tokens and padding. The ``entries`` mapping it is
     built from is copied into the matrix and not kept, so each vector is
-    stored once.
+    stored once; a vector that is not ``(dimension,)`` raises
+    RaggedLineError naming the token.
     """
 
     dimension: int
@@ -111,7 +113,10 @@ class EmbeddingTable:
     def __post_init__(self, entries: Mapping[str, np.ndarray]) -> None:
         self.ids = {token: row for row, token in enumerate(entries)}
         self.matrix = np.zeros((len(entries) + 1, self.dimension))
-        for row, vector in enumerate(entries.values()):
+        for row, (token, vector) in enumerate(entries.items()):
+            if np.shape(vector) != (self.dimension,):
+                raise RaggedLineError(f"embedding of {token!r} has shape {np.shape(vector)}, "
+                                      f"expected ({self.dimension},)")
             self.matrix[row] = vector
 
     def __contains__(self, token: str) -> bool:
@@ -236,9 +241,10 @@ def read_dataset(path) -> List[Document]:
         text, label = obj["text"], obj["label"]
         if not isinstance(text, str):
             raise MalformedLineError(f"line {lineno}: 'text' must be a string")
-        if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
-            raise BadLabelError(f"line {lineno}: 'label' must be 0 or 1, got {label!r}")
-        docs.append(Document(raw_text=text, sentences=tokenize(text), label=label))
+        try:
+            docs.append(Document(raw_text=text, sentences=tokenize(text), label=label))
+        except BadLabelError as exc:
+            raise BadLabelError(f"line {lineno}: {exc}") from exc
     return docs
 
 

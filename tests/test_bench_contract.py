@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from textcaps import tensor, text, training
+from textcaps import serialize, tensor, text, training
 from textcaps.adversarial import PerturbationPolicy, augment_dataset
+from textcaps.capsule import CapsuleHeadConfig
+from textcaps.encoders import EncoderConfig
 from textcaps.synth import generate_synthetic_corpus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -70,6 +72,17 @@ def test_encode_batch_calls_are_positional():
 def test_augment_call_binds():
     """bench.py's score pass calls augment_dataset(docs, policy, seed, epoch)."""
     inspect.signature(augment_dataset).bind("docs", "policy", "seed", "epoch")
+
+
+def test_checkpoint_meta_calls_bind():
+    """bench.py's setup writes serialize.model_meta(config, e_d) and unpacks
+    config_parts_from_meta's result as encoder, head, n_s, n_w, e_d."""
+    inspect.signature(serialize.model_meta).bind("config", "e_d")
+    config = training.TrainConfig(encoder=EncoderConfig(kind="cnn"), head=CapsuleHeadConfig(),
+                                  n_s=2, n_w=3)
+    encoder, head, n_s, n_w, e_d = serialize.config_parts_from_meta(
+        serialize.model_meta(config, 4))
+    assert (encoder, head, n_s, n_w, e_d) == (config.encoder, config.head, 2, 3, 4)
 
 
 def test_counted_primitives_exist(perfbench_modules):

@@ -208,6 +208,33 @@ class TestEval:
         assert code == 1
 
 
+_ENCODER_CODES = [("cnn", 0), ("gru", 1), ("bigru", 2), ("cnn-bigru", 3), ("lstm", 4),
+                  ("bilstm", 5), ("cnn-bilstm", 6)]
+
+
+class TestCheckpointMeta:
+    """The checkpoint's metadata records, pinned so their format cannot drift."""
+
+    @pytest.mark.parametrize("kind, code", _ENCODER_CODES)
+    @pytest.mark.parametrize("capsule", [True, False], ids=["capsule", "baseline"])
+    def test_meta_records(self, tmp_path, kind, code, capsule):
+        config = config_from_dict({
+            "encoder": {"kind": kind, "kernel_sizes": [2, 3], "filters_per_kernel": 5,
+                        "hidden_dim": 6},
+            "head": ({"n_pc": 2, "n_cc": 3, "d": 4, "routing_iterations": 2} if capsule
+                     else {"type": "baseline"}),
+            "n_s": 3, "n_w": 7})
+        head = ({"head_type": 1, "n_pc": 2, "n_cc": 3, "d": 4, "routing_iterations": 2}
+                if capsule else {"head_type": 0})
+        meta = model_meta(config, 8)
+        assert meta == {"format_version": 1, "encoder_kind": code, "kernel_sizes": [2, 3],
+                        "filters_per_kernel": 5, "hidden_dim": 6, **head,
+                        "n_s": 3, "n_w": 7, "e_d": 8}
+        assert config_parts_from_meta(meta) == (config.encoder, config.head, 3, 7, 8)
+        save_model(tmp_path / "m.caps", {}, meta)
+        assert load_model(tmp_path / "m.caps")[1] == meta
+
+
 def _assert_one_line_error(capsys, *fragments):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
@@ -225,12 +252,14 @@ class TestMalformedInputs:
         ({"encoder_kind": 99}, "encoder kind code 99"),
         ({"head_type": 7}, "head type code 7"),
         ({"format_version": 2}, "format version 2"),
-        ({"n_pc": 2.5}, "'n_pc' must be an integer"),
-        ({"kernel_sizes": 2}, "'kernel_sizes' must be a list"),
+        ({"n_pc": 2.5}, "'head.n_pc' must be an integer"),
+        ({"kernel_sizes": 2}, "'encoder.kernel_sizes' must be a list"),
         ({"d": None}, "lacks 'd'"),
-        ({"n_s": 0}, "'n_s', 'n_w' and 'e_d' must be >= 1"),
+        ({"n_s": 0}, "n_s and n_w must be >= 1"),
         ({"hidden_dim": 0}, "metadata is invalid"),
         ({"routing_iterations": 196608}, "routing_iterations must be <= 10, got 196608"),
+        ({"n_w": 0}, "n_s and n_w must be >= 1"),
+        ({"e_d": 0}, "'e_d' must be an integer >= 1"),
     ])
     def test_bad_metadata(self, trained, workspace, tmp_path, capsys, change, fragment):
         params, meta = load_model(trained / "model.caps")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from textcaps.synth import generate_embeddings, write_embeddings_file
 from textcaps.text import (
     BadLabelError,
+    DatasetError,
     Document,
     EmptyEmbeddingsError,
     MalformedLineError,
@@ -155,6 +156,15 @@ class TestEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text(content, encoding="utf-8")
         return path
+
+    @pytest.mark.parametrize("vector", [np.array([1.5]), np.ones(5), np.ones((1, 4)),
+                                        np.float64(1.5)], ids=["short", "long", "2d", "scalar"])
+    def test_table_rejects_vector_of_wrong_shape(self, vector):
+        # a one-value vector would otherwise broadcast into a whole row
+        with pytest.raises(DatasetError) as exc:
+            EmbeddingTable(dimension=4, entries={"ok": np.zeros(4), "a": vector})
+        message = str(exc.value)
+        assert "'a'" in message and str(np.shape(vector)) in message and "(4,)" in message
 
     def test_header_and_lookup(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
@@ -343,6 +353,32 @@ class TestReadDataset:
         back = read_dataset(path)
         assert back[0].raw_text == docs[0].raw_text
         assert back[0].sentences == docs[0].sentences
+
+    @pytest.mark.parametrize("label", [True, False, 1.0, 0.0, np.int64(1), 2, -1, "1", None])
+    def test_document_rejects_non_int_label(self, label):
+        with pytest.raises(BadLabelError):
+            Document("x", [["x"]], label)
+
+    def test_bad_label_names_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"text":"x","label":1}\n{"text":"y","label":true}\n', encoding="utf-8")
+        with pytest.raises(BadLabelError) as exc:
+            read_dataset(path)
+        assert str(exc.value) == "line 2: 'label' must be 0 or 1, got True"
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=st.text(max_size=20),
+           label=st.sampled_from([0, 1, True, False, 1.0, 0.0, np.int64(1), np.int8(0), 2]))
+    def test_every_document_survives_write_read(self, tmp_path_factory, text, label):
+        try:
+            doc = Document(text, tokenize(text), label)
+        except BadLabelError:
+            return
+        path = tmp_path_factory.mktemp("roundtrip") / "docs.jsonl"
+        write_dataset(path, [doc])
+        back = read_dataset(path)
+        assert [(d.raw_text, d.sentences, d.label) for d in back] == [
+            (doc.raw_text, doc.sentences, doc.label)]
 
     def test_render_tokenize_roundtrip(self):
         sentences = [["bun", "produs"], ["recomand"]]
