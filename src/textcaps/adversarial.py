@@ -42,11 +42,84 @@ _SEED_MASK = (1 << 64) - 1
 _LOW32 = (1 << 32) - 1
 _RAW, _HALF = np.dtype("<u8"), np.dtype("<u4")  # little-endian: low half first
 
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_MASK = (1 << 128) - 1
+
 
 def seed_sequence(*components: int) -> np.random.SeedSequence:
     """numpy's SeedSequence over the components, each reduced modulo 2**64.
     For one component s it seeds PCG64 as PCG64(s mod 2**64) does."""
     return np.random.SeedSequence([c & _SEED_MASK for c in components])
+
+
+def _words(n: int) -> List[int]:
+    """The uint32 entropy words SeedSequence makes of ``n`` >= 0, low first."""
+    words = [n & _LOW32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _LOW32)
+    return words
+
+
+def pcg64_states(base_seed: int, epoch: int, indices: np.ndarray) -> List[Tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(seed_sequence(base_seed, epoch, i))`` for
+    every ``i`` of the uint64 array ``indices``, without building either.
+
+    SeedSequence's hash is replayed over all indices at once in uint32
+    arithmetic. Only the words of ``i`` differ between entries: one word,
+    or two from ``2**32`` on. The high word comes last and is 0 where it is
+    absent. In the pool of four, that hashes as SeedSequence's empty slot;
+    past the pool, an entry without it skips its mixing round. So one code
+    path serves every seed, epoch and index. PCG64 then seeds from the
+    first two 64-bit output words (initstate) and the last two (initseq).
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    low = (indices & np.uint64(_LOW32)).astype(np.uint32)
+    high = (indices >> np.uint64(32)).astype(np.uint32)
+    entropy = [np.full(indices.shape, w, np.uint32)
+               for w in _words(base_seed & _SEED_MASK) + _words(epoch & _SEED_MASK)]
+    entropy += [low, high]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _LOW32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL)]  # there are at least 4 words
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(entropy)):
+        present = src < len(entropy) - 1 or high != 0
+        for dst in range(_POOL):
+            pool[dst] = np.where(present, mix(pool[dst], hashmix(entropy[src])), pool[dst])
+    const = _INIT_B
+    words = []
+    for i in range(2 * _POOL):  # generate_state(4, np.uint64)
+        value = pool[i % _POOL] ^ np.uint32(const)
+        const = const * _MULT_B & _LOW32
+        value = value * np.uint32(const)
+        words.append(value ^ (value >> np.uint32(16)))
+    seeds = np.stack(words, axis=-1).astype(_HALF).view(_RAW).tolist()
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in seeds:
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _STATE_MASK
+        states.append((((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _STATE_MASK,
+                       inc))
+    return states
 
 
 class SeededRng:
@@ -166,15 +239,21 @@ def augment_dataset(
 
     Document i draws from PCG64 seeded by ``seed_sequence(base_seed, epoch, i)``,
     so augmentation is deterministic for a fixed epoch yet varies across
-    epochs. Each document reads, in one call, the 32-bit halves its sentences
-    take when no draw is rejected: at most ``4 k - 1`` for a sentence with
-    ``k`` perturbed words.
+    epochs. No generator is built per document: :func:`pcg64_states` replays
+    the seeding for every index at once, and each document sets its state on
+    one reused PCG64. Each document reads, in one call, the 32-bit halves its
+    sentences take when no draw is rejected: at most ``4 k - 1`` for a
+    sentence with ``k`` perturbed words.
     """
+    bits = np.random.PCG64()
     out: List[Document] = []
-    for index, doc in enumerate(docs):
+    states = pcg64_states(base_seed, epoch, np.arange(len(docs), dtype=np.uint64))
+    for doc, (state, inc) in zip(docs, states):
         sentences = [s for s in doc.sentences if s]
         bulk = sum(4 * policy.replacements_for(len(s)) - 1 for s in sentences)
-        draws = BoundedDraws(np.random.PCG64(seed_sequence(base_seed, epoch, index)), bulk)
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        draws = BoundedDraws(bits, bulk)
         sentences = [perturb_sentence(s, policy, draws) for s in sentences]
         out.append(Document(raw_text=render_document(sentences),
                             sentences=sentences, label=doc.label))

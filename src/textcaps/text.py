@@ -13,7 +13,8 @@ import json
 import re
 import unicodedata
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -202,16 +203,17 @@ def encode_batch(
     """
     if n_s < 1 or n_w < 1:
         raise ValueError(f"n_s and n_w must be >= 1, got {n_s}, {n_w}")
-    zero_row = len(table.ids)
-    ids: List[int] = []
+    # Padding is None, which no table key is; one map looks every token up.
+    tokens: List[Optional[str]] = []
     for doc in docs:
         kept = doc.sentences[:n_s]
         for sentence in kept:
             words = sentence[:n_w]
-            ids.extend(table.ids.get(token, zero_row) for token in words)
-            ids.extend([zero_row] * (n_w - len(words)))
-        ids.extend([zero_row] * (n_w * (n_s - len(kept))))
-    rows = np.array(ids, dtype=np.intp).reshape(len(docs), n_s * n_w)
+            tokens.extend(words)
+            tokens.extend([None] * (n_w - len(words)))
+        tokens.extend([None] * (n_w * (n_s - len(kept))))
+    rows = np.fromiter(map(table.ids.get, tokens, repeat(len(table.ids))), np.intp,
+                       len(tokens)).reshape(len(docs), n_s * n_w)
     labels = np.array([doc.label for doc in docs], dtype=np.int64)
     return table.matrix[rows], labels
 

@@ -13,6 +13,7 @@ from textcaps.adversarial import (
     PerturbationPolicy,
     SeededRng,
     augment_dataset,
+    pcg64_states,
     perturb_sentence,
     perturb_word,
 )
@@ -198,6 +199,37 @@ class TestSeededRng:
         a = SeededRng(-1, 23, 2).generator.bit_generator.random_raw(4)
         b = SeededRng(_SEED_MASK, 23 + 2**64, 2).generator.bit_generator.random_raw(4)
         assert a.tobytes() == b.tobytes()
+
+
+class TestPcg64States:
+    """augment_dataset's replayed seeding against numpy building the
+    SeedSequence and the PCG64. The indices come as an array, so the large
+    ones need no documents."""
+
+    # 2**32 - 1 is the last one-word index; from 2**32 on an index has two.
+    INDICES = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1], dtype=np.uint64)
+
+    @staticmethod
+    def _reference(seed, epoch, indices):
+        states = [np.random.PCG64(np.random.SeedSequence(
+            [seed & _SEED_MASK, epoch & _SEED_MASK, int(i)])).state["state"] for i in indices]
+        return [(s["state"], s["inc"]) for s in states]
+
+    # Seeds of one and two entropy words. With the epoch 2**32 a two-word
+    # seed gives 5 words, past SeedSequence's pool of 4, and 6 with an index
+    # from 2**32 on.
+    @pytest.mark.parametrize("seed", [0, -1, 2**32, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("epoch", [0, 7, 2**32, -1])
+    def test_matches_seed_sequence(self, seed, epoch):
+        assert pcg64_states(seed, epoch, self.INDICES) == self._reference(
+            seed, epoch, self.INDICES)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(-2**70, 2**70), epoch=st.integers(-2**70, 2**70),
+           indices=st.lists(st.integers(0, _SEED_MASK), max_size=5))
+    def test_matches_seed_sequence_for_any_components(self, seed, epoch, indices):
+        indices = np.array(indices, dtype=np.uint64)
+        assert pcg64_states(seed, epoch, indices) == self._reference(seed, epoch, indices)
 
 
 class TestBoundedDraws:

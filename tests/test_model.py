@@ -203,7 +203,9 @@ class TestBatchComposition:
     """A document scores the same alone and inside a 32-document batch,
     within COMPOSE_TOL of each stage's largest |value|. Folded products let
     BLAS pick its kernel by the batch size, so the last bits may differ
-    (measured: at most about 1.7e-15, and 0 for the CNN capsule head)."""
+    (measured: at most about 1.7e-15, and 0 for the CNN capsule head). The
+    compression's ``weight @ batch`` folds only from FOLD_MIN_ROWS weight
+    rows; a smaller head runs the per-item products."""
 
     COMPOSE_TOL = 1e-14
 

@@ -12,6 +12,7 @@ import pytest
 
 from textcaps.tensor import (
     _PRIMITIVES,
+    FOLD_MIN_ROWS,
     EmptyTapeError,
     NonScalarLossError,
     Parameter,
@@ -455,10 +456,13 @@ BENCH_HEADS = [(128, 1368, 16), (32, 480, 8), (16, 684, 8)]
 
 
 class TestWeightTimesBatch:
-    """``weight @ batch`` folds the batch axes into the columns of one 2-D
-    product. BLAS may then sum in another order than the per-item products,
-    so the fold agrees with them within FOLD_TOL of the largest |value|
-    (measured: at most about 2.5e-15, and 0 at train-cnn-caps shapes)."""
+    """``weight @ batch`` runs the per-item products when the weight has
+    fewer than FOLD_MIN_ROWS rows, and otherwise folds the batch axes into
+    the columns of one 2-D product. BLAS may then sum in another order than
+    the per-item products, so either way the forward agrees with them within
+    FOLD_TOL of the largest |value| (measured for the fold: at most about
+    2.5e-15, and 0 at train-cnn-caps shapes). The rule reads only shapes, so
+    a taped forward gives the tape-free one's bytes."""
 
     FOLD_TOL = 1e-14
 
@@ -473,12 +477,32 @@ class TestWeightTimesBatch:
                                                   Parameter(Tensor(batch), "b").tensor])
         assert recorded.values.tobytes() == out.values.tobytes()
 
-    @pytest.mark.parametrize("n_cc, count, d", BENCH_HEADS)
+    # the bench heads, then weights either side of the fold rule
+    @pytest.mark.parametrize("n_cc, count, d", BENCH_HEADS + [(FOLD_MIN_ROWS - 1, 40, 8),
+                                                              (FOLD_MIN_ROWS, 40, 8)])
     @pytest.mark.parametrize("b", [1, 9, 32])
     def test_bench_heads_match_per_item_products(self, n_cc, count, d, b):
         rng = np.random.default_rng(b * count)
         w = rng.uniform(-1, 1, (n_cc, count)) / np.sqrt(count)
         self._assert_matches_reference(w, rng.uniform(-1, 1, (b, count, d)))
+
+    @pytest.mark.parametrize("rows, count, d", [(FOLD_MIN_ROWS - 1, 1368, 16),
+                                                (FOLD_MIN_ROWS, 1368, 16), BENCH_HEADS[2]])
+    def test_only_the_fold_copies_the_batch(self, rows, count, d):
+        # numpy reports its buffers to tracemalloc. A tape-free forward keeps
+        # only its output, and makes the batch's folded copy only when it
+        # folds; at score-adv's head the output is 0.02 batches.
+        rng = np.random.default_rng(rows)
+        w, batch = rng.uniform(-1, 1, (rows, count)), rng.uniform(-1, 1, (32, count, d))
+        operands, output = [Tensor(w), Tensor(batch)], 32 * rows * d * 8
+        tracemalloc.start()
+        try:
+            out = apply_primitive("matmul", operands)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.values.nbytes == output and left < output + 0.01 * batch.nbytes, left
+        assert (peak > 0.9 * batch.nbytes) == (rows >= FOLD_MIN_ROWS), peak / batch.nbytes
 
     def test_rank4_batch(self):
         rng = np.random.default_rng(31)
@@ -652,9 +676,16 @@ class TestGradCheckPrimitives:
                     [rng.uniform(-2, 2, (2, 3, 1, 1, 4)), rng.uniform(-2, 2, (3, 5, 4, 2))])
 
     def test_matmul_weight_times_batch_folded(self):
+        # a 4-row weight: the per-item products, under the same pullback
         rng = np.random.default_rng(17)
         self._check(lambda ps: tanh(ps[0].tensor @ ps[1].tensor).sum(),
                     [rng.uniform(-2, 2, (4, 6)), rng.uniform(-2, 2, (2, 3, 6, 2))])
+
+    def test_matmul_weight_times_batch_fold_side(self):
+        rng = np.random.default_rng(34)
+        self._check(lambda ps: tanh(ps[0].tensor @ ps[1].tensor).sum(),
+                    [rng.uniform(-2, 2, (FOLD_MIN_ROWS, 6)) / FOLD_MIN_ROWS,
+                     rng.uniform(-2, 2, (2, 3, 6, 2))], seed=34)
 
     def test_matmul_batch_times_weight_folded(self):
         rng = np.random.default_rng(18)

@@ -93,6 +93,25 @@ def encode_reference(doc, table, n_s, n_w):
     return block.reshape(n_s * n_w, table.dimension)
 
 
+def encode_batch_loop_reference(docs, table, n_s, n_w):
+    """The per-token id loop that encode_batch's one map over a flat token
+    list replaced, kept verbatim as its oracle."""
+    if n_s < 1 or n_w < 1:
+        raise ValueError(f"n_s and n_w must be >= 1, got {n_s}, {n_w}")
+    zero_row = len(table.ids)
+    ids = []
+    for doc in docs:
+        kept = doc.sentences[:n_s]
+        for sentence in kept:
+            words = sentence[:n_w]
+            ids.extend(table.ids.get(token, zero_row) for token in words)
+            ids.extend([zero_row] * (n_w - len(words)))
+        ids.extend([zero_row] * (n_w * (n_s - len(kept))))
+    rows = np.array(ids, dtype=np.intp).reshape(len(docs), n_s * n_w)
+    labels = np.array([doc.label for doc in docs], dtype=np.int64)
+    return table.matrix[rows], labels
+
+
 def _encode_one(doc, table, n_s, n_w):
     """A single document is a batch of one: (n_s, n_w, E_d) view of its block."""
     blocks, labels = encode_batch([doc], table, n_s, n_w)
@@ -307,6 +326,23 @@ class TestEncodeReference:
             assert blocks.dtype == expected.dtype
             assert blocks.tobytes() == expected.tobytes()
             assert labels.tolist() == [d.label for d in docs]
+            loop_blocks, _ = encode_batch_loop_reference(docs, table, n_s, n_w)
+            assert blocks.tobytes() == loop_blocks.tobytes()
+
+    # Unknown tokens (zz, qq); sentences shorter and longer than n_w = 3;
+    # documents with fewer and more than n_s = 2 sentences, and with none.
+    LOOP_DOCS = [Document("", [["a", "zz"], ["b", "a", "qq", "b"], ["a"]], 1),
+                 Document("", [["qq"]], 0), Document("", [], 1),
+                 Document("", [["b", "b", "b"], ["zz", "a", "b"]], 0)]
+
+    @pytest.mark.parametrize("docs", [LOOP_DOCS, LOOP_DOCS[2:3], []],
+                             ids=["mixed", "no-sentences", "no-documents"])
+    def test_matches_id_loop(self, small_table, docs):
+        blocks, labels = encode_batch(docs, small_table, n_s=2, n_w=3)
+        want_blocks, want_labels = encode_batch_loop_reference(docs, small_table, 2, 3)
+        assert blocks.shape == want_blocks.shape and blocks.dtype == want_blocks.dtype
+        assert blocks.tobytes() == want_blocks.tobytes()
+        assert labels.dtype == want_labels.dtype and labels.tobytes() == want_labels.tobytes()
 
     def test_empty_document_list(self, small_table):
         blocks, labels = encode_batch([], small_table, n_s=2, n_w=3)
