@@ -36,7 +36,8 @@ from .serialize import (
     write_sweep_csv,
 )
 from .tensor import ShapeMismatchError, Tensor, TensorError
-from .text import DatasetError, encode_batch, load_embeddings, read_dataset, write_dataset
+from .text import (DatasetError, encode_batch, load_embeddings, read_dataset, read_text,
+                   write_dataset)
 from .training import (
     TrainConfig,
     TrainingError,
@@ -65,13 +66,13 @@ def _positive_int(text: str) -> int:
 
 
 def _load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            # malformed text, an integer beyond Python's digit limit, or
-            # nesting beyond the stack: named like read_dataset's lines
-            raise ValueError(f"{path}: unreadable JSON: {exc}") from exc
+    raw = read_text(path)
+    try:
+        data = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        # malformed text, an integer beyond Python's digit limit, or
+        # nesting beyond the stack: named like read_dataset's lines
+        raise ValueError(f"{path}: unreadable JSON: {exc}") from exc
     if isinstance(data, dict) and isinstance(data.get("config"), dict):
         data = data["config"]  # a manifest also works as a config source
     return config_from_dict(data)

@@ -30,6 +30,7 @@ from . import __version__
 from .capsule import CapsuleHeadConfig
 from .encoders import ENCODER_KINDS, EncoderConfig
 from .tensor import Parameter, Tensor
+from .text import write_lines
 from .training import (
     AblationRow,
     EpochRecord,
@@ -206,9 +207,7 @@ def build_manifest(config_dict: dict, seed: int, input_paths: Dict[str, str]) ->
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 _METRICS_HEADER = "epoch,split,loss,accuracy,precision,recall"
@@ -226,23 +225,16 @@ def write_metrics_csv(path, history: Sequence[EpochRecord], test: Metrics,
         lines.append(_metrics_row(record.epoch, record.train))
         lines.append(_metrics_row(record.epoch, record.valid))
     lines.append(_metrics_row(test_epoch, test))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_ablation_csv(path, rows: Sequence[AblationRow]) -> None:
     lines = ["model,valid_accuracy,test_accuracy,test_precision,test_recall,test_loss"]
     for row in rows:
-        lines.append(",".join([
-            row.label,
-            fmt_float(row.valid.accuracy),
-            fmt_float(row.test.accuracy),
-            fmt_float(row.test.precision),
-            fmt_float(row.test.recall),
-            fmt_float(row.test.loss),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        values = (row.valid.accuracy, row.test.accuracy, row.test.precision, row.test.recall,
+                  row.test.loss)
+        lines.append(",".join([row.label] + [fmt_float(v) for v in values]))
+    write_lines(path, lines)
 
 
 def write_sweep_csv(path, cells: Sequence[SweepCell]) -> None:
@@ -253,12 +245,10 @@ def write_sweep_csv(path, cells: Sequence[SweepCell]) -> None:
             cell.parameter, str(cell.value), fmt_float(cell.mean_accuracy),
             fmt_float(cell.mean_runtime_s), runs,
         ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_representations_csv(path, labels: np.ndarray, vectors: np.ndarray) -> None:
     """One row per document: label then the flattened stage vector."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for label, vector in zip(labels, vectors):
-            fh.write(",".join([str(int(label))] + [fmt_float(v) for v in vector]) + "\n")
+    write_lines(path, (",".join([str(int(label))] + [fmt_float(v) for v in vector])
+                       for label, vector in zip(labels, vectors)))

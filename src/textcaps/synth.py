@@ -10,12 +10,13 @@ while keeping plenty of lexical overlap. Documents have 2-5 sentences of
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Tuple
 
 import numpy as np
 
 from .adversarial import SeededRng
-from .text import Document, render_document
+from .text import Document, render_document, write_lines
 
 _TAG_CORPUS = 71
 _TAG_EMBED = 73
@@ -72,7 +73,6 @@ def generate_embeddings(vocab: List[str], e_d: int, seed: int) -> np.ndarray:
 
 def write_embeddings_file(path, vocab: List[str], vectors: np.ndarray) -> None:
     """word2vec text format with a header line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(vocab)} {vectors.shape[1]}\n")
-        for token, vector in zip(vocab, vectors):
-            fh.write(token + " " + " ".join(f"{v:.17g}" for v in vector) + "\n")
+    rows = (token + " " + " ".join(f"{v:.17g}" for v in vector)
+            for token, vector in zip(vocab, vectors))
+    write_lines(path, chain([f"{len(vocab)} {vectors.shape[1]}"], rows))

@@ -1,4 +1,4 @@
-"""Document tokenization, embedding tables, and fixed-shape input encoding.
+"""Document tokenization, embedding tables, fixed-shape encoding, and text file IO.
 
 Documents are split into a sentence/word grid, truncated to the first
 ``n_s`` sentences and ``n_w`` words per sentence, and embedded into a
@@ -14,7 +14,7 @@ import re
 import unicodedata
 from dataclasses import InitVar, dataclass, field
 from itertools import repeat
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,55 +127,67 @@ class EmbeddingTable:
         return len(self.ids)
 
 
+def read_text(path) -> str:
+    """The file decoded as UTF-8 without a leading BOM, every line ending read
+    as ``\n``; undecodable bytes raise InvalidEncodingError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidEncodingError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def read_lines(path) -> Iterator[Tuple[int, str]]:
+    """``(line number, line)`` for every non-blank line of ``read_text(path)``."""
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip():
+            yield lineno, line
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write ``lines`` as UTF-8, each ended by ``\n``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Load a word2vec-text-format embedding table.
 
     The file may start with a "vocab_count dimension" header line; otherwise
-    the dimension is inferred from the first data line. Duplicate tokens keep
-    their first occurrence; unknown tokens embed as zeros. Every loaded value
-    must be finite: ``nan``, ``inf`` and overflowing literals such as ``1e999``
-    raise :class:`UnparseableNumberError` naming the line.
+    the dimension is inferred from the first data line. Trailing whitespace,
+    which word2vec writes, is dropped. Duplicate tokens keep their first
+    occurrence; unknown tokens embed as zeros. Every loaded value must be
+    finite: ``nan``, ``inf`` and overflowing literals such as ``1e999`` raise
+    :class:`UnparseableNumberError`. Diagnostics read ``<path>: line <n>: ...``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise InvalidEncodingError(f"{path}: not valid UTF-8: {exc}") from exc
-
     entries: Dict[str, np.ndarray] = {}
     entry_lines: List[int] = []  # line number of each entry, in table order
     dimension = None
-    first_data = True
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split(" ")
-        if first_data and len(fields) == 2:
-            try:
-                int(fields[0]), int(fields[1])
-            except ValueError:
-                pass
-            else:
-                dimension = int(fields[1])
-                if dimension < 1:
-                    raise RaggedLineError(
-                        f"line {lineno}: header dimension must be >= 1, got {dimension}")
-                first_data = False
-                continue
-        token, raw_values = fields[0], fields[1:]
+    for lineno, line in read_lines(path):
+        fields = line.rstrip().split(" ")
         try:
-            vector = np.array([float(v) for v in raw_values])
-        except ValueError as exc:
-            raise UnparseableNumberError(
-                f"line {lineno}: cannot parse embedding values: {exc}") from exc
-        if dimension is None:
-            dimension = len(raw_values)
-            if dimension == 0:
-                raise RaggedLineError(f"line {lineno}: token without values")
-        if len(raw_values) != dimension:
-            raise RaggedLineError(
-                f"line {lineno}: expected {dimension} values, found {len(raw_values)}")
-        first_data = False
+            if dimension is None and len(fields) == 2:
+                try:
+                    _, dimension = int(fields[0]), int(fields[1])
+                except ValueError:
+                    pass
+                else:
+                    if dimension < 1:
+                        raise RaggedLineError(f"header dimension must be >= 1, got {dimension}")
+                    continue
+            token, raw_values = fields[0], fields[1:]
+            try:
+                vector = np.array([float(v) for v in raw_values])
+            except ValueError as exc:
+                raise UnparseableNumberError(f"cannot parse embedding values: {exc}") from exc
+            if dimension is None:
+                dimension = len(raw_values)
+                if dimension == 0:
+                    raise RaggedLineError("token without values")
+            if len(raw_values) != dimension:
+                raise RaggedLineError(f"expected {dimension} values, found {len(raw_values)}")
+        except EmbeddingFileError as exc:
+            raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
         if token not in entries:
             entries[token] = vector
             entry_lines.append(lineno)
@@ -184,8 +196,8 @@ def load_embeddings(path) -> EmbeddingTable:
     table = EmbeddingTable(dimension=dimension, entries=entries)
     finite = np.isfinite(table.matrix).all(axis=1)
     if not finite.all():
-        raise UnparseableNumberError(
-            f"line {entry_lines[int(np.argmin(finite))]}: embedding values must be finite")
+        raise UnparseableNumberError(f"{path}: line {entry_lines[int(np.argmin(finite))]}: "
+                                     "embedding values must be finite")
     return table
 
 
@@ -218,35 +230,33 @@ def encode_batch(
     return table.matrix[rows], labels
 
 
-def read_dataset(path) -> List[Document]:
-    """Read a JSON Lines dataset with "text" (string) and "label" (0/1) fields."""
+def _parse_document(line: str) -> Document:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise InvalidEncodingError(f"{path}: not valid UTF-8: {exc}") from exc
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedLineError(f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer beyond Python's digit limit, or nesting beyond the stack
+        raise MalformedLineError(f"unreadable JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
+        raise MalformedLineError("expected an object with 'text' and 'label'")
+    text = obj["text"]
+    if not isinstance(text, str):
+        raise MalformedLineError("'text' must be a string")
+    return Document(raw_text=text, sentences=tokenize(text), label=obj["label"])
 
+
+def read_dataset(path) -> List[Document]:
+    """Read a JSON Lines dataset with "text" (string) and "label" (0/1) fields.
+
+    A diagnostic reads ``<path>: line <n>: ...``.
+    """
     docs: List[Document] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLineError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        except (ValueError, RecursionError) as exc:
-            # an integer beyond Python's digit limit, or nesting beyond the stack
-            raise MalformedLineError(f"line {lineno}: unreadable JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
-            raise MalformedLineError(
-                f"line {lineno}: expected an object with 'text' and 'label'")
-        text, label = obj["text"], obj["label"]
-        if not isinstance(text, str):
-            raise MalformedLineError(f"line {lineno}: 'text' must be a string")
-        try:
-            docs.append(Document(raw_text=text, sentences=tokenize(text), label=label))
-        except BadLabelError as exc:
-            raise BadLabelError(f"line {lineno}: {exc}") from exc
+            docs.append(_parse_document(line))
+        except DatasetError as exc:
+            raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
     return docs
 
 
@@ -256,7 +266,5 @@ def render_document(sentences: Sequence[Sequence[str]]) -> str:
 
 
 def write_dataset(path, docs: Sequence[Document]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for doc in docs:
-            fh.write(json.dumps({"text": doc.raw_text, "label": doc.label},
-                                ensure_ascii=False) + "\n")
+    write_lines(path, (json.dumps({"text": doc.raw_text, "label": doc.label}, ensure_ascii=False)
+                       for doc in docs))

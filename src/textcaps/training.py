@@ -305,9 +305,9 @@ def train(config: TrainConfig, docs: Sequence[Document],
     """Mini-batch optimization; returns best-validation-epoch parameters.
 
     Every step of epoch e uses the learning rate lr_at(e, config). With
-    config.adversarial, each epoch's training stream is the shuffled
-    concatenation of the clean documents and their adversarial copies,
-    regenerated for that epoch. A NaN or infinite training-step or
+    config.adversarial, each epoch's training stream is the clean documents
+    followed by their adversarial copies for that epoch, encoded in one block
+    and shuffled. A NaN or infinite training-step or
     validation loss stops the run with NonFiniteLossError.
     """
     if not docs:
@@ -320,7 +320,8 @@ def train(config: TrainConfig, docs: Sequence[Document],
     state = AdamState()
     policy = PerturbationPolicy()
 
-    clean_blocks, clean_labels = encode_batch(train_docs, table, config.n_s, config.n_w)
+    if not config.adversarial:
+        blocks, labels = encode_batch(train_docs, table, config.n_s, config.n_w)
     valid_blocks, valid_labels = encode_batch(valid_docs, table, config.n_s, config.n_w)
 
     history: List[EpochRecord] = []
@@ -330,12 +331,10 @@ def train(config: TrainConfig, docs: Sequence[Document],
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)
         if config.adversarial:
-            adv_docs = augment_dataset(train_docs, policy, config.seed, epoch)
-            adv_blocks, adv_labels = encode_batch(adv_docs, table, config.n_s, config.n_w)
-            blocks = np.concatenate([clean_blocks, adv_blocks])
-            labels = np.concatenate([clean_labels, adv_labels])
-        else:
-            blocks, labels = clean_blocks, clean_labels
+            blocks = labels = None  # the last epoch's stream is freed before the next is built
+            blocks, labels = encode_batch(
+                train_docs + augment_dataset(train_docs, policy, config.seed, epoch),
+                table, config.n_s, config.n_w)
 
         order = SeededRng(config.seed, _TAG_SHUFFLE, epoch).generator.permutation(len(labels))
         loss_sum = 0.0

@@ -388,6 +388,45 @@ class TestMalformedInputs:
         assert code == 1
         _assert_one_line_error(capsys, "config must be a JSON object")
 
+    def _train_on(self, workspace, tmp_path, data, embeddings):
+        return run_cli(["train", "--config", str(workspace / "config.json"),
+                        "--data", str(data), "--embeddings", str(embeddings),
+                        "--out", str(tmp_path / "run")])
+
+    def test_bad_data_line_names_the_data_file(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"text": "ok", "label": 1}\n{"text": 5, "label": 0}\n',
+                       encoding="utf-8")
+        assert self._train_on(workspace, tmp_path, bad, workspace / "emb.txt") == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 2: 'text' must be a string\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_embeddings_line_names_the_embeddings_file(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad_emb.txt"
+        bad.write_text("2 3\na 1 0 0\nb 1 2\n", encoding="utf-8")
+        assert self._train_on(workspace, tmp_path, workspace / "corpus.jsonl", bad) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 3: expected 3 values, found 2\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_config_with_a_bom_loads(self, workspace, tmp_path, capsys):
+        config = tmp_path / "bom.json"
+        config.write_bytes(b"\xef\xbb\xbf" + (workspace / "config.json").read_bytes())
+        code = run_cli(["train", "--config", str(config),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run"), "--max-docs", "40"])
+        assert code == 0, capsys.readouterr().err
+
+    def test_undecodable_config_names_the_file(self, workspace, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b'{"epochs": "\xff"}')
+        code = run_cli(["train", "--config", str(config),
+                        "--data", str(workspace / "corpus.jsonl"),
+                        "--embeddings", str(workspace / "emb.txt"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 1
+        _assert_one_line_error(capsys, f"error: {config}: not valid UTF-8: ")
+
     @pytest.mark.parametrize("raw, fragment", [
         ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),  # beyond the stack
         ('{"epochs": ', "Expecting value"),

@@ -1,19 +1,32 @@
-"""Tokenizer, embedding loader, and document encoding tests."""
+"""Tokenizer, embedding loader, document encoding, and text file IO tests."""
 
+import ast
+import re
 import sys
 import tracemalloc
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from textcaps import text
+from textcaps.serialize import (
+    write_ablation_csv,
+    write_json,
+    write_metrics_csv,
+    write_representations_csv,
+    write_sweep_csv,
+)
 from textcaps.synth import generate_embeddings, write_embeddings_file
+from textcaps.training import AblationRow, EpochRecord, Metrics, SweepCell
 from textcaps.text import (
     BadLabelError,
     DatasetError,
     Document,
     EmptyEmbeddingsError,
+    InvalidEncodingError,
     MalformedLineError,
     RaggedLineError,
     UnparseableNumberError,
@@ -22,9 +35,11 @@ from textcaps.text import (
     encode_batch,
     load_embeddings,
     read_dataset,
+    read_lines,
     render_document,
     tokenize,
     write_dataset,
+    write_lines,
 )
 
 SENTENCE_TERMINATORS = ".!?;"
@@ -231,6 +246,33 @@ class TestEmbeddings:
         with pytest.raises(RaggedLineError, match="line 1: header dimension"):
             load_embeddings(self._write(tmp_path, "2 0\na\nb\n"))
 
+    def test_trailing_whitespace_is_dropped(self, tmp_path):
+        # word2vec's own text output ends every vector line with a space
+        table = load_embeddings(self._write(tmp_path, "2 3 \na 1 0 0 \nb 0 1 0\t \n"))
+        assert table.dimension == 3
+        np.testing.assert_array_equal(table.matrix, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        with pytest.raises(UnparseableNumberError, match="line 2: "):
+            load_embeddings(self._write(tmp_path, "2 3\na 1  0 0\n"))
+
+    def test_leading_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes("\ufeff2 3\na 1 0 0\n".encode("utf-8"))
+        table = load_embeddings(path)
+        assert table.dimension == 3 and "a" in table and len(table) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        ("2 3\na 1 0 0\nb 1 2\n", "line 3: expected 3 values, found 2"),
+        ("a 1 0\n\nb 1 x\n", "line 3: cannot parse embedding values: "),
+        ("a 1\nb 1e999\n", "line 2: embedding values must be finite"),
+        ("2 0\n", "line 1: header dimension must be >= 1, got 0"),
+        ("a\n", "line 1: token without values"),
+    ], ids=["ragged", "unparseable", "non-finite", "header", "no-values"])
+    def test_diagnostic_names_the_file(self, tmp_path, content, message):
+        path = self._write(tmp_path, content)
+        with pytest.raises(DatasetError) as exc:
+            load_embeddings(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
     def test_loaded_table_keeps_one_copy_of_its_vectors(self, tmp_path):
         vocab = [f"w{i}" for i in range(5000)]
         path = tmp_path / "big.txt"
@@ -400,7 +442,26 @@ class TestReadDataset:
         path.write_text('{"text":"x","label":1}\n{"text":"y","label":true}\n', encoding="utf-8")
         with pytest.raises(BadLabelError) as exc:
             read_dataset(path)
-        assert str(exc.value) == "line 2: 'label' must be 0 or 1, got True"
+        assert str(exc.value) == f"{path}: line 2: 'label' must be 0 or 1, got True"
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"text":"x","label":1}\n\nnot json\n', "line 3: invalid JSON: Expecting value"),
+        ('[1]\n', "line 1: expected an object with 'text' and 'label'"),
+        ('{"text":5,"label":1}\n', "line 1: 'text' must be a string"),
+        ('{"text":"x","label":1}\n{"text":"x","label":' + "9" * 5000 + '}\n',
+         "line 2: unreadable JSON: Exceeds the limit"),
+    ], ids=["invalid", "not-an-object", "text-not-a-string", "long-integer"])
+    def test_diagnostic_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "data.jsonl"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(MalformedLineError) as exc:
+            read_dataset(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
+    def test_leading_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes('\ufeff{"text":"bun. ok","label":1}\n'.encode("utf-8"))
+        assert [(d.sentences, d.label) for d in read_dataset(path)] == [([["bun"], ["ok"]], 1)]
 
     @settings(max_examples=60, deadline=None)
     @given(text=st.text(max_size=20),
@@ -431,3 +492,92 @@ class TestReadDataset:
         bad_emb.write_bytes(b"tok \xff 1 2\n")
         with pytest.raises(InvalidEncodingError):
             load_embeddings(bad_emb)
+
+
+class TestLineCodec:
+    """``read_lines`` and ``write_lines`` are the one reader and the one writer
+    of text files; the writers built on them keep their bytes."""
+
+    def test_read_lines_numbers_the_non_blank_lines(self, tmp_path):
+        path = tmp_path / "f.txt"
+        # a leading BOM is dropped, any line ending counts, and U+2028 ends no line
+        path.write_bytes("\ufeffa\r\n\n  \nb\rc \u2028 d\n".encode("utf-8"))
+        assert list(read_lines(path)) == [(1, "a"), (4, "b"), (5, "c \u2028 d")]
+
+    def test_read_lines_names_an_undecodable_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(InvalidEncodingError, match=f"^{re.escape(str(path))}: not valid UTF-8"):
+            list(read_lines(path))
+
+    def test_write_lines_ends_every_line_with_newline(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_lines(path, ["\u0103", "", "b\u2028c\r"])
+        assert path.read_bytes() == "\u0103\n\nb\u2028c\r\n".encode("utf-8")
+        write_lines(path, [])
+        assert path.read_bytes() == b""
+
+    def test_write_dataset_bytes(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        raw = "\u0162ar\u0103\u2028 nou\u0103.\r"
+        write_dataset(path, [Document(raw, tokenize(raw), 1), Document('"x"', [["x"]], 0)])
+        assert path.read_bytes() == (
+            b'{"text": "\xc5\xa2ar\xc4\x83\xe2\x80\xa8 nou\xc4\x83.\\r", "label": 1}\n'
+            b'{"text": "\\"x\\"", "label": 0}\n')
+
+    def test_write_embeddings_file_bytes(self, tmp_path):
+        path = tmp_path / "e.txt"
+        write_embeddings_file(path, ["\u0103", "b"], np.array([[0.1, -2.0], [3.0, 1e300]]))
+        assert path.read_bytes() == (b"2 2\n\xc4\x83 0.10000000000000001 -2\n"
+                                     b"b 3 1.0000000000000001e+300\n")
+
+    def test_write_json_bytes(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_json(path, {"b": [1, 2.5], "a": {"\u0163": None}})
+        assert path.read_bytes() == (b'{\n  "a": {\n    "\\u0163": null\n  },\n'
+                                     b'  "b": [\n    1,\n    2.5\n  ]\n}\n')
+
+    def test_csv_bytes(self, tmp_path):
+        train = Metrics("train", 0.1, 0.75, 2 / 3, 1.0)
+        valid = Metrics("valid", 0.5, 0.5, 0.0, 0.0)
+        test = Metrics("test", 1e-20, 1.0, 1.0, 1.0)
+        write_metrics_csv(tmp_path / "metrics.csv", [EpochRecord(0, train, valid)], test, 0)
+        write_ablation_csv(tmp_path / "ablation.csv", [AblationRow("+Adv", valid, test)])
+        write_sweep_csv(tmp_path / "sweep.csv", [SweepCell("n_pc", 4, 0.5, (0.25, 0.75), 1.5)])
+        write_representations_csv(tmp_path / "repr.csv", np.array([1, 0]),
+                                  np.array([[0.1, -2.0], [3.0, 1e300]]))
+        assert (tmp_path / "metrics.csv").read_bytes() == (
+            b"epoch,split,loss,accuracy,precision,recall\n"
+            b"0,train,0.10000000000000001,0.75,0.66666666666666663,1\n"
+            b"0,valid,0.5,0.5,0,0\n"
+            b"0,test,9.9999999999999995e-21,1,1,1\n")
+        assert (tmp_path / "ablation.csv").read_bytes() == (
+            b"model,valid_accuracy,test_accuracy,test_precision,test_recall,test_loss\n"
+            b"+Adv,0.5,1,1,1,9.9999999999999995e-21\n")
+        assert (tmp_path / "sweep.csv").read_bytes() == (
+            b"parameter,value,mean_accuracy,mean_runtime_s,run_accuracies\n"
+            b"n_pc,4,0.5,1.5,0.25;0.75\n")
+        assert (tmp_path / "repr.csv").read_bytes() == (
+            b"1,0.10000000000000001,-2\n0,3,1.0000000000000001e+300\n")
+
+    def test_only_text_opens_files_in_text_mode(self):
+        """Outside ``text``, files are opened in binary mode only (the
+        checkpoint IO in ``serialize``): every text file goes through
+        ``read_text``/``read_lines`` and ``write_lines``, one codec."""
+        source = Path(text.__file__).parent
+        found = []
+        for path in sorted(source.glob("*.py")):
+            if path.name == "text.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("read_text", "write_text") and isinstance(node.func, ast.Attribute):
+                    found.append((path.name, node.lineno, name))
+                elif name == "open":
+                    mode = node.args[1] if len(node.args) > 1 else next(
+                        (k.value for k in node.keywords if k.arg == "mode"), None)
+                    if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)):
+                        found.append((path.name, node.lineno, name))
+        assert found == []
