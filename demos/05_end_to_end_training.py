@@ -46,8 +46,8 @@ print(f"\ntest: accuracy {metrics.accuracy:.3f} precision {metrics.precision:.3f
 
 # One forward hands back every stage it computed: the feature map, the
 # condensed and class capsules, and the routing couplings of each iteration.
-blocks, labels = encode_batch(test_docs[:8], table, config.n_s, config.n_w)
-result = forward_batch(config.encoder, config.head, params, Tensor(blocks))
+ids, labels = encode_batch(test_docs[:8], table, config.n_s, config.n_w)
+result = forward_batch(config.encoder, config.head, params, Tensor(table.embed(ids)))
 print(f"\nfeature map {result.feature_map.shape}, condensed {result.condensed.shape}, "
       f"class capsules {result.class_capsules.shape}, "
       f"{len(result.routing.couplings)} coupling arrays {result.routing.couplings[-1].shape}")

@@ -35,7 +35,7 @@ from .serialize import (
     write_representations_csv,
     write_sweep_csv,
 )
-from .tensor import ShapeMismatchError, Tensor, TensorError
+from .tensor import ShapeMismatchError, Tensor, TensorError, Workspace
 from .text import (DatasetError, encode_batch, load_embeddings, read_dataset, read_text,
                    write_dataset)
 from .training import (
@@ -192,19 +192,21 @@ def cmd_export_repr(args) -> int:
     params, config, table, docs = _checkpoint_inputs(args)
     if config.head is None and args.stage in ("condensed", "class"):
         raise TrainingError(f"stage {args.stage!r} requires a capsule-head model")
-    blocks, labels = encode_batch(docs, table, config.n_s, config.n_w)
+    ids, labels = encode_batch(docs, table, config.n_s, config.n_w)
 
     vectors = []
-    for start in range(0, len(labels), config.batch_size):
-        stop = min(start + config.batch_size, len(labels))
-        result = forward_batch(config.encoder, config.head, params, Tensor(blocks[start:stop]))
-        if args.stage == "encoder-pooled":
-            stage = mean_pool(result.feature_map).values
-        elif args.stage == "condensed":
-            stage = result.condensed.values
-        else:
-            stage = result.class_capsules.values
-        vectors.append(stage.reshape(stop - start, -1))
+    with Workspace():
+        for start in range(0, len(labels), config.batch_size):
+            stop = min(start + config.batch_size, len(labels))
+            result = forward_batch(config.encoder, config.head, params,
+                                   Tensor(table.embed(ids[start:stop])))
+            if args.stage == "encoder-pooled":
+                stage = mean_pool(result.feature_map).values
+            elif args.stage == "condensed":
+                stage = result.condensed.values
+            else:
+                stage = result.class_capsules.values
+            vectors.append(stage.reshape(stop - start, -1))
     write_representations_csv(args.out, labels, np.concatenate(vectors))
     return 0
 

@@ -1,10 +1,10 @@
 """Document tokenization, embedding tables, fixed-shape encoding, and text file IO.
 
 Documents are split into a sentence/word grid, truncated to the first
-``n_s`` sentences and ``n_w`` words per sentence, and embedded into a
-dense block by one gather from the embedding table's matrix.
-Out-of-vocabulary tokens and padding both embed as the matrix's zero row,
-so they stay gradient-inert.
+``n_s`` sentences and ``n_w`` words per sentence, and encoded as row ids
+of the embedding table's matrix; ``EmbeddingTable.embed`` gathers the
+vectors of a batch's ids. Out-of-vocabulary tokens and padding both take
+the matrix's zero row, so they stay gradient-inert.
 """
 
 from __future__ import annotations
@@ -120,6 +120,11 @@ class EmbeddingTable:
                                       f"expected ({self.dimension},)")
             self.matrix[row] = vector
 
+    def embed(self, rows: np.ndarray) -> np.ndarray:
+        """The vectors at row ids ``rows``, shape ``rows.shape + (dimension,)``:
+        the one gather from ``matrix``."""
+        return self.matrix[rows]
+
     def __contains__(self, token: str) -> bool:
         return token in self.ids
 
@@ -207,11 +212,12 @@ def encode_batch(
     n_s: int,
     n_w: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Encode documents into a (batch, n_s * n_w, E_d) block plus labels.
+    """Encode documents into (batch, n_s * n_w) intp row ids of ``table.matrix``
+    plus int64 labels.
 
     Keeps the first n_s sentences and the first n_w words of each, flattened
-    in reading order. Tokens become row ids of ``table.matrix`` and the block
-    is one gather; missing positions take the zero row, like unknown tokens.
+    in reading order; missing positions take the zero row, like unknown
+    tokens. ``table.embed(ids[batch])`` gives a batch's (B, n_s * n_w, E_d) block.
     """
     if n_s < 1 or n_w < 1:
         raise ValueError(f"n_s and n_w must be >= 1, got {n_s}, {n_w}")
@@ -224,10 +230,10 @@ def encode_batch(
             tokens.extend(words)
             tokens.extend([None] * (n_w - len(words)))
         tokens.extend([None] * (n_w * (n_s - len(kept))))
-    rows = np.fromiter(map(table.ids.get, tokens, repeat(len(table.ids))), np.intp,
-                       len(tokens)).reshape(len(docs), n_s * n_w)
+    ids = np.fromiter(map(table.ids.get, tokens, repeat(len(table.ids))), np.intp,
+                      len(tokens)).reshape(len(docs), n_s * n_w)
     labels = np.array([doc.label for doc in docs], dtype=np.int64)
-    return table.matrix[rows], labels
+    return ids, labels
 
 
 def _parse_document(line: str) -> Document:

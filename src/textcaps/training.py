@@ -29,7 +29,7 @@ from .adversarial import PerturbationPolicy, SeededRng, augment_dataset, seed_se
 from .capsule import CapsuleHeadConfig
 from .encoders import ENCODER_KINDS, EncoderConfig
 from .model import forward_batch, init_model
-from .tensor import Parameter, Tape, Tensor, backward, clear_grads, log, relu
+from .tensor import Parameter, Tape, Tensor, Workspace, backward, clear_grads, log, relu
 from .text import Document, EmbeddingTable, encode_batch
 
 # Seed-mix tags keeping the independent random streams distinct.
@@ -265,14 +265,15 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.learning_rate * (1.0 - epoch / config.epochs)
 
 
-def _forward_metrics(encoder, head, params, blocks, labels, batch_size, split):
-    """Tape-free forward over a dataset; returns Metrics."""
+def _forward_metrics(encoder, head, params, table, ids, labels, batch_size, split):
+    """Tape-free forward over encoded documents, embedded a batch at a time;
+    returns Metrics."""
     n = len(labels)
     loss_sum = 0.0
     preds = np.empty(n, dtype=np.int64)
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        probs = forward_batch(encoder, head, params, Tensor(blocks[start:stop])).probs
+        probs = forward_batch(encoder, head, params, Tensor(table.embed(ids[start:stop]))).probs
         loss = bce_loss_batch(probs, labels[start:stop])
         loss_sum += loss.item() * (stop - start)
         preds[start:stop] = np.argmax(probs.values, axis=1)
@@ -283,9 +284,10 @@ def evaluate(params: Dict[str, Parameter], docs: Sequence[Document],
              table: EmbeddingTable, config: TrainConfig) -> Metrics:
     if not docs:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
-    blocks, labels = encode_batch(docs, table, config.n_s, config.n_w)
-    return _forward_metrics(config.encoder, config.head, params, blocks,
-                            labels, config.batch_size, "test")
+    ids, labels = encode_batch(docs, table, config.n_s, config.n_w)
+    with Workspace():
+        return _forward_metrics(config.encoder, config.head, params, table, ids,
+                                labels, config.batch_size, "test")
 
 
 def _diverged(params: Dict[str, Parameter], what: str, value: float,
@@ -298,6 +300,21 @@ def _diverged(params: Dict[str, Parameter], what: str, value: float,
         f"{what} is {value} at epoch {epoch}, step {step}; {culprit}")
 
 
+def _step(config: TrainConfig, params: Dict[str, Parameter], state: AdamState, lr: float,
+          x: Tensor, labels: np.ndarray, epoch: int, step: int) -> Tuple[float, np.ndarray]:
+    """One Adam step on a batch; returns its loss and probabilities. The tape
+    is dropped on return, so that its arrays are free for the next forward."""
+    with Tape() as tape:
+        probs = forward_batch(config.encoder, config.head, params, x).probs
+        loss = bce_loss_batch(probs, labels)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise _diverged(params, "training loss", value, epoch, step)
+    backward(loss, tape)
+    adam_step(params, state, lr)
+    return value, probs.values
+
+
 # Overflow warnings would only repeat what the non-finite loss checks report.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config: TrainConfig, docs: Sequence[Document],
@@ -306,9 +323,12 @@ def train(config: TrainConfig, docs: Sequence[Document],
 
     Every step of epoch e uses the learning rate lr_at(e, config). With
     config.adversarial, each epoch's training stream is the clean documents
-    followed by their adversarial copies for that epoch, encoded in one block
-    and shuffled. A NaN or infinite training-step or
-    validation loss stops the run with NonFiniteLossError.
+    followed by their adversarial copies for that epoch, encoded in one
+    ``encode_batch`` call and shuffled. Splits are held as token row ids; each
+    step and each validation batch embeds only its own documents, and the
+    primitives reuse their work arrays from step to step inside one
+    ``Workspace``. A NaN or infinite training-step or validation loss stops
+    the run with NonFiniteLossError.
     """
     if not docs:
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -321,51 +341,45 @@ def train(config: TrainConfig, docs: Sequence[Document],
     policy = PerturbationPolicy()
 
     if not config.adversarial:
-        blocks, labels = encode_batch(train_docs, table, config.n_s, config.n_w)
-    valid_blocks, valid_labels = encode_batch(valid_docs, table, config.n_s, config.n_w)
+        ids, labels = encode_batch(train_docs, table, config.n_s, config.n_w)
+    valid_ids, valid_labels = encode_batch(valid_docs, table, config.n_s, config.n_w)
 
     history: List[EpochRecord] = []
     best_values: Optional[np.ndarray] = None
     global_step = 0
 
-    for epoch in range(config.epochs):
-        lr = lr_at(epoch, config)
-        if config.adversarial:
-            blocks = labels = None  # the last epoch's stream is freed before the next is built
-            blocks, labels = encode_batch(
-                train_docs + augment_dataset(train_docs, policy, config.seed, epoch),
-                table, config.n_s, config.n_w)
+    with Workspace():
+        for epoch in range(config.epochs):
+            lr = lr_at(epoch, config)
+            if config.adversarial:
+                ids = labels = None  # the last epoch's stream is freed before the next is built
+                ids, labels = encode_batch(
+                    train_docs + augment_dataset(train_docs, policy, config.seed, epoch),
+                    table, config.n_s, config.n_w)
 
-        order = SeededRng(config.seed, _TAG_SHUFFLE, epoch).generator.permutation(len(labels))
-        loss_sum = 0.0
-        preds = np.empty(len(labels), dtype=np.int64)
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb = Tensor(blocks[idx])
-            yb = labels[idx]
-            with Tape() as tape:
-                probs = forward_batch(config.encoder, config.head, params, xb).probs
-                loss = bce_loss_batch(probs, yb)
-            step_loss = loss.item()
-            if not math.isfinite(step_loss):
-                raise _diverged(params, "training loss", step_loss, epoch, global_step)
-            backward(loss, tape)
-            adam_step(params, state, lr)
-            global_step += 1
-            loss_sum += step_loss * len(idx)
-            preds[start:start + len(idx)] = np.argmax(probs.values, axis=1)
-        stream_labels = labels[order]
-        train_metrics = compute_metrics(stream_labels, preds,
-                                        loss_sum / len(labels), "train")
-        valid_metrics = _forward_metrics(config.encoder, config.head, params,
-                                         valid_blocks, valid_labels,
-                                         config.batch_size, "valid")
-        if not math.isfinite(valid_metrics.loss):
-            raise _diverged(params, "validation loss", valid_metrics.loss, epoch, global_step)
-        record = EpochRecord(epoch=epoch, train=train_metrics, valid=valid_metrics)
-        history.append(record)
-        if best_epoch(history) is record:
-            best_values = state.values.copy()
+            order = SeededRng(config.seed, _TAG_SHUFFLE, epoch).generator.permutation(len(labels))
+            loss_sum = 0.0
+            preds = np.empty(len(labels), dtype=np.int64)
+            for start in range(0, len(order), config.batch_size):
+                idx = order[start:start + config.batch_size]
+                step_loss, probs = _step(config, params, state, lr, Tensor(table.embed(ids[idx])),
+                                         labels[idx], epoch, global_step)
+                global_step += 1
+                loss_sum += step_loss * len(idx)
+                preds[start:start + len(idx)] = np.argmax(probs, axis=1)
+            stream_labels = labels[order]
+            train_metrics = compute_metrics(stream_labels, preds,
+                                            loss_sum / len(labels), "train")
+            valid_metrics = _forward_metrics(config.encoder, config.head, params, table,
+                                             valid_ids, valid_labels,
+                                             config.batch_size, "valid")
+            if not math.isfinite(valid_metrics.loss):
+                raise _diverged(params, "validation loss", valid_metrics.loss, epoch,
+                                global_step)
+            record = EpochRecord(epoch=epoch, train=train_metrics, valid=valid_metrics)
+            history.append(record)
+            if best_epoch(history) is record:
+                best_values = state.values.copy()
 
     state.values[:] = best_values
     return params, history

@@ -596,8 +596,9 @@ class TestExportRepr:
         assert code == 0
         params, meta = load_model(model)
         encoder, head, n_s, n_w, _ = config_parts_from_meta(meta)
-        blocks, _ = encode_batch(read_dataset(data), load_embeddings(workspace / "emb.txt"),
-                                 n_s, n_w)
+        table = load_embeddings(workspace / "emb.txt")
+        ids, _ = encode_batch(read_dataset(data), table, n_s, n_w)
+        blocks = table.matrix[ids]  # the whole-split block export-repr no longer builds
         batch_size, want = TrainConfig(encoder=encoder, head=head).batch_size, []
         for start in range(0, len(blocks), batch_size):
             fm = forward_batch(encoder, head, params,

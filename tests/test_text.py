@@ -110,7 +110,7 @@ def encode_reference(doc, table, n_s, n_w):
 
 def encode_batch_loop_reference(docs, table, n_s, n_w):
     """The per-token id loop that encode_batch's one map over a flat token
-    list replaced, kept verbatim as its oracle."""
+    list replaced, kept as its oracle: row ids and labels."""
     if n_s < 1 or n_w < 1:
         raise ValueError(f"n_s and n_w must be >= 1, got {n_s}, {n_w}")
     zero_row = len(table.ids)
@@ -124,15 +124,16 @@ def encode_batch_loop_reference(docs, table, n_s, n_w):
         ids.extend([zero_row] * (n_w * (n_s - len(kept))))
     rows = np.array(ids, dtype=np.intp).reshape(len(docs), n_s * n_w)
     labels = np.array([doc.label for doc in docs], dtype=np.int64)
-    return table.matrix[rows], labels
+    return rows, labels
 
 
 def _encode_one(doc, table, n_s, n_w):
-    """A single document is a batch of one: (n_s, n_w, E_d) view of its block."""
-    blocks, labels = encode_batch([doc], table, n_s, n_w)
-    assert blocks.shape == (1, n_s * n_w, table.dimension)
+    """A single document is a batch of one: (n_s, n_w, E_d) view of its
+    embedded ids."""
+    ids, labels = encode_batch([doc], table, n_s, n_w)
+    assert ids.shape == (1, n_s * n_w)
     assert labels.tolist() == [doc.label]
-    return blocks[0].reshape(n_s, n_w, table.dimension)
+    return table.embed(ids)[0].reshape(n_s, n_w, table.dimension)
 
 
 class TestTokenize:
@@ -212,8 +213,8 @@ class TestEmbeddings:
         assert "zzz" not in table
         assert table.matrix.shape == (2, 3)
         np.testing.assert_array_equal(table.matrix[-1], [0.0, 0.0, 0.0])
-        blocks, _ = encode_batch([Document("", [["zzz"]], 0)], table, 1, 1)
-        np.testing.assert_array_equal(blocks, [[[0.0, 0.0, 0.0]]])
+        ids, _ = encode_batch([Document("", [["zzz"]], 0)], table, 1, 1)
+        np.testing.assert_array_equal(table.embed(ids), [[[0.0, 0.0, 0.0]]])
 
     def test_headerless_dimension_inference(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "a 1 2\nb 3 4\n"))
@@ -337,7 +338,8 @@ class TestEncodeDocument:
 
     def test_encode_batch_matches_single(self, small_table):
         docs = [Document("", [["a", "b"], ["b"]], 1), Document("", [["zz"]], 0)]
-        blocks, labels = encode_batch(docs, small_table, n_s=2, n_w=3)
+        ids, labels = encode_batch(docs, small_table, n_s=2, n_w=3)
+        blocks = small_table.embed(ids)
         assert blocks.shape == (2, 6, 3)
         np.testing.assert_array_equal(labels, [1, 0])
         for row, doc in zip(blocks, docs):
@@ -346,7 +348,8 @@ class TestEncodeDocument:
 
 
 class TestEncodeReference:
-    """encode_batch's gather against the per-token reference loop, bit for bit."""
+    """encode_batch's row ids, gathered, against the per-token reference
+    loop, bit for bit."""
 
     def test_matches_reference_on_random_documents(self):
         rng = np.random.default_rng(11)
@@ -362,14 +365,15 @@ class TestEncodeReference:
             docs.append(Document("", sentences, int(rng.integers(2))))
         assert any(not doc.sentences for doc in docs)
         for n_s, n_w in [(3, 5), (1, 1), (6, 8), (2, 12)]:
-            blocks, labels = encode_batch(docs, table, n_s, n_w)
+            ids, labels = encode_batch(docs, table, n_s, n_w)
+            blocks = table.embed(ids)
             expected = np.stack([encode_reference(d, table, n_s, n_w) for d in docs])
             assert blocks.shape == expected.shape
             assert blocks.dtype == expected.dtype
             assert blocks.tobytes() == expected.tobytes()
             assert labels.tolist() == [d.label for d in docs]
-            loop_blocks, _ = encode_batch_loop_reference(docs, table, n_s, n_w)
-            assert blocks.tobytes() == loop_blocks.tobytes()
+            loop_ids, _ = encode_batch_loop_reference(docs, table, n_s, n_w)
+            assert ids.dtype == loop_ids.dtype and ids.tobytes() == loop_ids.tobytes()
 
     # Unknown tokens (zz, qq); sentences shorter and longer than n_w = 3;
     # documents with fewer and more than n_s = 2 sentences, and with none.
@@ -380,16 +384,38 @@ class TestEncodeReference:
     @pytest.mark.parametrize("docs", [LOOP_DOCS, LOOP_DOCS[2:3], []],
                              ids=["mixed", "no-sentences", "no-documents"])
     def test_matches_id_loop(self, small_table, docs):
-        blocks, labels = encode_batch(docs, small_table, n_s=2, n_w=3)
-        want_blocks, want_labels = encode_batch_loop_reference(docs, small_table, 2, 3)
-        assert blocks.shape == want_blocks.shape and blocks.dtype == want_blocks.dtype
-        assert blocks.tobytes() == want_blocks.tobytes()
+        ids, labels = encode_batch(docs, small_table, n_s=2, n_w=3)
+        want_ids, want_labels = encode_batch_loop_reference(docs, small_table, 2, 3)
+        assert ids.shape == want_ids.shape and ids.dtype == want_ids.dtype
+        assert ids.tobytes() == want_ids.tobytes()
         assert labels.dtype == want_labels.dtype and labels.tobytes() == want_labels.tobytes()
 
     def test_empty_document_list(self, small_table):
-        blocks, labels = encode_batch([], small_table, n_s=2, n_w=3)
-        assert blocks.shape == (0, 6, 3)
+        ids, labels = encode_batch([], small_table, n_s=2, n_w=3)
+        assert ids.shape == (0, 6) and small_table.embed(ids).shape == (0, 6, 3)
         assert labels.shape == (0,)
+
+    def test_returns_integer_row_ids(self, small_table):
+        # every kept token's row, and the zero row (index V) for unknown
+        # tokens and padding; the vectors are gathered per batch
+        ids, _ = encode_batch(self.LOOP_DOCS, small_table, n_s=2, n_w=3)
+        assert ids.dtype == np.intp and ids.shape == (4, 6)
+        zero = len(small_table)
+        assert ids[0].tolist() == [0, zero, zero, 1, 0, zero]
+        assert ids[2].tolist() == [zero] * 6
+
+    def test_matrix_is_gathered_at_one_site(self):
+        # every read of an embedding matrix in the library goes through
+        # EmbeddingTable.embed, so no split-sized block is built elsewhere
+        source = Path(text.__file__).parent
+        sites = [(path.name, node.lineno) for path in sorted(source.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                 and isinstance(node.value, ast.Attribute) and node.value.attr == "matrix"]
+        embed = next(node for node in ast.walk(ast.parse(Path(text.__file__).read_text(
+            encoding="utf-8"))) if isinstance(node, ast.FunctionDef) and node.name == "embed")
+        assert len(sites) == 1 and sites[0][0] == "text.py", sites
+        assert embed.lineno <= sites[0][1] <= embed.end_lineno
 
     @pytest.mark.parametrize("n_s,n_w", [(0, 3), (2, 0), (-1, -1)])
     def test_nonpositive_extents_rejected(self, small_table, n_s, n_w):
