@@ -6,7 +6,7 @@ Run:  python3 demos/01_autodiff_engine.py
 
 import numpy as np
 
-from textcaps.tensor import Parameter, Tape, Tensor, backward, grad_check, tanh
+from textcaps.tensor import Parameter, Tape, Tensor, apply_primitive, backward, grad_check
 
 # Gradients flow only to parameters. Every operation executed under an
 # active Tape on a Parameter's tensor, or on something computed from one,
@@ -35,7 +35,8 @@ v = Parameter(Tensor(rng.normal(size=(3, 2))), "v")
 
 
 def two_layer(params):
-    h = tanh(Tensor(rng.standard_normal((5, 4)) * 0 + 0.3) @ params[0].tensor)
+    x = Tensor(rng.standard_normal((5, 4)) * 0 + 0.3)
+    h = apply_primitive("tanh", [x @ params[0].tensor])
     return (h @ params[1].tensor).sum()
 
 

@@ -10,9 +10,8 @@ from textcaps.capsule import (
     CapsuleHeadConfig,
     class_probabilities_batch,
     dynamic_routing_batch,
-    squash,
 )
-from textcaps.tensor import Tensor
+from textcaps.tensor import Tensor, squash
 
 # squash keeps direction and maps norm r to r^2 / (1 + r^2): short vectors
 # shrink toward zero, long vectors saturate just below 1.
@@ -20,7 +19,7 @@ print("squash norm curve:")
 for r in (0.1, 0.5, 1.0, 2.0, 10.0, 1000.0):
     x = np.zeros(4)
     x[0] = r
-    print(f"  |x| = {r:7.1f}  ->  |squash(x)| = {np.linalg.norm(squash(x).values):.6f}")
+    print(f"  |x| = {r:7.1f}  ->  |squash(x)| = {np.linalg.norm(squash(Tensor(x)).values):.6f}")
 
 # Dynamic routing: condensed capsules vote for class capsules through
 # learned transforms; couplings (softmax over classes per input capsule)

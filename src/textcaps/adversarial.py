@@ -122,20 +122,20 @@ def pcg64_states(base_seed: int, epoch: int, indices: np.ndarray) -> List[Tuple[
     return states
 
 
-class SeededRng:
-    """Deterministic random source: numpy PCG64 seeded by
-    ``seed_sequence(*components)``, the one seeding rule of every stream.
+class SeededRng(np.random.Generator):
+    """Deterministic random source: a numpy ``Generator`` over PCG64 seeded
+    by ``seed_sequence(*components)``, the one seeding rule of every stream.
 
     numpy keeps the output streams of ``SeedSequence`` and of PCG64's raw
     bits stable across versions and platforms. It makes no such promise for
     the streams of ``Generator`` methods (``integers``, ``normal``,
     ``permutation``, ...), which a numpy release may change. Everything drawn
-    through ``generator`` reproduces for one numpy version; the adversarial
+    through those methods reproduces for one numpy version; the adversarial
     copies read only the raw stream (:class:`BoundedDraws`).
     """
 
     def __init__(self, *components: int) -> None:
-        self.generator = np.random.Generator(np.random.PCG64(seed_sequence(*components)))
+        super().__init__(np.random.PCG64(seed_sequence(*components)))
 
 
 def _halves(bits: np.random.PCG64, count: int) -> Iterator[int]:

@@ -17,10 +17,11 @@ document is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import tensor
 from .tensor import (
     ShapeMismatchError,
     Tensor,
@@ -28,7 +29,6 @@ from .tensor import (
     routing,
     softmax,
 )
-from .tensor import squash as squash_primitive
 
 
 # Routing converges in a few iterations; the paper and Sabour et al. use 3.
@@ -65,15 +65,6 @@ class RoutingState:
     couplings: List[np.ndarray]
 
 
-def squash(x: Union[Tensor, np.ndarray]) -> Tensor:
-    """Rescale vectors along the last axis: x * |x| / (1 + |x|^2).
-
-    The norm of the result is |x|^2 / (1 + |x|^2) < 1 and the direction is
-    unchanged; the zero vector maps to the zero vector (the |x| -> 0 limit).
-    """
-    return squash_primitive(x if isinstance(x, Tensor) else Tensor(x))
-
-
 def _check_rank3(name: str, t: Tensor) -> None:
     if t.values.ndim != 3:
         raise ShapeMismatchError(f"{name} must be rank 3, got {t.shape}")
@@ -85,7 +76,7 @@ def primary_capsules_batch(fm: Tensor, projection: Tensor,
     _check_rank3("primary capsule input", fm)
     b, l, _ = fm.shape
     grouped = (fm @ projection).reshape((b, l * config.n_pc, config.d))
-    return squash(grouped)
+    return tensor.squash(grouped)
 
 
 def compress_batch(primary: Tensor, weights: Tensor) -> Tensor:

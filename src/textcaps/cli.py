@@ -288,8 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TensorError, DatasetError, TrainingError, ModelFormatError,
-            ValueError, OSError, MemoryError) as exc:
+    except (TensorError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -141,7 +141,7 @@ def init_parameters(shapes: Dict[str, Tuple[int, ...]], rng: SeededRng) -> Dict[
             values = np.zeros(shape)
         else:
             limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
-            values = rng.generator.uniform(-limit, limit, size=shape)
+            values = rng.uniform(-limit, limit, size=shape)
         params[name] = Parameter(Tensor(values), name)
     return params
 

@@ -169,7 +169,7 @@ def split_dataset(docs: Sequence[Document], split: Sequence[float],
         raise TooFewDocumentsError(
             f"{len(docs)} documents split into empty parts: train {n_train}, "
             f"valid {n_valid}, test {n_test}")
-    order = SeededRng(seed).generator.permutation(len(docs))
+    order = SeededRng(seed).permutation(len(docs))
     shuffled = [docs[i] for i in order]
     return (shuffled[:n_train],
             shuffled[n_train:n_train + n_valid],
@@ -201,7 +201,7 @@ class AdamState:
     ``v`` and the two ``work`` buffers, each with one slot per parameter
     element in ``params`` order, copies every parameter into ``values`` and
     rebinds its tensor to a view of its slot. One state serves one
-    ``params`` collection, always passed in the same order.
+    ``params`` dict, always passed in the same order.
     """
     step_count: int = 0
     values: Optional[np.ndarray] = None
@@ -223,11 +223,11 @@ def _bind_arena(items: Sequence[Parameter], state: AdamState) -> None:
         offset += slot.size
 
 
-def adam_step(params, state: AdamState, lr: float) -> None:
+def adam_step(params: Dict[str, Parameter], state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam update over the whole flat vectors;
     clears grads afterward. Raises MissingGradientError, before changing
     anything, when some parameter has no gradient."""
-    items = list(params.values() if isinstance(params, dict) else params)
+    items = list(params.values())
     missing = [p.name for p in items if p.tensor.grad is None]
     if missing:
         raise MissingGradientError(f"parameter {min(missing)!r} has no gradient")
@@ -357,7 +357,7 @@ def train(config: TrainConfig, docs: Sequence[Document],
                     train_docs + augment_dataset(train_docs, policy, config.seed, epoch),
                     table, config.n_s, config.n_w)
 
-            order = SeededRng(config.seed, _TAG_SHUFFLE, epoch).generator.permutation(len(labels))
+            order = SeededRng(config.seed, _TAG_SHUFFLE, epoch).permutation(len(labels))
             loss_sum = 0.0
             preds = np.empty(len(labels), dtype=np.int64)
             for start in range(0, len(order), config.batch_size):

@@ -27,12 +27,11 @@ from textcaps.capsule import (
     compress_batch,
     dynamic_routing_batch,
     primary_capsules_batch,
-    squash,
 )
 from textcaps.cli import main as cli_main
 from textcaps.encoders import EncoderConfig, encoder_forward_batch
 from textcaps.model import init_model
-from textcaps.tensor import Tensor, grad_check, log
+from textcaps.tensor import Tensor, grad_check, log, squash
 from textcaps.text import read_dataset
 from textcaps.training import (
     TrainConfig,
@@ -109,7 +108,7 @@ def test_criterion_2_squash_properties():
     for _ in range(1000):
         dim = int(rng.integers(1, 65))
         x = rng.uniform(-10, 10, size=dim)
-        s = squash(x).values
+        s = squash(Tensor(x)).values
         nx = np.linalg.norm(x)
         ns = np.linalg.norm(s)
         worst_norm_gap = max(worst_norm_gap, abs(ns - nx ** 2 / (1 + nx ** 2)))
@@ -117,7 +116,7 @@ def test_criterion_2_squash_properties():
         if nx > 1e-6:
             cosine = float(np.dot(s, x) / (ns * nx))
             worst_cosine_gap = max(worst_cosine_gap, abs(cosine - 1.0))
-    zero = squash(np.zeros(8)).values
+    zero = squash(Tensor(np.zeros(8))).values
     ok &= worst_norm_gap <= 1e-12 and worst_cosine_gap <= 1e-9
     ok &= zero.tobytes() == np.zeros(8).tobytes()
     report(2, "squash property suite", ok,

@@ -16,6 +16,7 @@ from textcaps.adversarial import (
     pcg64_states,
     perturb_sentence,
     perturb_word,
+    seed_sequence,
 )
 from textcaps.synth import generate_synthetic_corpus
 from textcaps.text import Document, read_dataset, render_document, tokenize, write_dataset
@@ -192,13 +193,23 @@ class TestSeededRng:
     @pytest.mark.parametrize("seed", [0, 5, 2**32 + 7, 2**63 + 5, 2**64 - 1, -1, 2**64 + 5])
     def test_one_seed_is_pcg64_of_it_modulo_2_64(self, seed):
         want = np.random.PCG64(seed & _SEED_MASK).random_raw(8)
-        got = SeededRng(seed).generator.bit_generator.random_raw(8)
+        got = SeededRng(seed).bit_generator.random_raw(8)
         assert got.tobytes() == want.tobytes()
 
     def test_components_reduce_modulo_2_64(self):
-        a = SeededRng(-1, 23, 2).generator.bit_generator.random_raw(4)
-        b = SeededRng(_SEED_MASK, 23 + 2**64, 2).generator.bit_generator.random_raw(4)
+        a = SeededRng(-1, 23, 2).bit_generator.random_raw(4)
+        b = SeededRng(_SEED_MASK, 23 + 2**64, 2).bit_generator.random_raw(4)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("components", [(0,), (42, 11), (7, 23, 3), (-1,), (2**64 - 1,)])
+    def test_is_numpy_generator_over_seed_sequence(self, components):
+        rng = SeededRng(*components)
+        assert isinstance(rng, np.random.Generator)
+        want = np.random.Generator(np.random.PCG64(seed_sequence(*components))).random(8)
+        assert rng.random(8).tobytes() == want.tobytes()
+
+    def test_minus_one_is_2_64_minus_one(self):
+        assert SeededRng(-1).random(8).tobytes() == SeededRng(2**64 - 1).random(8).tobytes()
 
 
 class TestPcg64States:

@@ -25,7 +25,6 @@ from textcaps.capsule import (
     compress_batch,
     dynamic_routing_batch,
     primary_capsules_batch,
-    squash,
 )
 from textcaps.encoders import EncoderConfig, encoder_forward_batch
 from textcaps.model import init_model
@@ -36,12 +35,13 @@ from textcaps.tensor import (
     Tensor,
     _softmax,
     _softmax_grad,
+    apply_primitive,
     backward,
-    div,
     grad_check,
     l2_norm,
     routing,
     softmax,
+    squash,
 )
 
 
@@ -87,7 +87,7 @@ def squash_ones_reference(t: Tensor) -> Tensor:
     d = t.shape[-1]
     norm = l2_norm(t, axis=-1)
     one = Tensor(np.ones(norm.shape))
-    factor = div(norm, one + norm * norm)
+    factor = apply_primitive("div", [norm, one + norm * norm])
     expanded = factor.reshape(norm.shape + (1,)) @ Tensor(np.ones((1, d)))
     out = t * expanded
     return out.reshape((d,)) if rank1 else out
@@ -98,7 +98,7 @@ def routing_ones_reference(condensed: Tensor, transform: Tensor, iterations: int
     capsules are expanded by matmuls with ones. Returns (v, logits, couplings)."""
     b, n_cc, d = condensed.shape
     n_cls = transform.shape[1]
-    w_t = transform.transpose((0, 1, 3, 2))
+    w_t = apply_primitive("transpose", [transform], perm=(0, 1, 3, 2))
     u_hat = (condensed.reshape((b, n_cc, 1, 1, d)) @ w_t).reshape((b, n_cc, n_cls, d))
     logits = Tensor(np.zeros((b, n_cc, n_cls)))
     ones_d = Tensor(np.ones((1, d)))
@@ -117,7 +117,7 @@ def squash_composed_reference(t: Tensor) -> Tensor:
     """The squash that predates the fused primitive: six tape nodes."""
     norm = l2_norm(t, axis=-1).reshape(t.shape[:-1] + (1,))
     one = Tensor(np.ones((1,) * norm.values.ndim))
-    return t * div(norm, one + norm * norm)
+    return t * apply_primitive("div", [norm, one + norm * norm])
 
 
 def routing_composed_reference(condensed: Tensor, transform: Tensor, iterations: int):
@@ -125,7 +125,7 @@ def routing_composed_reference(condensed: Tensor, transform: Tensor, iterations:
     operation. Returns (v, logits, coupling history)."""
     b, n_cc, d = condensed.shape
     n_cls = transform.shape[1]
-    w_t = transform.transpose((0, 1, 3, 2))
+    w_t = apply_primitive("transpose", [transform], perm=(0, 1, 3, 2))
     u_hat = (condensed.reshape((b, n_cc, 1, 1, d)) @ w_t).reshape((b, n_cc, n_cls, d))
     logits = Tensor(np.zeros((b, n_cc, n_cls)))
     history = []
@@ -426,19 +426,19 @@ class TestClassMajorReference:
 
 class TestSquash:
     def test_zero_maps_to_zero_exactly(self):
-        out = squash(np.zeros(5))
+        out = squash(Tensor(np.zeros(5)))
         assert out.values.tobytes() == np.zeros(5).tobytes()
 
     def test_unit_vector_halves(self):
         e1 = np.zeros(4)
         e1[0] = 1.0
-        out = squash(e1).values
+        out = squash(Tensor(e1)).values
         np.testing.assert_allclose(out, 0.5 * e1, rtol=0, atol=1e-15)
 
     def test_large_norm_saturates_below_one(self):
         e1 = np.zeros(3)
         e1[0] = 1000.0
-        out = squash(e1).values
+        out = squash(Tensor(e1)).values
         norm = np.linalg.norm(out)
         assert norm < 1.0
         np.testing.assert_allclose(norm, 1e6 / (1.0 + 1e6), rtol=0, atol=1e-12)
@@ -448,7 +448,7 @@ class TestSquash:
         for _ in range(1000):
             dim = int(rng.integers(1, 65))
             x = rng.uniform(-10, 10, size=dim)
-            out = squash(x).values
+            out = squash(Tensor(x)).values
             nx = np.linalg.norm(x)
             ns = np.linalg.norm(out)
             np.testing.assert_allclose(ns, nx ** 2 / (1.0 + nx ** 2), rtol=0, atol=1e-12)
@@ -460,7 +460,7 @@ class TestSquash:
     def test_norm_strictly_increasing(self):
         direction = np.array([1.0, 2.0, -0.5])
         direction /= np.linalg.norm(direction)
-        norms = [np.linalg.norm(squash(r * direction).values)
+        norms = [np.linalg.norm(squash(Tensor(r * direction)).values)
                  for r in np.linspace(0.1, 20, 40)]
         assert all(b > a for a, b in zip(norms, norms[1:]))
 
@@ -734,7 +734,7 @@ class TestFullPipelineGradient:
             cond = compress_batch(prim, params["head.compress.w"].tensor)
             v, _ = dynamic_routing_batch(cond, params["head.routing.w"].tensor, head_cfg)
             probs = class_probabilities_batch(v)
-            target = probs.slice(axis=1, start=0, stop=1)
+            target = apply_primitive("slice", [probs], axis=1, start=0, stop=1)
             from textcaps.tensor import log
             return log(target).sum().scale(-1.0)
 

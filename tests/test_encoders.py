@@ -23,12 +23,10 @@ from textcaps.tensor import (
     ShapeMismatchError,
     Tape,
     Tensor,
+    apply_primitive,
     backward,
-    concat,
     grad_check,
     relu,
-    sigmoid,
-    tanh,
 )
 
 
@@ -243,9 +241,11 @@ def _cnn_forward_reference(config, params, x):
         w, bias = params[f"encoder.cnn.k{k}.w"].tensor, params[f"encoder.cnn.k{k}.b"].tensor
         # valid 1-d convolution as concatenated shifted slices + one matmul;
         # the slices and windows of a constant block are not recorded
-        windows = concat([x.slice(axis=1, start=i, stop=l_k + i) for i in range(k)], axis=2)
+        windows = apply_primitive(
+            "concat", [apply_primitive("slice", [x], axis=1, start=i, stop=l_k + i)
+                       for i in range(k)], axis=2)
         maps.append(relu(windows @ w + bias.reshape((1, 1, config.filters_per_kernel))))
-    return concat(maps, axis=1) if len(maps) > 1 else maps[0]
+    return apply_primitive("concat", maps, axis=1) if len(maps) > 1 else maps[0]
 
 
 def _composed_cnn_encoder(config, params, x):
@@ -336,12 +336,15 @@ def _reference_direction(config, params, x, prefix, reverse):
     b, t, e = x.shape
     gates = _GATE_NAMES[kind]
     flat = x.reshape((b * t, e))
-    xproj = {g: (flat @ params[f"{prefix}.w_{g}"].tensor + params[f"{prefix}.b_{g}"].tensor)
-             .reshape((b, t, hidden)).transpose((1, 0, 2)) for g in gates}
+    xproj = {g: apply_primitive(
+                 "transpose", [(flat @ params[f"{prefix}.w_{g}"].tensor
+                                + params[f"{prefix}.b_{g}"].tensor).reshape((b, t, hidden))],
+                 perm=(1, 0, 2)) for g in gates}
     u = {g: params[f"{prefix}.u_{g}"].tensor for g in gates}
 
     def step_in(gate, step):
-        return xproj[gate].slice(axis=0, start=step, stop=step + 1).reshape((b, hidden))
+        return apply_primitive("slice", [xproj[gate]], axis=0, start=step,
+                               stop=step + 1).reshape((b, hidden))
 
     h = Tensor(np.zeros((b, hidden)))
     one = Tensor(np.ones((1, 1)))
@@ -349,17 +352,17 @@ def _reference_direction(config, params, x, prefix, reverse):
     outputs = [None] * t
     for step in (range(t - 1, -1, -1) if reverse else range(t)):
         if kind == "gru":
-            z = sigmoid(step_in("z", step) + h @ u["z"])
-            r = sigmoid(step_in("r", step) + h @ u["r"])
-            n = tanh(step_in("n", step) + (r * h) @ u["n"])
+            z = apply_primitive("sigmoid", [step_in("z", step) + h @ u["z"]])
+            r = apply_primitive("sigmoid", [step_in("r", step) + h @ u["r"]])
+            n = apply_primitive("tanh", [step_in("n", step) + (r * h) @ u["n"]])
             h = z * h + (one - z) * n
         else:
-            i = sigmoid(step_in("i", step) + h @ u["i"])
-            f = sigmoid(step_in("f", step) + h @ u["f"])
-            o = sigmoid(step_in("o", step) + h @ u["o"])
-            g = tanh(step_in("g", step) + h @ u["g"])
+            i = apply_primitive("sigmoid", [step_in("i", step) + h @ u["i"]])
+            f = apply_primitive("sigmoid", [step_in("f", step) + h @ u["f"]])
+            o = apply_primitive("sigmoid", [step_in("o", step) + h @ u["o"]])
+            g = apply_primitive("tanh", [step_in("g", step) + h @ u["g"]])
             cell = f * cell + i * g
-            h = o * tanh(cell)
+            h = o * apply_primitive("tanh", [cell])
         outputs[step] = h.reshape((b, 1, hidden))
     return outputs
 
@@ -373,10 +376,10 @@ def encoder_forward_reference(config, params, x):
     if config.bidirectional:
         fw = _reference_direction(config, params, x, f"{base}.fw", reverse=False)
         bw = _reference_direction(config, params, x, f"{base}.bw", reverse=True)
-        per_pos = [concat([f, r], axis=2) for f, r in zip(fw, bw)]
+        per_pos = [apply_primitive("concat", [f, r], axis=2) for f, r in zip(fw, bw)]
     else:
         per_pos = _reference_direction(config, params, x, base, reverse=False)
-    return concat(per_pos, axis=1) if len(per_pos) > 1 else per_pos[0]
+    return apply_primitive("concat", per_pos, axis=1) if len(per_pos) > 1 else per_pos[0]
 
 
 RECURRENT_KINDS = [kind for kind in ENCODER_KINDS if kind != "cnn"]
