@@ -14,7 +14,7 @@ from textcaps.encoders import (
     encoder_forward_batch,
     encoder_output_shape,
     encoder_parameter_shapes,
-    init_encoder,
+    init_parameters,
 )
 from textcaps.tensor import Tensor
 
@@ -28,8 +28,9 @@ for kind in ENCODER_KINDS:
     config = EncoderConfig(kind=kind, kernel_sizes=(3, 4, 5),
                            filters_per_kernel=6, hidden_dim=5)
     l, c = encoder_output_shape(config, T, E_D)
-    n_params = sum(int(np.prod(shape)) for shape in encoder_parameter_shapes(config, E_D).values())
-    fm = encoder_forward_batch(config, init_encoder(config, E_D, SeededRng(0)), block)
+    shapes = encoder_parameter_shapes(config, E_D)
+    n_params = sum(int(np.prod(shape)) for shape in shapes.values())
+    fm = encoder_forward_batch(config, init_parameters(shapes, SeededRng(0)), block)
     assert fm.shape == (2, l, c)
     if config.kind == "cnn":
         note = "L = sum(T - k + 1) over kernels, C = filters"
@@ -44,7 +45,7 @@ for kind in ENCODER_KINDS:
 # Zero-parameter recurrences are exactly zero everywhere: gates open halfway
 # onto a zero initial state and a zero candidate.
 config = EncoderConfig(kind="gru", hidden_dim=5)
-params = init_encoder(config, E_D, SeededRng(0))
+params = init_parameters(encoder_parameter_shapes(config, E_D), SeededRng(0))
 for p in params.values():
     p.tensor.values[:] = 0.0
 fm = encoder_forward_batch(config, params, block)

@@ -4,8 +4,8 @@ representation export, and synthetic-corpus generation.
 Exit codes: 0 success, 1 runtime failure (single-line diagnostic on
 stderr), 2 flag/usage errors (argparse). Every command touches only its
 declared output paths. Fixed seeds reproduce every output file
-byte-for-byte, except the ``mean_runtime_s`` column of ``sweep.csv``,
-which is wall-clock time.
+byte-for-byte; ``sweep`` prints each cell's mean wall-clock time per run
+but writes no timing to ``sweep.csv``.
 """
 
 from __future__ import annotations

@@ -146,11 +146,6 @@ def init_parameters(shapes: Dict[str, Tuple[int, ...]], rng: SeededRng) -> Dict[
     return params
 
 
-def init_encoder(config: EncoderConfig, e_d: int, rng: SeededRng) -> Dict[str, Parameter]:
-    """Glorot-uniform weights, zero biases, zero initial states (implicit)."""
-    return init_parameters(encoder_parameter_shapes(config, e_d), rng)
-
-
 def _cnn_forward(config: EncoderConfig, params: Dict[str, Parameter], x: Tensor) -> Tensor:
     """Every convolution bank as one fused ``conv1d``: (B, T, E) -> (B, L, F)."""
     return conv1d(x, [params[f"encoder.cnn.k{k}.{piece}"].tensor

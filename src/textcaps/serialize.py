@@ -238,12 +238,11 @@ def write_ablation_csv(path, rows: Sequence[AblationRow]) -> None:
 
 
 def write_sweep_csv(path, cells: Sequence[SweepCell]) -> None:
-    lines = ["parameter,value,mean_accuracy,mean_runtime_s,run_accuracies"]
+    lines = ["parameter,value,mean_accuracy,run_accuracies"]
     for cell in cells:
         runs = ";".join(fmt_float(a) for a in cell.accuracies)
         lines.append(",".join([
-            cell.parameter, str(cell.value), fmt_float(cell.mean_accuracy),
-            fmt_float(cell.mean_runtime_s), runs,
+            cell.parameter, str(cell.value), fmt_float(cell.mean_accuracy), runs,
         ]))
     write_lines(path, lines)
 

@@ -30,11 +30,12 @@ in one time loop and as one tape node (backpropagation through time),
 ``squash`` is the capsule non-linearity, and ``routing`` is the whole
 iterated dynamic routing of a capsule head. Inside a :class:`Workspace` the
 fused primitives and the batched matmul forms take their large arrays from
-work arrays reused across calls.
+one pool of work arrays reused across calls.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from typing import Callable, Iterable, Optional, Sequence
@@ -181,19 +182,20 @@ class Workspace:
     the workspace is entered, so that a training or scoring loop stops
     allocating, and faulting in, the same large arrays at every step.
 
-    Each call site in a primitive keeps one flat array. A call takes it
-    again, as a view of its first elements, when it is large enough and
-    nothing but the workspace references it, and otherwise allocates one
-    that replaces it; so a result, a gradient or a tape that is still held
-    keeps its bytes, and an epoch's last, shorter batch reuses the arrays
-    of the full ones. Outside every workspace the primitives allocate afresh
-    and keep nothing. The arrays are dropped when the workspace exits.
+    The workspace keeps one pool of flat arrays, smallest first and, among
+    arrays of one size, last used first. A request gets a view of the first
+    elements of the first one that is large enough and that nothing but the
+    pool references, or of a new one that joins the pool; so a result, a
+    gradient or a tape that is still held keeps its bytes, and arrays whose
+    lifetimes do not overlap share memory, as an epoch's last, shorter batch
+    does with the full ones. Outside every workspace the primitives allocate
+    afresh and keep nothing. The pool is dropped when the workspace exits.
     """
 
     __slots__ = ("arrays",)
 
     def __init__(self) -> None:
-        self.arrays: dict = {}
+        self.arrays: list = []
 
     def __enter__(self) -> "Workspace":
         _WORKSPACES.append(self)
@@ -204,21 +206,24 @@ class Workspace:
         self.arrays.clear()
 
 
-def _work(site: str, shape: tuple) -> np.ndarray:
-    """An uninitialised C-contiguous float64 array of ``shape`` for the call
-    site ``site``, from the innermost entered workspace when it holds a free
-    one that is large enough."""
+def _work(shape: tuple) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of ``shape``, from the pool
+    of the innermost entered workspace when there is one."""
     if not _WORKSPACES:
         return np.empty(shape)
     size = math.prod(shape)
-    arrays = _WORKSPACES[-1].arrays
-    flat = arrays.pop(site, None)
-    # free: referenced by ``flat`` and getrefcount's argument alone; a view
-    # handed out earlier and still alive references it too
-    if flat is None or flat.size < size or sys.getrefcount(flat) != 2:
-        flat = None  # a free array is released before its replacement is allocated
+    pool = _WORKSPACES[-1].arrays
+    for i in range(len(pool)):
+        # free: referenced by the pool and getrefcount's argument alone; a
+        # view handed out earlier and still alive references it too
+        if pool[i].size >= size and sys.getrefcount(pool[i]) == 2:
+            flat = pool.pop(i)
+            break
+    else:
         flat = np.empty(size)
-    arrays[site] = flat
+    # back in size order, first among its size: of equal candidates the one
+    # used last, whose memory is likeliest still in cache, is handed out next
+    bisect.insort_left(pool, flat, key=len)
     return flat[:size].reshape(shape)
 
 
@@ -329,21 +334,21 @@ def _prim_matmul(arrays, kw, needs):
         # because reshape cannot infer a -1 extent of a zero-size array.
         m, k = a.shape
         batch = b.shape[:-2] + b.shape[-1:]
-        size = int(np.prod(batch))
+        size = math.prod(batch)
 
         def folded():
-            bt = _work("matmul.fold", (k, size))
+            bt = _work((k, size))
             np.copyto(bt.reshape((k,) + batch), np.moveaxis(b, -2, 0))
             return bt
 
         if m >= FOLD_MIN_ROWS:
             bt = folded()
-            out = np.moveaxis(np.matmul(a, bt, out=_work("matmul.fold_out", (m, size)))
+            out = np.moveaxis(np.matmul(a, bt, out=_work((m, size)))
                               .reshape((m,) + batch), 0, -2)
         else:
-            out = np.matmul(a, b, out=_work("matmul.items_out", b.shape[:-2] + (m, b.shape[-1])))
+            out = np.matmul(a, b, out=_work(b.shape[:-2] + (m, b.shape[-1])))
     elif b.ndim == 2 and a.ndim > 2:
-        out = np.matmul(a, b, out=_work("matmul.rows_out", a.shape[:-1] + b.shape[-1:]))
+        out = np.matmul(a, b, out=_work(a.shape[:-1] + b.shape[-1:]))
     else:
         out = np.matmul(a, b)
 
@@ -352,18 +357,18 @@ def _prim_matmul(arrays, kw, needs):
             # The same fold for both gradients. gb is handed on axis-swapped,
             # as a view: a C-ordered copy cost more than the consumer's
             # strided elementwise backward saves.
-            cols = _work("matmul.fold_g", (m, size))
+            cols = _work((m, size))
             np.copyto(cols.reshape((m,) + batch), np.moveaxis(g, -2, 0))
             ga = (np.matmul(cols, (folded() if bt is None else bt).T,
-                            out=_work("matmul.fold_ga", (m, k))) if need_a else None)
+                            out=_work((m, k))) if need_a else None)
             if not need_b:
                 return ga, None
-            gb = np.matmul(a.T, cols, out=_work("matmul.fold_gb", (k, size)))
+            gb = np.matmul(a.T, cols, out=_work((k, size)))
             return ga, np.moveaxis(gb.reshape((k,) + batch), 0, -2)
         if b.ndim == 2 and a.ndim > 2:
             # batch @ weight: the batch rows are rows of one 2-D product.
             rows = g.reshape(-1, g.shape[-1])
-            ga = (np.matmul(rows, b.T, out=_work("matmul.rows_ga", (rows.shape[0], b.shape[0])))
+            ga = (np.matmul(rows, b.T, out=_work((rows.shape[0], b.shape[0])))
                   .reshape(a.shape) if need_a else None)
             return ga, a.reshape(-1, a.shape[-1]).T @ rows if need_b else None
         return (_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape) if need_a else None,
@@ -447,7 +452,7 @@ def _check_reshape(arrays, kw):
         raise _shape_error("reshape", "missing 'shape' argument")
     if any(extent < 0 for extent in shape):
         raise _shape_error("reshape", "negative extent", arrays[0].shape, shape)
-    if int(np.prod(shape, dtype=np.int64)) != arrays[0].size:
+    if math.prod(shape) != arrays[0].size:
         raise _shape_error("reshape", "element count differs", arrays[0].shape, shape)
 
 
@@ -579,14 +584,14 @@ def _prim_conv1d(arrays, kw, needs):
     b, t, e = x.shape
     f = arrays[1].shape[1]
     sizes = [w.shape[0] // e for w in arrays[1::2]]
-    out = _work("conv1d.out", (b, sum(t - k + 1 for k in sizes), f))
+    out = _work((b, sum(t - k + 1 for k in sizes), f))
     banks = []   # (windows, w, first output row, row count) per kernel
     start = 0
-    for i, (k, w, bias) in enumerate(zip(sizes, arrays[1::2], arrays[2::2])):
+    for k, w, bias in zip(sizes, arrays[1::2], arrays[2::2]):
         rows = t - k + 1
         # the strided view's rows overlap; copied, the product runs in BLAS
         view = np.lib.stride_tricks.sliding_window_view(x, k, axis=1).swapaxes(2, 3)
-        windows = _work(f"conv1d.windows{i}", (b, rows, k * e))
+        windows = _work((b, rows, k * e))
         np.copyto(windows.reshape(b, rows, k, e), view)
         # the product rounded before the bias is added, as the composed graph
         # formed it; each item's rows of the block stay one BLAS product
@@ -599,21 +604,21 @@ def _prim_conv1d(arrays, kw, needs):
     def pullback(g):
         dx = None
         if needs[0]:
-            dx = _work("conv1d.dx", x.shape)
+            dx = _work(x.shape)
             dx.fill(0.0)
         grads = [dx]
-        for i, (windows, w, start, rows) in enumerate(banks):
+        for windows, w, start, rows in banks:
             # the composed graph's relu, add and matmul rules, in its order;
             # extents spelled out for zero-size arrays
             width = windows.shape[2]
             dpre = np.multiply(g[:, start:start + rows], out[:, start:start + rows] > 0.0,
-                               out=_work(f"conv1d.dpre{i}", (b, rows, f)))
+                               out=_work((b, rows, f)))
             flat = dpre.reshape(b * rows, f)
             grads += [windows.reshape(b * rows, width).T @ flat,
                       _unbroadcast(dpre, (1, 1, f)).reshape(1, f)]
             if dx is not None:
                 dwindows = np.matmul(flat, w.T,
-                                     out=_work(f"conv1d.dwindows{i}", (b * rows, width)))
+                                     out=_work((b * rows, width)))
                 for j in range(width // e):
                     dx[:, j:j + rows] += dwindows.reshape(b, rows, width)[..., j * e:(j + 1) * e]
         return grads
@@ -670,7 +675,7 @@ def _from_steps(steps: np.ndarray) -> np.ndarray:
     """(T, D, B, H) in each direction's scan order -> the (B, T, D*H) map in
     position order."""
     t, dirs, b, h = steps.shape
-    out = _work("scan.out", (b, t, dirs * h))
+    out = _work((b, t, dirs * h))
     for d, order in zip(range(dirs), _SCAN_ORDER):
         out[:, :, d * h:(d + 1) * h] = np.swapaxes(steps[order, d], 0, 1)
     return out
@@ -680,7 +685,7 @@ def _to_steps(g: np.ndarray, dirs: int) -> np.ndarray:
     """The (B, T, D*H) map's gradient -> (T, D, B, H) in each direction's scan order."""
     b, t, width = g.shape
     h = width // dirs
-    steps = _work("scan.g", (t, dirs, b, h))
+    steps = _work((t, dirs, b, h))
     for d, order in zip(range(dirs), _SCAN_ORDER):
         steps[:, d] = np.swapaxes(g[:, order, d * h:(d + 1) * h], 0, 1)
     return steps
@@ -689,7 +694,7 @@ def _to_steps(g: np.ndarray, dirs: int) -> np.ndarray:
 def _by_direction(steps: np.ndarray) -> np.ndarray:
     """(T, D, B, k) -> contiguous (D, T*B, k): one block of rows per direction."""
     t, dirs, b, k = steps.shape
-    rows = _work("scan.by_direction", (dirs, t * b, k))
+    rows = _work((dirs, t * b, k))
     np.copyto(rows.reshape(dirs, t, b, k), np.swapaxes(steps, 0, 1))
     return rows
 
@@ -703,11 +708,11 @@ def _scan_inputs(arrays, n_gates):
                                            axis=1) for d in range(dirs)]) for k in range(3))
     b, t, e = arrays[0].shape
     positions = np.swapaxes(arrays[0], 0, 1)
-    xs = _work("scan.xs", (dirs, t, b, e))
+    xs = _work((dirs, t, b, e))
     for d, order in zip(range(dirs), _SCAN_ORDER):
         xs[d] = positions[order]
     proj = np.matmul(xs.reshape(dirs, t * b, e), w,
-                     out=_work("scan.proj", (dirs, t * b, w.shape[2])))
+                     out=_work((dirs, t * b, w.shape[2])))
     proj += bias
     return xs, w, u, np.swapaxes(proj.reshape(dirs, t, b, -1), 0, 1)
 
@@ -723,9 +728,9 @@ def _scan_grads(dproj, xs, w, du, n_gates, need_x):
     dx = None
     if need_x:
         e = xs.shape[3]
-        steps = np.matmul(flat, np.swapaxes(w, 1, 2), out=_work("scan.dxs", (dirs, t * b, e)))
+        steps = np.matmul(flat, np.swapaxes(w, 1, 2), out=_work((dirs, t * b, e)))
         steps = steps.reshape(dirs, t, b, e)
-        dx = _work("scan.dx", (b, t, e))
+        dx = _work((b, t, e))
         np.copyto(dx, np.swapaxes(steps[0], 0, 1))
         if dirs == 2:
             dx += np.swapaxes(steps[1, ::-1], 0, 1)
@@ -743,10 +748,10 @@ def _prim_gru_scan(arrays, kw, needs):
     t, dirs, b, _ = proj.shape
     h = u.shape[1]
     u_zr, u_n = u[..., :2 * h], u[..., 2 * h:]
-    states = _work("scan.states", (t + 1, dirs, b, h))  # states[s] is the state before step s
+    states = _work((t + 1, dirs, b, h))  # states[s] is the state before step s
     states[0] = 0.0
-    zr = _work("gru.zr", (t, dirs, b, 2 * h))
-    n = _work("gru.n", (t, dirs, b, h))
+    zr = _work((t, dirs, b, 2 * h))
+    n = _work((t, dirs, b, h))
     for s in range(t):
         prev = states[s]
         _sigmoid(proj[s, ..., :2 * h] + prev @ u_zr, out=zr[s])
@@ -756,7 +761,7 @@ def _prim_gru_scan(arrays, kw, needs):
     def pullback(g):
         g = _to_steps(g, dirs)
         u_zr_t, u_n_t = np.swapaxes(u_zr, 1, 2), np.swapaxes(u_n, 1, 2)
-        dproj = _work("scan.dproj", (dirs, t, b, 3 * h))
+        dproj = _work((dirs, t, b, 3 * h))
         dsteps = np.swapaxes(dproj, 0, 1)
         carry = np.zeros((dirs, b, h))
         prev = states[:-1]
@@ -764,14 +769,14 @@ def _prim_gru_scan(arrays, kw, needs):
         # per-step Jacobian factors, formed for every step at once, each
         # product in the order (1 - z) * (1 - n * n), (prev - n) * z * (1 - z)
         # and prev * r * (1 - r)
-        tmp = np.subtract(1.0, z, out=_work("scan.tmp", n.shape))
-        dn_dh = np.multiply(n, n, out=_work("gru.dn_dh", n.shape))     # dh -> d n_pre
+        tmp = np.subtract(1.0, z, out=_work(n.shape))
+        dn_dh = np.multiply(n, n, out=_work(n.shape))     # dh -> d n_pre
         np.subtract(1.0, dn_dh, out=dn_dh)
         np.multiply(tmp, dn_dh, out=dn_dh)
-        dz_dh = np.subtract(prev, n, out=_work("gru.dz_dh", n.shape))  # dh -> d z_pre
+        dz_dh = np.subtract(prev, n, out=_work(n.shape))  # dh -> d z_pre
         dz_dh *= z
         dz_dh *= tmp
-        dr_drh = np.multiply(prev, r, out=_work("gru.dr_drh", n.shape))  # d(r * h) -> d r_pre
+        dr_drh = np.multiply(prev, r, out=_work(n.shape))  # d(r * h) -> d r_pre
         dr_drh *= np.subtract(1.0, r, out=tmp)
         for s in range(t - 1, -1, -1):
             dh = g[s] + carry
@@ -797,10 +802,10 @@ def _prim_lstm_scan(arrays, kw, needs):
     xs, w, u, proj = _scan_inputs(arrays, 4)
     t, dirs, b, _ = proj.shape
     h = u.shape[1]
-    states = _work("scan.states", (t + 1, dirs, b, h))
-    cells = _work("lstm.cells", (t + 1, dirs, b, h))
+    states = _work((t + 1, dirs, b, h))
+    cells = _work((t + 1, dirs, b, h))
     states[0] = cells[0] = 0.0
-    gates = _work("lstm.gates", (t, dirs, b, 4 * h))
+    gates = _work((t, dirs, b, 4 * h))
     for s in range(t):
         pre = proj[s] + states[s] @ u
         act = gates[s]
@@ -814,24 +819,24 @@ def _prim_lstm_scan(arrays, kw, needs):
         g = _to_steps(g, dirs)
         i, f, o, gg = (gates[..., k * h:(k + 1) * h] for k in range(4))
         shape = (t, dirs, b, h)
-        tc = np.tanh(cells[1:], out=_work("lstm.tc", shape))
-        tmp = _work("scan.tmp", shape)
+        tc = np.tanh(cells[1:], out=_work(shape))
+        tmp = _work(shape)
         # per-step Jacobian factors, formed for every step at once, each
         # product in the order of the formula beside it
-        dc_dh = np.multiply(tc, tc, out=_work("lstm.dc_dh", shape))  # dh -> dc: o * (1 - tc^2)
+        dc_dh = np.multiply(tc, tc, out=_work(shape))  # dh -> dc: o * (1 - tc^2)
         np.subtract(1.0, dc_dh, out=dc_dh)
         np.multiply(o, dc_dh, out=dc_dh)
-        do_dh = np.multiply(tc, o, out=_work("lstm.do_dh", shape))  # d o_pre: tc * o * (1 - o)
+        do_dh = np.multiply(tc, o, out=_work(shape))  # d o_pre: tc * o * (1 - o)
         do_dh *= np.subtract(1.0, o, out=tmp)
-        di_dc = np.multiply(gg, i, out=_work("lstm.di_dc", shape))  # d i_pre: gg * i * (1 - i)
+        di_dc = np.multiply(gg, i, out=_work(shape))  # d i_pre: gg * i * (1 - i)
         di_dc *= np.subtract(1.0, i, out=tmp)
-        df_dc = np.multiply(cells[:-1], f, out=_work("lstm.df_dc", shape))  # c * f * (1 - f)
+        df_dc = np.multiply(cells[:-1], f, out=_work(shape))  # c * f * (1 - f)
         df_dc *= np.subtract(1.0, f, out=tmp)
-        dg_dc = np.multiply(gg, gg, out=_work("lstm.dg_dc", shape))  # d g_pre: i * (1 - gg^2)
+        dg_dc = np.multiply(gg, gg, out=_work(shape))  # d g_pre: i * (1 - gg^2)
         np.subtract(1.0, dg_dc, out=dg_dc)
         np.multiply(i, dg_dc, out=dg_dc)
         u_t = np.swapaxes(u, 1, 2)
-        dproj = _work("scan.dproj", (dirs, t, b, 4 * h))
+        dproj = _work((dirs, t, b, 4 * h))
         dsteps = np.swapaxes(dproj, 0, 1)
         carry_h = np.zeros((dirs, b, h))
         carry_c = np.zeros((dirs, b, h))
@@ -875,9 +880,8 @@ _CHUNK = 1 << 15
 
 
 def _squash_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray,
-                 factor: np.ndarray, site: str) -> np.ndarray:
-    """d/dx of sum(g * x * f(|x|)) with f(n) = n / (1 + n^2), f'(n) = (1 - n^2) / (1 + n^2)^2,
-    in the work arrays of ``site``.
+                 factor: np.ndarray) -> np.ndarray:
+    """d/dx of sum(g * x * f(|x|)) with f(n) = n / (1 + n^2), f'(n) = (1 - n^2) / (1 + n^2)^2.
 
     The radial term (g . x) f'(n) / n * x is guarded at zero norm: an all-zero
     row gets a zero radial term, as the guarded l2norm rule gives it.
@@ -886,11 +890,11 @@ def _squash_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray,
     den = 1.0 + n2
     radial = np.einsum("...i,...i->...", g, x)[..., None]
     radial *= (1.0 - n2) / (den * den * np.maximum(norm, 1e-300))
-    grad = np.multiply(x, radial, out=_work(site + ".grad", x.shape))
+    grad = np.multiply(x, radial, out=_work(x.shape))
     # g * factor is added a block of leading rows at a time, through a work
     # array of about _CHUNK elements, not a second gradient-sized one
     step = max(1, _CHUNK // max(1, x[:1].size))
-    part = _work(site + ".g_factor", (min(step, len(x)),) + x.shape[1:])
+    part = _work((min(step, len(x)),) + x.shape[1:])
     for start in range(0, len(x), step):
         stop = min(start + step, len(x))
         grad[start:stop] += np.multiply(g[start:stop], factor[start:stop],
@@ -906,8 +910,8 @@ def _check_squash(arrays, kw):
 def _prim_squash(arrays, kw, needs):
     x = arrays[0]
     norm, factor = _squash_factor(x)
-    out = np.multiply(x, factor, out=_work("squash.out", x.shape))
-    return out, lambda g: (_squash_grad(g, x, norm, factor, "squash"),)
+    out = np.multiply(x, factor, out=_work(x.shape))
+    return out, lambda g: (_squash_grad(g, x, norm, factor),)
 
 
 def _check_routing(arrays, kw):
@@ -940,8 +944,8 @@ def _prim_routing(arrays, kw, needs):
     w_rows = w.reshape(n_cc, n_cls * d, d)
     u_cols = u.transpose(1, 0, 2)
     products = np.matmul(u_cols, w_rows.transpose(0, 2, 1),
-                         out=_work("routing.products", (n_cc, b, n_cls * d)))
-    u_hat = _work("routing.u_hat", (b, n_cls, n_cc, d))
+                         out=_work((n_cc, b, n_cls * d)))
+    u_hat = _work((b, n_cls, n_cc, d))
     np.copyto(u_hat, products.reshape(n_cc, b, n_cls, d).transpose(1, 2, 0, 3))
     logits = np.zeros((b, n_cls, n_cc))
     couplings, steps = [], []
@@ -963,7 +967,7 @@ def _prim_routing(arrays, kw, needs):
         # du_hat = sum_r c_r (x) gs_r + sum_{r < R-1} dlogits_{r+1} (x) v_r, as
         # one batched GEMM: left columns [c_r, dlogits_{r+1}], right rows
         # [gs_r, v_r], 2R - 1 of each.
-        left = _work("routing.left", (b, n_cls, n_cc, 2 * iterations - 1))
+        left = _work((b, n_cls, n_cc, 2 * iterations - 1))
         right = np.empty((b, n_cls, 2 * iterations - 1, d))
         gv, dlogits = g, None    # dlogits: gradient of the next iteration's logits
         for r in reversed(range(iterations)):
@@ -974,7 +978,7 @@ def _prim_routing(arrays, kw, needs):
                 gv = np.matmul(dlogits.reshape(b, n_cls, 1, n_cc), u_hat).reshape(b, n_cls, d)
                 left[..., iterations + r] = dlogits
                 right[:, :, iterations + r] = v
-            gs = _squash_grad(gv, s, norm, factor, "routing.squash")
+            gs = _squash_grad(gv, s, norm, factor)
             left[..., r] = c
             right[:, :, r] = gs
             dc = np.matmul(u_hat, gs.reshape(b, n_cls, d, 1)).reshape(b, n_cls, n_cc)
@@ -982,9 +986,9 @@ def _prim_routing(arrays, kw, needs):
             dlogits = dl if dlogits is None else dlogits + dl
         # du_hat written straight into the (n_cc, B, n_cls, d) layout of the
         # n_cc products below, which give du and dw
-        rows = _work("routing.rows", (n_cc, b, n_cls * d))
+        rows = _work((n_cc, b, n_cls * d))
         np.matmul(left, right, out=rows.reshape(n_cc, b, n_cls, d).transpose(1, 2, 0, 3))
-        du = np.matmul(rows, w_rows, out=_work("routing.du", (n_cc, b, d))).transpose(1, 0, 2)
+        du = np.matmul(rows, w_rows, out=_work((n_cc, b, d))).transpose(1, 0, 2)
         dw = np.matmul(rows.transpose(0, 2, 1), u_cols)
         return du, dw.reshape(w.shape)
 

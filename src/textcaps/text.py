@@ -125,12 +125,6 @@ class EmbeddingTable:
         the one gather from ``matrix``."""
         return self.matrix[rows]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.ids
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 def read_text(path) -> str:
     """The file decoded as UTF-8 without a leading BOM, every line ending read

@@ -15,7 +15,8 @@ from textcaps.encoders import (
     _recurrent_forward,
     encoder_forward_batch,
     encoder_output_shape,
-    init_encoder,
+    encoder_parameter_shapes,
+    init_parameters,
 )
 from textcaps.model import forward_batch, init_model
 from textcaps.tensor import (
@@ -57,7 +58,7 @@ class TestShapeLaw:
             cfg = EncoderConfig(kind=kind, kernel_sizes=(2, int(rng.integers(3, 5))),
                                 filters_per_kernel=int(rng.integers(1, 4)),
                                 hidden_dim=int(rng.integers(1, 4)))
-            params = init_encoder(cfg, e_d, SeededRng(trial))
+            params = init_parameters(encoder_parameter_shapes(cfg, e_d), SeededRng(trial))
             fm = encoder_forward_batch(cfg, params, _random_block(rng, 2, t, e_d))
             l, c = encoder_output_shape(cfg, t, e_d)
             assert fm.shape == (2, l, c)
@@ -71,29 +72,30 @@ class TestShapeLaw:
 class TestInit:
     def test_same_seed_bitwise_identical(self):
         cfg = _toy_config("cnn-bilstm")
-        a = init_encoder(cfg, 4, SeededRng(99))
-        b = init_encoder(cfg, 4, SeededRng(99))
+        a = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(99))
+        b = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(99))
         assert sorted(a) == sorted(b)
         for name in a:
             assert a[name].tensor.values.tobytes() == b[name].tensor.values.tobytes()
 
     def test_biases_zero(self):
         cfg = _toy_config("bigru")
-        params = init_encoder(cfg, 4, SeededRng(0))
+        params = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(0))
         for name, p in params.items():
             if ".b_" in name or name.endswith(".b"):
                 assert np.all(p.tensor.values == 0.0)
 
     def test_cnn_kernel_shape(self):
         cfg = EncoderConfig(kind="cnn", kernel_sizes=(3,), filters_per_kernel=300)
-        params = init_encoder(cfg, 100, SeededRng(0))
+        params = init_parameters(encoder_parameter_shapes(cfg, 100), SeededRng(0))
         assert params["encoder.cnn.k3.w"].tensor.shape == (300, 300)
         cfg5 = EncoderConfig(kind="cnn", kernel_sizes=(5,), filters_per_kernel=7)
-        assert init_encoder(cfg5, 4, SeededRng(0))["encoder.cnn.k5.w"].tensor.shape == (20, 7)
+        params = init_parameters(encoder_parameter_shapes(cfg5, 4), SeededRng(0))
+        assert params["encoder.cnn.k5.w"].tensor.shape == (20, 7)
 
     def test_glorot_bounds(self):
         cfg = _toy_config("gru")
-        params = init_encoder(cfg, 4, SeededRng(1))
+        params = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(1))
         w = params["encoder.gru.w_z"].tensor.values
         limit = np.sqrt(6.0 / (4 + 3))
         assert np.all(np.abs(w) <= limit)
@@ -102,7 +104,7 @@ class TestInit:
 class TestForwardSemantics:
     def test_gru_zero_parameters_zero_states(self):
         cfg = _toy_config("gru")
-        params = init_encoder(cfg, 4, SeededRng(0))
+        params = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(0))
         for p in params.values():
             p.tensor.values[:] = 0.0
         rng = np.random.default_rng(5)
@@ -111,7 +113,7 @@ class TestForwardSemantics:
 
     def test_lstm_zero_parameters_zero_states(self):
         cfg = _toy_config("lstm")
-        params = init_encoder(cfg, 4, SeededRng(0))
+        params = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(0))
         for p in params.values():
             p.tensor.values[:] = 0.0
         rng = np.random.default_rng(6)
@@ -120,7 +122,7 @@ class TestForwardSemantics:
 
     def test_bidirectional_reversal_symmetry(self):
         cfg = _toy_config("bigru")
-        params = init_encoder(cfg, 4, SeededRng(3))
+        params = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(3))
         # tie backward-direction parameters to the forward ones so that
         # reversing the sequence swaps the two channel halves exactly
         for gate in ("z", "r", "n"):
@@ -137,7 +139,7 @@ class TestForwardSemantics:
 
     def test_forward_purity(self):
         cfg = _toy_config("cnn-bigru")
-        params = init_encoder(cfg, 3, SeededRng(8))
+        params = init_parameters(encoder_parameter_shapes(cfg, 3), SeededRng(8))
         before = {n: p.tensor.values.copy() for n, p in params.items()}
         rng = np.random.default_rng(9)
         encoder_forward_batch(cfg, params, _random_block(rng, 2, 5, 3))
@@ -147,7 +149,7 @@ class TestForwardSemantics:
     def test_single_document_surface(self):
         # one 2x3-token document is a batch of one; its map is its row of a batch
         cfg = _toy_config("gru")
-        params = init_encoder(cfg, 3, SeededRng(2))
+        params = init_parameters(encoder_parameter_shapes(cfg, 3), SeededRng(2))
         rng = np.random.default_rng(2)
         block = rng.uniform(-1, 1, size=(2, 6, 3))
         fm = encoder_forward_batch(cfg, params, Tensor(block[:1]))
@@ -194,7 +196,7 @@ class TestGradientLaw:
     def test_grad_check_toy_config(self, kind):
         cfg = _toy_config(kind)
         e_d, t = 4, 6
-        params = init_encoder(cfg, e_d, SeededRng(17))
+        params = init_parameters(encoder_parameter_shapes(cfg, e_d), SeededRng(17))
         rng = np.random.default_rng(17)
         x = rng.uniform(-1, 1, size=(1, t, e_d))
 
@@ -212,7 +214,7 @@ class TestGradientLaw:
         # and direction axes and every bias gradient, sampled per parameter
         cfg = _toy_config(kind)
         e_d, t = 4, 6
-        params = init_encoder(cfg, e_d, SeededRng(18))
+        params = init_parameters(encoder_parameter_shapes(cfg, e_d), SeededRng(18))
         rng = np.random.default_rng(18)
         for name, p in params.items():
             if name.rpartition(".")[2].startswith("b"):
@@ -299,7 +301,7 @@ class TestFusedConvReference:
         b, t, e_d, kernels, filters, pad = self.CASES[case]
         cfg = EncoderConfig(kind=kind, kernel_sizes=kernels, filters_per_kernel=filters,
                             hidden_dim=4)
-        params = init_encoder(cfg, e_d, SeededRng(t + filters))
+        params = init_parameters(encoder_parameter_shapes(cfg, e_d), SeededRng(t + filters))
         rng = np.random.default_rng(t + filters)
         for name, p in params.items():  # non-zero biases exercise their gradients
             if name.rpartition(".")[2].startswith("b"):
@@ -395,7 +397,7 @@ class TestFusedScanReference:
         kernels = (1,) if t == 1 else (2, 3)
         cfg = EncoderConfig(kind=kind, kernel_sizes=kernels, filters_per_kernel=3, hidden_dim=4)
         e_d = 3
-        params = init_encoder(cfg, e_d, SeededRng(seed))
+        params = init_parameters(encoder_parameter_shapes(cfg, e_d), SeededRng(seed))
         rng = np.random.default_rng(seed)
         for p in params.values():  # non-zero biases exercise every gradient
             p.tensor.values[:] = rng.uniform(-0.8, 0.8, size=p.tensor.shape)

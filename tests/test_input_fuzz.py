@@ -45,7 +45,7 @@ def _loads_or_dataset_error(kind, path):
         assert all(isinstance(doc, Document) and isinstance(doc.raw_text, str)
                    and doc.label in (0, 1) for doc in loaded)
     else:
-        assert loaded.matrix.shape == (len(loaded) + 1, loaded.dimension)
+        assert loaded.matrix.shape == (len(loaded.ids) + 1, loaded.dimension)
         assert loaded.dimension >= 1 and np.isfinite(loaded.matrix).all()
         assert not loaded.matrix[-1].any()
     return True

@@ -19,7 +19,8 @@ from textcaps.encoders import (
     _cnn_forward,
     _recurrent_prefixes,
     encoder_forward_batch,
-    init_encoder,
+    encoder_parameter_shapes,
+    init_parameters,
 )
 from textcaps.tensor import Parameter, Tape, Tensor, _sigmoid, backward, gru_scan, lstm_scan
 
@@ -159,7 +160,7 @@ def _case(kind, t, pad, seed):
     its scan reads: the embeddings, or a hybrid's convolution map."""
     kernels = (1,) if t == 1 else (2, 3)
     cfg = EncoderConfig(kind=kind, kernel_sizes=kernels, filters_per_kernel=3, hidden_dim=4)
-    params = init_encoder(cfg, 3, SeededRng(seed))
+    params = init_parameters(encoder_parameter_shapes(cfg, 3), SeededRng(seed))
     rng = np.random.default_rng(seed)
     for p in params.values():
         p.tensor.values[:] = rng.uniform(-0.8, 0.8, size=p.tensor.shape)

@@ -223,6 +223,12 @@ class TestErrors:
         with pytest.raises(ShapeMismatchError, match="reshape: negative extent"):
             Tensor(np.zeros((2, 3))).reshape(shape)
 
+    @pytest.mark.parametrize("shape", [(2**32, 2**32), (2**16,) * 4, (3, 2**32, 2**32)])
+    def test_reshape_count_does_not_wrap(self, shape):
+        # each count is 0 modulo 2**64, the zero-size operand's count
+        with pytest.raises(ShapeMismatchError, match="reshape: element count differs"):
+            Tensor(np.zeros(0)).reshape(shape)
+
     @pytest.mark.parametrize("kind", sorted(_PRIMITIVES))
     def test_operand_count_checked(self, kind):
         arrays, kw = _forward_cases()[kind]
