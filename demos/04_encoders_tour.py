@@ -47,6 +47,6 @@ for kind in ENCODER_KINDS:
 config = EncoderConfig(kind="gru", hidden_dim=5)
 params = init_parameters(encoder_parameter_shapes(config, E_D), SeededRng(0))
 for p in params.values():
-    p.tensor.values[:] = 0.0
+    p.values[:] = 0.0
 fm = encoder_forward_batch(config, params, block)
 print("\nzero-parameter GRU output is the zero map:", bool(np.all(fm.values == 0.0)))

@@ -126,7 +126,7 @@ def _rebuild_from_checkpoint(model_path):
     except ShapeMismatchError as exc:
         raise ModelFormatError(f"{model_path}: {exc}")
     for name in sorted(params):
-        if not np.isfinite(params[name].tensor.values).all():
+        if not np.isfinite(params[name].values).all():
             raise ModelFormatError(f"{model_path}: parameter {name!r} holds non-finite values")
     return params, config, e_d
 
@@ -195,7 +195,7 @@ def cmd_export_repr(args) -> int:
     ids, labels = encode_batch(docs, table, config.n_s, config.n_w)
 
     vectors = []
-    with Workspace():
+    with Workspace(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(labels), config.batch_size):
             stop = min(start + config.batch_size, len(labels))
             result = forward_batch(config.encoder, config.head, params,
@@ -207,7 +207,10 @@ def cmd_export_repr(args) -> int:
             else:
                 stage = result.class_capsules.values
             vectors.append(stage.reshape(stop - start, -1))
-    write_representations_csv(args.out, labels, np.concatenate(vectors))
+    vectors = np.concatenate(vectors)
+    if not np.isfinite(vectors).all():
+        raise TrainingError(f"stage {args.stage!r} vectors hold non-finite values")
+    write_representations_csv(args.out, labels, vectors)
     return 0
 
 

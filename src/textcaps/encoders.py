@@ -142,13 +142,13 @@ def init_parameters(shapes: Dict[str, Tuple[int, ...]], rng: SeededRng) -> Dict[
         else:
             limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
             values = rng.uniform(-limit, limit, size=shape)
-        params[name] = Parameter(Tensor(values), name)
+        params[name] = Parameter(values)
     return params
 
 
 def _cnn_forward(config: EncoderConfig, params: Dict[str, Parameter], x: Tensor) -> Tensor:
     """Every convolution bank as one fused ``conv1d``: (B, T, E) -> (B, L, F)."""
-    return conv1d(x, [params[f"encoder.cnn.k{k}.{piece}"].tensor
+    return conv1d(x, [params[f"encoder.cnn.k{k}.{piece}"]
                       for k in config.kernel_sizes for piece in ("w", "b")])
 
 
@@ -156,7 +156,7 @@ def _recurrent_forward(config: EncoderConfig, params: Dict[str, Parameter],
                        x: Tensor) -> Tensor:
     """Run every direction as one fused scan: (B, T, E) -> (B, T, D * H)."""
     kind = config.recurrent_kind
-    weights = [params[f"{prefix}.{piece}_{gate}"].tensor
+    weights = [params[f"{prefix}.{piece}_{gate}"]
                for prefix in _recurrent_prefixes(config)
                for piece in ("w", "u", "b") for gate in _GATE_NAMES[kind]]
     scan = gru_scan if kind == "gru" else lstm_scan

@@ -57,7 +57,7 @@ def check_parameters(params: Dict[str, Parameter],
             raise ShapeMismatchError(f"parameter {name!r} is missing")
         if name not in shapes:
             raise ShapeMismatchError(f"unexpected parameter {name!r}")
-        shape, want = params[name].tensor.shape, shapes[name]
+        shape, want = params[name].shape, shapes[name]
         if shape != want:
             raise ShapeMismatchError(f"parameter {name!r} has shape {shape}, expected {want}")
 
@@ -81,10 +81,10 @@ def forward_batch(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],
     check_parameters(params, shapes)
     fm = encoder_forward_batch(encoder, params, x)
     if head is None:
-        return ForwardResult(probs=baseline_head_batch(fm, params["head.dense.w"].tensor),
+        return ForwardResult(probs=baseline_head_batch(fm, params["head.dense.w"]),
                              feature_map=fm)
-    primary = primary_capsules_batch(fm, params["head.primary.w"].tensor, head)
-    condensed = compress_batch(primary, params["head.compress.w"].tensor)
-    class_caps, routing = dynamic_routing_batch(condensed, params["head.routing.w"].tensor, head)
+    primary = primary_capsules_batch(fm, params["head.primary.w"], head)
+    condensed = compress_batch(primary, params["head.compress.w"])
+    class_caps, routing = dynamic_routing_batch(condensed, params["head.routing.w"], head)
     return ForwardResult(probs=class_probabilities_batch(class_caps), feature_map=fm,
                          condensed=condensed, class_capsules=class_caps, routing=routing)

@@ -22,14 +22,14 @@ import json
 import math
 import struct
 from dataclasses import fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .capsule import CapsuleHeadConfig
 from .encoders import ENCODER_KINDS, EncoderConfig
-from .tensor import Parameter, Tensor
+from .tensor import Parameter
 from .text import write_lines
 from .training import (
     AblationRow,
@@ -131,7 +131,7 @@ def save_model(path, params: Dict[str, Parameter], meta: Dict[str, object]) -> N
             arr = np.asarray(value, dtype=np.float64)
             _write_record(fh, f"meta.{key}", arr)
         for name in sorted(params):
-            _write_record(fh, name, params[name].tensor.values)
+            _write_record(fh, name, params[name].values)
 
 
 def _meta_number(value) -> object:
@@ -141,7 +141,7 @@ def _meta_number(value) -> object:
 
 
 def load_model(path) -> Tuple[Dict[str, Parameter], Dict[str, object]]:
-    """Read a checkpoint back into Parameters plus its metadata dict."""
+    """Read a checkpoint back into a name-to-Parameter dict plus its metadata dict."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(MAGIC)] != MAGIC:
@@ -183,7 +183,7 @@ def load_model(path) -> Tuple[Dict[str, Parameter], Dict[str, object]]:
             meta[key] = (_meta_number(values) if values.ndim == 0
                          else [_meta_number(v) for v in values])
         else:
-            params[name] = Parameter(Tensor(values), name)
+            params[name] = Parameter(values)
     if not meta and not params:
         raise ModelFormatError(f"{path}: no records found")
     return params, meta

@@ -1,17 +1,18 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 All values are float64 numpy arrays in row-major order. Gradients flow only
-to parameters and to what is computed from them: a :class:`Parameter`'s tensor
-needs a gradient, and a primitive's output needs one when any of its operands
-does. Each primitive is a shape check plus one function that returns its
-output and its pullback, the closure mapping an output gradient to operand
-gradients (the vector-Jacobian product). A forward pass executed under an
-active :class:`Tape` records one node, holding that pullback, per primitive
-application that has such an operand; work on constants alone (input blocks,
-labels) is never recorded. :func:`backward` replays the tape in reverse,
-calls each node's pullback, accumulates gradients by summation wherever a
-tensor fans out into several consumers, and writes ``grad`` on parameter
-tensors only.
+to parameters and to what is computed from them: a :class:`Parameter`, the
+tensor subclass that a model's weights are, needs a gradient, and a
+primitive's output needs one when any of its operands does. Each primitive
+is a shape check plus one function that returns its output and its
+pullback, the closure mapping an output gradient to operand gradients (the
+vector-Jacobian product). A forward pass executed under an active
+:class:`Tape` records one node, holding that pullback, per primitive
+application that has such an operand; work on constants alone (input
+blocks, labels) is never recorded. :func:`backward` replays the tape in
+reverse, calls each node's pullback, accumulates gradients by summation
+wherever a tensor fans out into several consumers, and writes ``grad`` on
+parameters only.
 
 Broadcasting is deliberately narrow: ``add``/``sub``/``mul``/``div`` take
 operands of equal rank whose extents are pairwise equal or 1, ``matmul``
@@ -68,7 +69,7 @@ class Tensor:
     """An n-dimensional float64 array, optionally part of a tape.
 
     ``values`` is treated as immutable once the tensor participates in a
-    forward pass; the optimizer mutates Parameter values in place only
+    forward pass; the optimizer mutates a Parameter's values in place only
     between passes.
     """
 
@@ -81,7 +82,7 @@ class Tensor:
         self.values: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.node_id: Optional[int] = None
-        # True for a Parameter's tensor and for recorded outputs computed from one
+        # True for a Parameter and for recorded outputs computed from one
         self.needs_grad = False
 
     @property
@@ -96,7 +97,7 @@ class Tensor:
         return float(self.values.reshape(-1)[0])
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.values.shape})"
+        return f"{type(self).__name__}(shape={self.values.shape})"
 
     # Sugar over apply_primitive; tensor-only operands, no implicit casts.
     def __add__(self, other: "Tensor") -> "Tensor":
@@ -121,18 +122,14 @@ class Tensor:
         return apply_primitive("sum", [self], axis=axis)
 
 
-class Parameter:
-    """A named tensor that receives gradients. Names are unique per model."""
+class Parameter(Tensor):
+    """A tensor that receives gradients; a model names it by its dict key."""
 
-    __slots__ = ("tensor", "name")
+    __slots__ = ()
 
-    def __init__(self, tensor: Tensor, name: str) -> None:
-        tensor.needs_grad = True
-        self.tensor = tensor
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+    def __init__(self, values) -> None:
+        super().__init__(values)
+        self.needs_grad = True
 
 
 class _Node:
@@ -1062,7 +1059,7 @@ def apply_primitive(kind: str, operands: Sequence[Tensor], **kw) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every Parameter tensor that ``loss`` depends on.
+    """Populate ``grad`` on every Parameter that ``loss`` depends on.
 
     Gradients of tensors consumed by several nodes are accumulated by
     summation. Grads already present on parameters (e.g. from an earlier
@@ -1095,14 +1092,14 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 tensor.grad = tensor.grad + contribution
 
 
-def clear_grads(params: Iterable[Parameter]) -> None:
+def clear_grads(params: Iterable[Tensor]) -> None:
     for p in params:
-        p.tensor.grad = None
+        p.grad = None
 
 
 def grad_check(
-    model_fn: Callable[[Sequence[Parameter]], Tensor],
-    params: Sequence[Parameter],
+    model_fn: Callable[[Sequence[Tensor]], Tensor],
+    params: Sequence[Tensor],
     epsilon: float = 1e-5,
     sample_count: int = 20,
     rng: Optional[np.random.Generator] = None,
@@ -1129,22 +1126,19 @@ def grad_check(
     with Tape() as tape:
         loss = model_fn(params)
     backward(loss, tape)
-    tape_grads = {
-        p.name: (p.tensor.grad.copy() if p.tensor.grad is not None
-                 else np.zeros_like(p.tensor.values))
-        for p in params
-    }
+    tape_grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
+                  for p in params]
     clear_grads(params)
 
-    candidates = [p for p in params if p.tensor.values.size > 0]
+    candidates = [i for i, p in enumerate(params) if p.size > 0]
     if not candidates:
         return 0.0
 
     max_rel = 0.0
     for _ in range(sample_count):
-        p = candidates[int(rng.integers(len(candidates)))]
-        idx = int(rng.integers(p.tensor.values.size))
-        flat = p.tensor.values.reshape(-1)
+        i = candidates[int(rng.integers(len(candidates)))]
+        idx = int(rng.integers(params[i].size))
+        flat = params[i].values.reshape(-1)
         original = flat[idx]
         flat[idx] = original + epsilon
         f_plus = model_fn(params).item()
@@ -1152,7 +1146,7 @@ def grad_check(
         f_minus = model_fn(params).item()
         flat[idx] = original
         g_fd = (f_plus - f_minus) / (2.0 * epsilon)
-        g_tape = tape_grads[p.name].reshape(-1)[idx]
+        g_tape = tape_grads[i].reshape(-1)[idx]
         rel = abs(g_tape - g_fd) / max(abs(g_tape), abs(g_fd), 1e-12)
         if not rel <= max_rel:  # a NaN error sticks, so it fails every tolerance
             max_rel = rel

@@ -10,9 +10,9 @@ parameters of the epoch with the highest validation accuracy (earliest
 epoch on ties), with validation always computed on clean data.
 
 Adam keeps the parameter values and both moments as flat float64 vectors
-in ``AdamState``. From the first step on, every parameter tensor is a view
-into ``AdamState.values``, so the update runs over whole vectors and the
-best-epoch snapshot is one vector copy.
+in ``AdamState``. From the first step on, every parameter's values are a
+view into ``AdamState.values``, so the update runs over whole vectors and
+the best-epoch snapshot is one vector copy.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ class AdamState:
     The first ``adam_step`` allocates ``values``, the moments ``m`` and
     ``v`` and the two ``work`` buffers, each with one slot per parameter
     element in ``params`` order, copies every parameter into ``values`` and
-    rebinds its tensor to a view of its slot. One state serves one
-    ``params`` dict, always passed in the same order.
+    rebinds each parameter's ``values`` to a view of its slot. One state
+    serves one ``params`` dict, always passed in the same order.
     """
     step_count: int = 0
     values: Optional[np.ndarray] = None
@@ -210,16 +210,16 @@ class AdamState:
     work: Tuple[np.ndarray, ...] = ()
 
 
-def _bind_arena(items: Sequence[Parameter], state: AdamState) -> None:
-    size = sum(p.tensor.size for p in items)
+def _bind_arena(params: Dict[str, Parameter], state: AdamState) -> None:
+    size = sum(p.size for p in params.values())
     state.values = np.empty(size)
     state.m, state.v = np.zeros(size), np.zeros(size)
     state.work = (np.empty(size), np.empty(size))
     offset = 0
-    for p in items:
-        slot = state.values[offset:offset + p.tensor.size].reshape(p.tensor.shape)
-        slot[...] = p.tensor.values
-        p.tensor.values = slot
+    for p in params.values():
+        slot = state.values[offset:offset + p.size].reshape(p.shape)
+        slot[...] = p.values
+        p.values = slot
         offset += slot.size
 
 
@@ -227,15 +227,14 @@ def adam_step(params: Dict[str, Parameter], state: AdamState, lr: float) -> None
     """Standard bias-corrected Adam update over the whole flat vectors;
     clears grads afterward. Raises MissingGradientError, before changing
     anything, when some parameter has no gradient."""
-    items = list(params.values())
-    missing = [p.name for p in items if p.tensor.grad is None]
+    missing = [name for name, p in params.items() if p.grad is None]
     if missing:
         raise MissingGradientError(f"parameter {min(missing)!r} has no gradient")
     if state.values is None:
-        _bind_arena(items, state)
+        _bind_arena(params, state)
     g, work = state.work
-    np.concatenate([p.tensor.grad for p in items], axis=None, out=g)
-    clear_grads(items)
+    np.concatenate([p.grad for p in params.values()], axis=None, out=g)
+    clear_grads(params.values())
     state.step_count += 1
     t = state.step_count
     m, v = state.m, state.v
@@ -280,24 +279,28 @@ def _forward_metrics(encoder, head, params, table, ids, labels, batch_size, spli
     return compute_metrics(labels, preds, loss_sum / n, split)
 
 
+def _diverged(params: Dict[str, Parameter], what: str) -> NonFiniteLossError:
+    first = next((name for name in sorted(params)
+                  if not np.isfinite(params[name].values).all()), None)
+    culprit = (f"first non-finite parameter {first!r}" if first is not None
+               else "every parameter is finite")
+    return NonFiniteLossError(f"{what}; {culprit}")
+
+
+# Overflow warnings would only repeat what the non-finite loss checks report.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate(params: Dict[str, Parameter], docs: Sequence[Document],
              table: EmbeddingTable, config: TrainConfig) -> Metrics:
+    """Test metrics of params on docs; a non-finite loss raises NonFiniteLossError."""
     if not docs:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
     ids, labels = encode_batch(docs, table, config.n_s, config.n_w)
     with Workspace():
-        return _forward_metrics(config.encoder, config.head, params, table, ids,
-                                labels, config.batch_size, "test")
-
-
-def _diverged(params: Dict[str, Parameter], what: str, value: float,
-              epoch: int, step: int) -> NonFiniteLossError:
-    first = next((name for name in sorted(params)
-                  if not np.isfinite(params[name].tensor.values).all()), None)
-    culprit = (f"first non-finite parameter {first!r}" if first is not None
-               else "every parameter is finite")
-    return NonFiniteLossError(
-        f"{what} is {value} at epoch {epoch}, step {step}; {culprit}")
+        metrics = _forward_metrics(config.encoder, config.head, params, table, ids,
+                                   labels, config.batch_size, "test")
+    if not math.isfinite(metrics.loss):
+        raise _diverged(params, f"evaluation loss is {metrics.loss}")
+    return metrics
 
 
 def _step(config: TrainConfig, params: Dict[str, Parameter], state: AdamState, lr: float,
@@ -309,13 +312,12 @@ def _step(config: TrainConfig, params: Dict[str, Parameter], state: AdamState, l
         loss = bce_loss_batch(probs, labels)
     value = loss.item()
     if not math.isfinite(value):
-        raise _diverged(params, "training loss", value, epoch, step)
+        raise _diverged(params, f"training loss is {value} at epoch {epoch}, step {step}")
     backward(loss, tape)
     adam_step(params, state, lr)
     return value, probs.values
 
 
-# Overflow warnings would only repeat what the non-finite loss checks report.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config: TrainConfig, docs: Sequence[Document],
           table: EmbeddingTable) -> Tuple[Dict[str, Parameter], List[EpochRecord]]:
@@ -374,8 +376,8 @@ def train(config: TrainConfig, docs: Sequence[Document],
                                              valid_ids, valid_labels,
                                              config.batch_size, "valid")
             if not math.isfinite(valid_metrics.loss):
-                raise _diverged(params, "validation loss", valid_metrics.loss, epoch,
-                                global_step)
+                raise _diverged(params, f"validation loss is {valid_metrics.loss} "
+                                        f"at epoch {epoch}, step {global_step}")
             record = EpochRecord(epoch=epoch, train=train_metrics, valid=valid_metrics)
             history.append(record)
             if best_epoch(history) is record:

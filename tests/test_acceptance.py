@@ -84,9 +84,9 @@ def test_criterion_1_gradient_correctness():
 
     def pipeline(ps):
         fm = encoder_forward_batch(enc_cfg, params, Tensor(x))
-        primary = primary_capsules_batch(fm, params["head.primary.w"].tensor, head_cfg)
-        condensed = compress_batch(primary, params["head.compress.w"].tensor)
-        v, _ = dynamic_routing_batch(condensed, params["head.routing.w"].tensor, head_cfg)
+        primary = primary_capsules_batch(fm, params["head.primary.w"], head_cfg)
+        condensed = compress_batch(primary, params["head.compress.w"])
+        v, _ = dynamic_routing_batch(condensed, params["head.routing.w"], head_cfg)
         probs = class_probabilities_batch(v)
         onehot = np.zeros((2, 2))
         onehot[np.arange(2), labels] = 1.0

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from textcaps import serialize, tensor, text, training
-from textcaps.adversarial import PerturbationPolicy, augment_dataset
+from textcaps import model, serialize, tensor, text, training
+from textcaps.adversarial import PerturbationPolicy, SeededRng, augment_dataset
 from textcaps.capsule import CapsuleHeadConfig
 from textcaps.encoders import EncoderConfig
 from textcaps.synth import generate_synthetic_corpus
@@ -83,6 +83,20 @@ def test_checkpoint_meta_calls_bind():
     encoder, head, n_s, n_w, e_d = serialize.config_parts_from_meta(
         serialize.model_meta(config, 4))
     assert (encoder, head, n_s, n_w, e_d) == (config.encoder, config.head, 2, 3, 4)
+
+
+def test_model_parameters_are_the_type_bench_names(tmp_path):
+    """bench.py's Inputs.params holds init_model's and load_model's values
+    as tensor.Parameter: tensors that need a gradient."""
+    config = training.TrainConfig(encoder=EncoderConfig(kind="cnn"), head=CapsuleHeadConfig(),
+                                  n_s=2, n_w=3)
+    params = model.init_model(config.encoder, config.head, 4, 6, SeededRng(0))
+    serialize.save_model(tmp_path / "m.caps", params, serialize.model_meta(config, 4))
+    loaded, _ = serialize.load_model(tmp_path / "m.caps")
+    assert issubclass(tensor.Parameter, tensor.Tensor)
+    for values in (params, loaded):
+        assert values and all(isinstance(p, tensor.Parameter) and p.needs_grad
+                              for p in values.values())
 
 
 def test_counted_primitives_exist(perfbench_modules):

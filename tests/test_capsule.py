@@ -229,7 +229,7 @@ def _prim_routing(arrays, kw, needs):
 
 def _grads(fn, arrays):
     """Gradients of the scalar fn(*tensors) with respect to each array."""
-    tensors = [Parameter(Tensor(a.copy()), f"p{i}").tensor for i, a in enumerate(arrays)]
+    tensors = [Parameter(a.copy()) for a in arrays]
     with Tape() as tape:
         loss = fn(*tensors)
     backward(loss, tape)
@@ -312,7 +312,7 @@ class TestFusedReference:
             x.reshape(-1, shape[-1])[0] = 0.0  # one all-zero vector
         weights = Tensor(rng.uniform(-1, 1, size=shape))
         with Tape() as tape:
-            fused = squash(Parameter(Tensor(x), "x").tensor)
+            fused = squash(Parameter(x))
         assert [node.kind for node in tape.nodes] == ["squash"]
         _assert_within(fused.values, squash_composed_reference(Tensor(x)).values)
         (got,) = _grads(lambda t: (squash(t) * weights).sum(), [x])
@@ -326,7 +326,7 @@ class TestFusedReference:
         u = rng.normal(size=(b, n_cc, d))
         w = rng.normal(size=(n_cc, n_cls, d, d))
         with Tape() as tape:
-            v, state = dynamic_routing_batch(Tensor(u), Parameter(Tensor(w), "w").tensor, cfg)
+            v, state = dynamic_routing_batch(Tensor(u), Parameter(w), cfg)
         assert [node.kind for node in tape.nodes] == ["routing"]
         v_ref, logits_ref, history_ref = routing_composed_reference(Tensor(u), Tensor(w),
                                                                     iterations)
@@ -381,7 +381,7 @@ class TestClassMajorReference:
         logits_ref, couplings_ref = sink
         du_ref, dw_ref = pullback(g)
 
-        tu, tw = Parameter(Tensor(u), "u").tensor, Parameter(Tensor(w), "w").tensor
+        tu, tw = Parameter(u), Parameter(w)
         with Tape() as tape:
             v, logits, couplings = routing(tu, tw, iterations)
             loss = (v * Tensor(g)).sum()
@@ -413,7 +413,7 @@ class TestClassMajorReference:
         u, w, _ = _routing_arrays(b, n_cc, n_cls, d, seed=7)
         runs = [routing(Tensor(u), Tensor(w), iterations) for _ in range(2)]
         with Tape() as tape:
-            runs.append(routing(Tensor(u), Parameter(Tensor(w), "w").tensor, iterations))
+            runs.append(routing(Tensor(u), Parameter(w), iterations))
         assert [node.kind for node in tape.nodes] == ["routing"]
         first = runs[0]
         for v, logits, couplings in runs:
@@ -645,8 +645,8 @@ class TestDynamicRouting:
         b, n_cc, n_cls, d = 32, 128, 2, 16
         cfg = _head_config(n_cc=n_cc, d=d, routing_iterations=3)
         rng = np.random.default_rng(14)
-        u = Parameter(Tensor(rng.normal(size=(b, n_cc, d))), "u").tensor
-        w = Parameter(Tensor(rng.normal(size=(n_cc, n_cls, d, d)) / d), "w").tensor
+        u = Parameter(rng.normal(size=(b, n_cc, d)))
+        w = Parameter(rng.normal(size=(n_cc, n_cls, d, d)) / d)
         wv = Tensor(rng.uniform(-1, 1, size=(b, n_cls, d)))
         with Tape() as tape:
             v, _ = dynamic_routing_batch(u, w, cfg)
@@ -730,9 +730,9 @@ class TestFullPipelineGradient:
 
         def fn(ps):
             fm = encoder_forward_batch(enc_cfg, params, Tensor(x))
-            prim = primary_capsules_batch(fm, params["head.primary.w"].tensor, head_cfg)
-            cond = compress_batch(prim, params["head.compress.w"].tensor)
-            v, _ = dynamic_routing_batch(cond, params["head.routing.w"].tensor, head_cfg)
+            prim = primary_capsules_batch(fm, params["head.primary.w"], head_cfg)
+            cond = compress_batch(prim, params["head.compress.w"])
+            v, _ = dynamic_routing_batch(cond, params["head.routing.w"], head_cfg)
             probs = class_probabilities_batch(v)
             target = apply_primitive("slice", [probs], axis=1, start=0, stop=1)
             from textcaps.tensor import log

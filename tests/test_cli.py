@@ -1,6 +1,7 @@
 """CLI surface tests: exit codes, output files, and reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -236,10 +237,12 @@ class TestCheckpointMeta:
 
 
 def _assert_one_line_error(capsys, *fragments):
-    err = capsys.readouterr().err
+    """Returns what went to stdout."""
+    out, err = capsys.readouterr()
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
     for fragment in fragments:
         assert fragment in err
+    return out
 
 
 class TestMalformedInputs:
@@ -281,10 +284,33 @@ class TestMalformedInputs:
         assert self._eval(tmp_path / "m.caps", workspace) == 1
         _assert_one_line_error(capsys, "'head.compress.w' has shape")
 
+    @pytest.mark.parametrize("command, fragment", [
+        ("eval", "evaluation loss is nan; every parameter is finite"),
+        ("export-repr", "stage 'class' vectors hold non-finite values"),
+    ])
+    def test_overflowing_checkpoint(self, trained, workspace, tmp_path, capsys, command,
+                                    fragment):
+        # every value is finite, but the forward pass overflows
+        params, meta = load_model(trained / "model.caps")
+        for p in params.values():
+            p.values[...] = 1e200
+        save_model(tmp_path / "m.caps", params, meta)
+        out = tmp_path / "repr.csv"
+        argv = [command, "--model", str(tmp_path / "m.caps"),
+                "--data", str(workspace / "corpus.jsonl"),
+                "--embeddings", str(workspace / "emb.txt")]
+        if command == "export-repr":
+            argv += ["--stage", "class", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(argv) == 1
+        assert _assert_one_line_error(capsys, fragment) == ""
+        assert not out.exists()
+
     def test_three_class_checkpoint(self, trained, workspace, tmp_path, capsys):
         params, meta = load_model(trained / "model.caps")
-        n_cc, _, d, _ = params["head.routing.w"].tensor.shape
-        params["head.routing.w"].tensor.values = np.random.default_rng(0).normal(
+        n_cc, _, d, _ = params["head.routing.w"].shape
+        params["head.routing.w"].values = np.random.default_rng(0).normal(
             size=(n_cc, 3, d, d))
         save_model(tmp_path / "m.caps", params, {**meta, "n_cls": 3})
         assert self._eval(tmp_path / "m.caps", workspace) == 1

@@ -76,27 +76,27 @@ class TestInit:
         b = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(99))
         assert sorted(a) == sorted(b)
         for name in a:
-            assert a[name].tensor.values.tobytes() == b[name].tensor.values.tobytes()
+            assert a[name].values.tobytes() == b[name].values.tobytes()
 
     def test_biases_zero(self):
         cfg = _toy_config("bigru")
         params = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(0))
         for name, p in params.items():
             if ".b_" in name or name.endswith(".b"):
-                assert np.all(p.tensor.values == 0.0)
+                assert np.all(p.values == 0.0)
 
     def test_cnn_kernel_shape(self):
         cfg = EncoderConfig(kind="cnn", kernel_sizes=(3,), filters_per_kernel=300)
         params = init_parameters(encoder_parameter_shapes(cfg, 100), SeededRng(0))
-        assert params["encoder.cnn.k3.w"].tensor.shape == (300, 300)
+        assert params["encoder.cnn.k3.w"].shape == (300, 300)
         cfg5 = EncoderConfig(kind="cnn", kernel_sizes=(5,), filters_per_kernel=7)
         params = init_parameters(encoder_parameter_shapes(cfg5, 4), SeededRng(0))
-        assert params["encoder.cnn.k5.w"].tensor.shape == (20, 7)
+        assert params["encoder.cnn.k5.w"].shape == (20, 7)
 
     def test_glorot_bounds(self):
         cfg = _toy_config("gru")
         params = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(1))
-        w = params["encoder.gru.w_z"].tensor.values
+        w = params["encoder.gru.w_z"].values
         limit = np.sqrt(6.0 / (4 + 3))
         assert np.all(np.abs(w) <= limit)
 
@@ -106,7 +106,7 @@ class TestForwardSemantics:
         cfg = _toy_config("gru")
         params = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(0))
         for p in params.values():
-            p.tensor.values[:] = 0.0
+            p.values[:] = 0.0
         rng = np.random.default_rng(5)
         fm = encoder_forward_batch(cfg, params, _random_block(rng, 2, 6, 4))
         np.testing.assert_array_equal(fm.values, np.zeros_like(fm.values))
@@ -115,7 +115,7 @@ class TestForwardSemantics:
         cfg = _toy_config("lstm")
         params = init_parameters(encoder_parameter_shapes(cfg, 4), SeededRng(0))
         for p in params.values():
-            p.tensor.values[:] = 0.0
+            p.values[:] = 0.0
         rng = np.random.default_rng(6)
         fm = encoder_forward_batch(cfg, params, _random_block(rng, 1, 5, 4))
         np.testing.assert_array_equal(fm.values, np.zeros_like(fm.values))
@@ -127,8 +127,8 @@ class TestForwardSemantics:
         # reversing the sequence swaps the two channel halves exactly
         for gate in ("z", "r", "n"):
             for piece in ("w", "u", "b"):
-                src = params[f"encoder.bigru.fw.{piece}_{gate}"].tensor.values
-                params[f"encoder.bigru.bw.{piece}_{gate}"].tensor.values[:] = src
+                src = params[f"encoder.bigru.fw.{piece}_{gate}"].values
+                params[f"encoder.bigru.bw.{piece}_{gate}"].values[:] = src
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, size=(1, 6, 4))
         fm = encoder_forward_batch(cfg, params, Tensor(x)).values[0]
@@ -140,11 +140,11 @@ class TestForwardSemantics:
     def test_forward_purity(self):
         cfg = _toy_config("cnn-bigru")
         params = init_parameters(encoder_parameter_shapes(cfg, 3), SeededRng(8))
-        before = {n: p.tensor.values.copy() for n, p in params.items()}
+        before = {n: p.values.copy() for n, p in params.items()}
         rng = np.random.default_rng(9)
         encoder_forward_batch(cfg, params, _random_block(rng, 2, 5, 3))
         for name, p in params.items():
-            assert p.tensor.values.tobytes() == before[name].tobytes()
+            assert p.values.tobytes() == before[name].tobytes()
 
     def test_single_document_surface(self):
         # one 2x3-token document is a batch of one; its map is its row of a batch
@@ -169,7 +169,7 @@ class TestForwardSemantics:
     def test_wrong_parameter_shape_named(self):
         cfg = _toy_config("gru")
         params = init_model(cfg, None, 3, 4, SeededRng(2))
-        params["encoder.gru.w_z"] = Parameter(Tensor(np.zeros((5, 5))), "encoder.gru.w_z")
+        params["encoder.gru.w_z"] = Parameter(np.zeros((5, 5)))
         rng = np.random.default_rng(1)
         with pytest.raises(ShapeMismatchError, match="^parameter 'encoder.gru.w_z' "):
             forward_batch(cfg, None, params, _random_block(rng, 1, 4, 3))
@@ -186,7 +186,7 @@ class TestForwardSemantics:
             if bad is None:
                 del params[name]
             else:
-                params[name] = Parameter(Tensor(bad), name)
+                params[name] = Parameter(bad)
             with pytest.raises(ShapeMismatchError, match=f"^parameter '{name}' "):
                 forward_batch(cfg, None, params, _random_block(rng, 1, 4, 3))
 
@@ -218,7 +218,7 @@ class TestGradientLaw:
         rng = np.random.default_rng(18)
         for name, p in params.items():
             if name.rpartition(".")[2].startswith("b"):
-                p.tensor.values[:] = rng.uniform(-0.5, 0.5, size=p.tensor.shape)
+                p.values[:] = rng.uniform(-0.5, 0.5, size=p.shape)
         x = rng.uniform(-1, 1, size=(2, t, e_d))
         weights = Tensor(rng.uniform(-1, 1, size=(2,) + encoder_output_shape(cfg, t, e_d)))
 
@@ -240,7 +240,7 @@ def _cnn_forward_reference(config, params, x):
     maps: List[Tensor] = []
     for k in config.kernel_sizes:
         l_k = t - k + 1
-        w, bias = params[f"encoder.cnn.k{k}.w"].tensor, params[f"encoder.cnn.k{k}.b"].tensor
+        w, bias = params[f"encoder.cnn.k{k}.w"], params[f"encoder.cnn.k{k}.b"]
         # valid 1-d convolution as concatenated shifted slices + one matmul;
         # the slices and windows of a constant block are not recorded
         windows = apply_primitive(
@@ -260,14 +260,14 @@ def _run_encoder(forward, cfg, params, x, weights):
     """Feature map, the gradients of sum(forward(x) * weights) by parameter
     name and, under "x", by the input (wrapped in a Parameter), and the
     tape's node count."""
-    xt = Parameter(Tensor(x), "x").tensor
+    xt = Parameter(x)
     for p in params.values():
-        p.tensor.grad = None
+        p.grad = None
     with Tape() as tape:
         fm = forward(cfg, params, xt)
         loss = (fm * Tensor(weights)).sum()
     backward(loss, tape)
-    grads = {name: p.tensor.grad.copy() for name, p in params.items()}
+    grads = {name: p.grad.copy() for name, p in params.items()}
     grads["x"] = xt.grad.copy()
     return fm.values, grads, len(tape.nodes)
 
@@ -305,7 +305,7 @@ class TestFusedConvReference:
         rng = np.random.default_rng(t + filters)
         for name, p in params.items():  # non-zero biases exercise their gradients
             if name.rpartition(".")[2].startswith("b"):
-                p.tensor.values[:] = rng.uniform(-0.3, 0.3, size=p.tensor.shape)
+                p.values[:] = rng.uniform(-0.3, 0.3, size=p.shape)
         x = rng.uniform(-1, 1, size=(b, t, e_d))
         if pad:
             x[:, t - pad:] = 0.0  # a zero-padded tail, as short documents give
@@ -339,10 +339,10 @@ def _reference_direction(config, params, x, prefix, reverse):
     gates = _GATE_NAMES[kind]
     flat = x.reshape((b * t, e))
     xproj = {g: apply_primitive(
-                 "transpose", [(flat @ params[f"{prefix}.w_{g}"].tensor
-                                + params[f"{prefix}.b_{g}"].tensor).reshape((b, t, hidden))],
+                 "transpose", [(flat @ params[f"{prefix}.w_{g}"]
+                                + params[f"{prefix}.b_{g}"]).reshape((b, t, hidden))],
                  perm=(1, 0, 2)) for g in gates}
-    u = {g: params[f"{prefix}.u_{g}"].tensor for g in gates}
+    u = {g: params[f"{prefix}.u_{g}"] for g in gates}
 
     def step_in(gate, step):
         return apply_primitive("slice", [xproj[gate]], axis=0, start=step,
@@ -400,7 +400,7 @@ class TestFusedScanReference:
         params = init_parameters(encoder_parameter_shapes(cfg, e_d), SeededRng(seed))
         rng = np.random.default_rng(seed)
         for p in params.values():  # non-zero biases exercise every gradient
-            p.tensor.values[:] = rng.uniform(-0.8, 0.8, size=p.tensor.shape)
+            p.values[:] = rng.uniform(-0.8, 0.8, size=p.shape)
         x = rng.uniform(-1, 1, size=(2, t, e_d))
         if pad:
             x[:, t - pad:] = 0.0  # a zero-padded tail, as short documents give

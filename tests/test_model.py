@@ -16,7 +16,7 @@ from textcaps.capsule import (
 )
 from textcaps.encoders import ENCODER_KINDS, EncoderConfig, encoder_forward_batch, init_parameters
 from textcaps.model import forward_batch, init_model, parameter_shapes
-from textcaps.tensor import _PRIMITIVES, Parameter, ShapeMismatchError, Tape, Tensor
+from textcaps.tensor import _PRIMITIVES, Parameter, ShapeMismatchError, Tape, Tensor, grad_check
 from textcaps.training import bce_loss_batch
 
 HEAD = CapsuleHeadConfig(n_pc=2, n_cc=3, d=2, routing_iterations=2)
@@ -52,8 +52,8 @@ def _digest(params):
     h = hashlib.sha256()
     for name, p in params.items():
         h.update(name.encode())
-        h.update(repr(p.tensor.shape).encode())
-        h.update(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
+        h.update(repr(p.shape).encode())
+        h.update(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -68,16 +68,15 @@ class TestParameterInventory:
         head = HEAD if capsule else None
         params = init_model(_encoder(kind), head, E_D, T, SeededRng(0))
         shapes = parameter_shapes(_encoder(kind), head, E_D, T)
-        assert list(shapes.items()) == [(n, p.tensor.shape) for n, p in params.items()]
-        assert all(p.name == n for n, p in params.items())
+        assert list(shapes.items()) == [(n, p.shape) for n, p in params.items()]
 
     def test_fill_rules(self):
         shapes = {"a.b": (1, 3), "a.b_z": (1, 2), "a.bw.w_z": (4, 2), "a.w": (5, 2, 3, 3)}
         params = init_parameters(shapes, SeededRng(0))
-        assert not params["a.b"].tensor.values.any()
-        assert not params["a.b_z"].tensor.values.any()
+        assert not params["a.b"].values.any()
+        assert not params["a.b_z"].values.any()
         for name, limit in (("a.bw.w_z", np.sqrt(6.0 / 6)), ("a.w", np.sqrt(6.0 / 6))):
-            values = params[name].tensor.values
+            values = params[name].values
             assert values.shape == shapes[name] and values.all()
             assert np.abs(values).max() <= limit
 
@@ -110,7 +109,7 @@ class TestForwardResult:
         params = init_model(_encoder(kind), HEAD, E_D, T, SeededRng(7))
         x = Tensor(np.random.default_rng(7).uniform(-1, 1, size=(3, T, E_D)))
         out = forward_batch(_encoder(kind), HEAD, params, x)
-        v, state = dynamic_routing_batch(out.condensed, params["head.routing.w"].tensor, HEAD)
+        v, state = dynamic_routing_batch(out.condensed, params["head.routing.w"], HEAD)
         assert out.class_capsules.values.tobytes() == v.values.tobytes()
         assert out.routing.logits.tobytes() == state.logits.tobytes()
         assert ([c.tobytes() for c in out.routing.couplings]
@@ -120,6 +119,30 @@ class TestForwardResult:
         params = init_model(_encoder("gru"), None, E_D, T, SeededRng(7))
         x = Tensor(np.random.default_rng(7).uniform(-1, 1, size=(2, T, E_D)))
         assert forward_batch(_encoder("gru"), None, params, x).routing is None
+
+
+class TestLossGradient:
+    """Finite differences of the loss a training step differentiates, the
+    BCE of forward_batch's probabilities, over every parameter."""
+
+    @pytest.mark.parametrize("kind, capsule", [("cnn", False), ("lstm", False),
+                                               ("cnn", True)],
+                             ids=["cnn-baseline", "lstm-baseline", "cnn-capsule"])
+    def test_grad_check(self, kind, capsule):
+        e_d, t, b = 4, 6, 3
+        head = HEAD if capsule else None
+        params = init_model(_encoder(kind), head, e_d, t, SeededRng(11))
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.uniform(-1, 1, size=(b, t, e_d)))
+        labels = rng.integers(0, 2, size=b)
+
+        def loss(ps):
+            probs = forward_batch(_encoder(kind), head, dict(zip(params, ps)), x).probs
+            return bce_loss_batch(probs, labels)
+
+        err = grad_check(loss, list(params.values()), epsilon=1e-5, sample_count=40,
+                         rng=np.random.default_rng(12))
+        assert err < 1e-6, f"relative error {err:.3e}"
 
 
 class TestParameterCheck:
@@ -136,7 +159,7 @@ class TestParameterCheck:
     def test_mismatch_is_named(self, shape, extra, match):
         params = init_model(_encoder("cnn"), HEAD, E_D, T, SeededRng(7))
         if extra:
-            params[extra] = Parameter(Tensor(np.zeros((1, 1))), extra)
+            params[extra] = Parameter(np.zeros((1, 1)))
         with pytest.raises(ShapeMismatchError, match=match):
             forward_batch(_encoder("cnn"), HEAD, params, Tensor(np.zeros(shape)))
 

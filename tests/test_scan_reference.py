@@ -163,12 +163,12 @@ def _case(kind, t, pad, seed):
     params = init_parameters(encoder_parameter_shapes(cfg, 3), SeededRng(seed))
     rng = np.random.default_rng(seed)
     for p in params.values():
-        p.tensor.values[:] = rng.uniform(-0.8, 0.8, size=p.tensor.shape)
+        p.values[:] = rng.uniform(-0.8, 0.8, size=p.shape)
     x = rng.uniform(-1, 1, size=(2, t, 3))
     if pad:
         x[:, t - pad:] = 0.0  # a zero-padded tail, as short documents give
     scan_input = _cnn_forward(cfg, params, Tensor(x)).values if cfg.uses_cnn else x
-    weights = [[params[f"{prefix}.{piece}_{gate}"].tensor.values
+    weights = [[params[f"{prefix}.{piece}_{gate}"].values
                 for piece in ("w", "u", "b") for gate in _GATE_NAMES[cfg.recurrent_kind]]
                for prefix in _recurrent_prefixes(cfg)]
     return cfg, params, x, scan_input, weights, rng
@@ -187,8 +187,7 @@ def test_stacked_scan_matches_one_direction_scans(kind, t, pad):
     out_grad = rng.uniform(-1, 1, size=(2, scan_input.shape[1], h * len(weights)))
 
     # the stacked scan, input and weights all parameters
-    operands = [Parameter(Tensor(a.copy()), f"p{i}").tensor
-                for i, a in enumerate([scan_input] + sum(weights, []))]
+    operands = [Parameter(a.copy()) for a in [scan_input] + sum(weights, [])]
     scan = gru_scan if cfg.recurrent_kind == "gru" else lstm_scan
     with Tape() as tape:
         out = scan(operands[0], operands[1:])

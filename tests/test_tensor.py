@@ -260,7 +260,7 @@ class TestErrors:
 
 class TestBackward:
     def test_sum_of_squares(self):
-        x = Parameter(Tensor([1.0, 2.0, 3.0]), "x").tensor
+        x = Parameter([1.0, 2.0, 3.0])
         with Tape() as tape:
             loss = (x * x).sum()
         backward(loss, tape)
@@ -270,14 +270,14 @@ class TestBackward:
         # loss = sum(x @ W), x = [[1, 1]], W = ones(2, 2)
         # dL/dW_ij = x_i, so every entry is 1 (hand chain rule).
         x = Tensor([[1.0, 1.0]])
-        w = Parameter(Tensor(np.ones((2, 2))), "w").tensor
+        w = Parameter(np.ones((2, 2)))
         with Tape() as tape:
             loss = (x @ w).sum()
         backward(loss, tape)
         np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
 
     def test_fanout_accumulates_by_summation(self):
-        x = Parameter(Tensor([0.5, -1.5, 2.0]), "x").tensor
+        x = Parameter([0.5, -1.5, 2.0])
         with Tape() as tape:
             loss = x.sum() + (x * x).sum()
         backward(loss, tape)
@@ -288,8 +288,8 @@ class TestBackward:
         base = rng.normal(size=(3, 4))
 
         def run():
-            x = Parameter(Tensor(base.copy()), "x").tensor
-            w = Parameter(Tensor(np.linspace(-1, 1, 8).reshape(4, 2)), "w").tensor
+            x = Parameter(base.copy())
+            w = Parameter(np.linspace(-1, 1, 8).reshape(4, 2))
             with Tape() as tape:
                 loss = apply_primitive("tanh", [x @ w]).sum()
             backward(loss, tape)
@@ -321,7 +321,7 @@ class TestBackward:
                                  ((6, 4, 7), (7, 3)), ((2, 3, 4, 7), (7, 5))):
             a, b = rng.uniform(-1, 1, a_shape), rng.uniform(-1, 1, b_shape)
             g = rng.uniform(-1, 1, np.matmul(a, b).shape)  # d loss / d (a @ b)
-            ta, tb = Parameter(Tensor(a), "a").tensor, Parameter(Tensor(b), "b").tensor
+            ta, tb = Parameter(a), Parameter(b)
             with Tape() as tape:
                 loss = ((ta @ tb) * Tensor(g)).sum()
             backward(loss, tape)
@@ -386,8 +386,7 @@ class TestForwardIndependentOfTape:
         assert plain.node_id is None and not plain.needs_grad
         outputs = [plain.values.tobytes()]
         for first_constant in (False, True):
-            operands = [Tensor(a) if i == 0 and first_constant
-                        else Parameter(Tensor(a), f"p{i}").tensor
+            operands = [Tensor(a) if i == 0 and first_constant else Parameter(a)
                         for i, a in enumerate(arrays)]
             recorded = len(arrays) > 1 or not first_constant
             with Tape() as tape:
@@ -400,8 +399,7 @@ class TestForwardIndependentOfTape:
 def _param_grads(forward, arrays, constant):
     """Gradients of forward(*tensors) for every array not in ``constant``,
     whose tensors stay plain constants; those get no grad."""
-    tensors = [Tensor(a) if i in constant else Parameter(Tensor(a), f"p{i}").tensor
-               for i, a in enumerate(arrays)]
+    tensors = [Tensor(a) if i in constant else Parameter(a) for i, a in enumerate(arrays)]
     with Tape() as tape:
         loss = forward(*tensors)
     backward(loss, tape)
@@ -477,8 +475,7 @@ class TestWeightTimesBatch:
         scale = np.abs(want).max() if want.size else 0.0
         np.testing.assert_allclose(out.values, want, rtol=0, atol=self.FOLD_TOL * scale)
         with Tape():
-            recorded = apply_primitive("matmul", [Parameter(Tensor(w), "w").tensor,
-                                                  Parameter(Tensor(batch), "b").tensor])
+            recorded = apply_primitive("matmul", [Parameter(w), Parameter(batch)])
         assert recorded.values.tobytes() == out.values.tobytes()
 
     # the bench heads, then weights either side of the fold rule
@@ -518,8 +515,8 @@ class TestWeightTimesBatch:
                                                   ((0, 5), (2, 5, 4))])
     def test_zero_size_forward_and_gradients(self, a_shape, b_shape):
         self._assert_matches_reference(np.ones(a_shape), np.ones(b_shape))
-        a = Parameter(Tensor(np.ones(a_shape)), "a").tensor
-        b = Parameter(Tensor(np.ones(b_shape)), "b").tensor
+        a = Parameter(np.ones(a_shape))
+        b = Parameter(np.ones(b_shape))
         with Tape() as tape:
             loss = (a @ b).sum()
         backward(loss, tape)
@@ -538,8 +535,8 @@ class TestWeightTimesBatch:
         # C-ordered gradient).
         b, count, d, n_cc = 32, 1368, 16, 128
         rng = np.random.default_rng(15)
-        w = Parameter(Tensor(rng.normal(size=(n_cc, count))), "w").tensor
-        batch = Parameter(Tensor(rng.normal(size=(b, count, d))), "b").tensor
+        w = Parameter(rng.normal(size=(n_cc, count)))
+        batch = Parameter(rng.normal(size=(b, count, d)))
         g = Tensor(rng.uniform(-1, 1, (b, n_cc, d)))
         copy = batch.values.nbytes
         tracemalloc.start()
@@ -566,8 +563,7 @@ class TestConv1dBank:
     """``conv1d`` over an empty batch, and what a taped one keeps alive."""
 
     def test_empty_batch(self):
-        x, *weights = [Parameter(Tensor(a), f"p{i}").tensor
-                       for i, a in enumerate(_conv_arrays(np.random.default_rng(30), b=0))]
+        x, *weights = map(Parameter, _conv_arrays(np.random.default_rng(30), b=0))
         with Tape() as tape:
             out = conv1d(x, weights)
             loss = (out * out).sum()
@@ -586,7 +582,7 @@ class TestConv1dBank:
         # 1.0006 outputs left after a tape-free one.
         b, t, e, f, kernels = 32, 60, 16, 64, (3, 4, 5)
         x, *weights = _conv_arrays(np.random.default_rng(31), b, t, e, kernels, f)
-        weights = [Parameter(Tensor(a), f"p{i}").tensor for i, a in enumerate(weights)]
+        weights = [Parameter(a) for a in weights]
         x = Tensor(x)
         rows = sum(t - k + 1 for k in kernels)
         g = Tensor(np.random.default_rng(32).uniform(-1, 1, (b, rows, f)))
@@ -618,8 +614,8 @@ class TestCapsuleZeroExtents:
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_routing(self, b, n_cc, d, iterations):
         n_cls = 2
-        u = Parameter(Tensor(np.ones((b, n_cc, d))), "u").tensor
-        w = Parameter(Tensor(np.ones((n_cc, n_cls, d, d))), "w").tensor
+        u = Parameter(np.ones((b, n_cc, d)))
+        w = Parameter(np.ones((n_cc, n_cls, d, d)))
         with Tape() as tape:
             v, logits, couplings = routing(u, w, iterations)
             loss = (v * v).sum()
@@ -637,7 +633,7 @@ class TestCapsuleZeroExtents:
 
     @pytest.mark.parametrize("shape", [(0, 5, 4), (2, 0, 4), (2, 5, 0), (0,)])
     def test_squash(self, shape):
-        x = Parameter(Tensor(np.ones(shape)), "x").tensor
+        x = Parameter(np.ones(shape))
         with Tape() as tape:
             loss = squash(x).sum()
         backward(loss, tape)
@@ -645,7 +641,7 @@ class TestCapsuleZeroExtents:
 
 
 def _as_params(arrays):
-    return [Parameter(Tensor(a), f"p{i}") for i, a in enumerate(arrays)]
+    return [Parameter(a) for a in arrays]
 
 
 class TestGradCheckPrimitives:
@@ -661,39 +657,39 @@ class TestGradCheckPrimitives:
 
     def test_matmul(self):
         rng = np.random.default_rng(1)
-        self._check(lambda ps: (ps[0].tensor @ ps[1].tensor).sum().scale(1.0),
+        self._check(lambda ps: (ps[0] @ ps[1]).sum().scale(1.0),
                     [rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (4, 2))])
 
     def test_matmul_batched_rank3_rank2(self):
         rng = np.random.default_rng(2)
-        self._check(lambda ps: apply_primitive("tanh", [ps[0].tensor @ ps[1].tensor]).sum(),
+        self._check(lambda ps: apply_primitive("tanh", [ps[0] @ ps[1]]).sum(),
                     [rng.uniform(-2, 2, (2, 3, 4)), rng.uniform(-2, 2, (4, 3))])
 
     def test_matmul_batched_rank2_rank3(self):
         rng = np.random.default_rng(3)
-        self._check(lambda ps: apply_primitive("tanh", [ps[0].tensor @ ps[1].tensor]).sum(),
+        self._check(lambda ps: apply_primitive("tanh", [ps[0] @ ps[1]]).sum(),
                     [rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (5, 4, 2))])
 
     def test_matmul_broadcast_rank4(self):
         rng = np.random.default_rng(4)
-        self._check(lambda ps: apply_primitive("tanh", [ps[0].tensor @ ps[1].tensor]).sum(),
+        self._check(lambda ps: apply_primitive("tanh", [ps[0] @ ps[1]]).sum(),
                     [rng.uniform(-2, 2, (2, 3, 1, 1, 4)), rng.uniform(-2, 2, (3, 5, 4, 2))])
 
     def test_matmul_weight_times_batch_folded(self):
         # a 4-row weight: the per-item products, under the same pullback
         rng = np.random.default_rng(17)
-        self._check(lambda ps: apply_primitive("tanh", [ps[0].tensor @ ps[1].tensor]).sum(),
+        self._check(lambda ps: apply_primitive("tanh", [ps[0] @ ps[1]]).sum(),
                     [rng.uniform(-2, 2, (4, 6)), rng.uniform(-2, 2, (2, 3, 6, 2))])
 
     def test_matmul_weight_times_batch_fold_side(self):
         rng = np.random.default_rng(34)
-        self._check(lambda ps: apply_primitive("tanh", [ps[0].tensor @ ps[1].tensor]).sum(),
+        self._check(lambda ps: apply_primitive("tanh", [ps[0] @ ps[1]]).sum(),
                     [rng.uniform(-2, 2, (FOLD_MIN_ROWS, 6)) / FOLD_MIN_ROWS,
                      rng.uniform(-2, 2, (2, 3, 6, 2))], seed=34)
 
     def test_matmul_batch_times_weight_folded(self):
         rng = np.random.default_rng(18)
-        self._check(lambda ps: apply_primitive("tanh", [ps[0].tensor @ ps[1].tensor]).sum(),
+        self._check(lambda ps: apply_primitive("tanh", [ps[0] @ ps[1]]).sum(),
                     [rng.uniform(-2, 2, (2, 3, 4, 5)), rng.uniform(-2, 2, (5, 3))])
 
     def test_conv1d(self):
@@ -707,7 +703,7 @@ class TestGradCheckPrimitives:
             @ w + b for w, b in zip(arrays[1::2], arrays[2::2])])
         assert np.any(pre > 0.1) and np.any(pre < -0.1) and np.abs(pre).min() > 1e-3
         weights = Tensor(rng.uniform(-1, 1, (2, 11, 4)))
-        self._check(lambda ps: (conv1d(ps[0].tensor, [p.tensor for p in ps[1:]])
+        self._check(lambda ps: (conv1d(ps[0], ps[1:])
                                 * weights).sum(), arrays, seed=33)
 
     def test_gru_scan(self):
@@ -722,7 +718,7 @@ class TestGradCheckPrimitives:
         for directions in (1, 2):
             arrays = _scan_arrays(rng, gates, directions=directions)
             weights = Tensor(rng.uniform(-1, 1, arrays[0].shape[:2] + (4 * directions,)))
-            self._check(lambda ps: (scan(ps[0].tensor, [p.tensor for p in ps[1:]])
+            self._check(lambda ps: (scan(ps[0], ps[1:])
                                     * weights).sum(), arrays, seed)
 
     def test_squash(self):
@@ -734,7 +730,7 @@ class TestGradCheckPrimitives:
         # squared outputs keep the loss even in the zero row, whose central
         # differences are then exactly 0, as its gradient is
         def fn(ps):
-            y = squash(ps[0].tensor)
+            y = squash(ps[0])
             return (y * y * weights).sum()
 
         self._check(fn, [x], seed=21)
@@ -742,7 +738,7 @@ class TestGradCheckPrimitives:
         with Tape() as tape:
             loss = fn(params)
         backward(loss, tape)
-        assert np.all(np.isfinite(p.tensor.grad)) and not np.any(p.tensor.grad[1, 3])
+        assert np.all(np.isfinite(p.grad)) and not np.any(p.grad[1, 3])
 
     def test_routing(self):
         # n_cls = 3; one iteration (couplings stay uniform) and three
@@ -751,7 +747,7 @@ class TestGradCheckPrimitives:
             u = rng.uniform(-1, 1, (2, 4, 3))
             w = rng.uniform(-1, 1, (4, 3, 3, 3))
             weights = Tensor(rng.uniform(-1, 1, (2, 3, 3)))
-            self._check(lambda ps: (routing(ps[0].tensor, ps[1].tensor, iterations)[0]
+            self._check(lambda ps: (routing(ps[0], ps[1], iterations)[0]
                                     * weights).sum(), [u, w], seed=22 + iterations)
 
     def test_add_sub_mul_div(self):
@@ -760,10 +756,10 @@ class TestGradCheckPrimitives:
         b = rng.uniform(0.5, 2, (3, 3))
 
         def fn(ps):
-            s = ps[0].tensor + ps[1].tensor
-            d = ps[0].tensor - ps[1].tensor
-            m = ps[0].tensor * ps[1].tensor
-            q = apply_primitive("div", [ps[0].tensor, ps[1].tensor])
+            s = ps[0] + ps[1]
+            d = ps[0] - ps[1]
+            m = ps[0] * ps[1]
+            q = apply_primitive("div", [ps[0], ps[1]])
             return (s + d + m + q).sum()
 
         self._check(fn, [a, b])
@@ -776,12 +772,12 @@ class TestGradCheckPrimitives:
                 a = rng.uniform(-2, 2, left)
                 b = rng.uniform(0.5, 2, right)  # positive, so div stays smooth
                 weights = Tensor(rng.uniform(-1, 1, np.broadcast_shapes(left, right)))
-                self._check(lambda ps: (apply_primitive(kind, [ps[0].tensor, ps[1].tensor])
+                self._check(lambda ps: (apply_primitive(kind, [ps[0], ps[1]])
                                         * weights).sum(), [a, b])
 
     def test_scale(self):
         rng = np.random.default_rng(6)
-        self._check(lambda ps: ps[0].tensor.scale(-1.7).sum(),
+        self._check(lambda ps: ps[0].scale(-1.7).sum(),
                     [rng.uniform(-2, 2, (4,))])
 
     def test_concat_and_slice(self):
@@ -790,7 +786,7 @@ class TestGradCheckPrimitives:
         b = rng.uniform(-2, 2, (2, 4))
 
         def fn(ps):
-            c = apply_primitive("concat", [ps[0].tensor, ps[1].tensor], axis=1)
+            c = apply_primitive("concat", [ps[0], ps[1]], axis=1)
             left = apply_primitive("slice", [c], axis=1, start=0, stop=2)
             right = apply_primitive("slice", [c], axis=1, start=2, stop=7)
             return (apply_primitive("tanh", [left]).sum() + (right * right).sum()).scale(0.5)
@@ -802,7 +798,7 @@ class TestGradCheckPrimitives:
         rng = np.random.default_rng(26)
         weights = Tensor(rng.uniform(-1, 1, (2, 9, 3)))
         self._check(lambda ps: (apply_primitive("tanh", [apply_primitive(
-                        "concat", [p.tensor for p in ps], axis=1)]) * weights).sum(),
+                        "concat", ps, axis=1)]) * weights).sum(),
                     [rng.uniform(-2, 2, (2, k, 3)) for k in (4, 3, 2)])
 
     def test_concat_negative_axis_matches_positive(self):
@@ -813,20 +809,20 @@ class TestGradCheckPrimitives:
         for axis in (1, -1):
             params = _as_params(arrays)
             with Tape() as tape:
-                out = apply_primitive("concat", [p.tensor for p in params], axis=axis)
+                out = apply_primitive("concat", params, axis=axis)
                 loss = (apply_primitive("tanh", [out]) * weights).sum()
             backward(loss, tape)
-            results.append([out.values.tobytes()] + [p.tensor.grad.tobytes() for p in params])
+            results.append([out.values.tobytes()] + [p.grad.tobytes() for p in params])
         assert results[0] == results[1]
         self._check(lambda ps: (apply_primitive("tanh", [apply_primitive(
-                        "concat", [p.tensor for p in ps], axis=-1)]) * weights).sum(),
+                        "concat", ps, axis=-1)]) * weights).sum(),
                     arrays)
 
     def test_reshape_transpose(self):
         rng = np.random.default_rng(8)
 
         def fn(ps):
-            r = ps[0].tensor.reshape((3, 2, 2))
+            r = ps[0].reshape((3, 2, 2))
             t = apply_primitive("transpose", [r], perm=(1, 0, 2))
             return apply_primitive("sigmoid", [t]).sum()
 
@@ -837,15 +833,15 @@ class TestGradCheckPrimitives:
         x = rng.uniform(-2, 2, (5, 5))
         # keep relu inputs away from the kink so FD is valid
         x[np.abs(x) < 1e-2] += 0.05
-        self._check(lambda ps: (apply_primitive("sigmoid", [ps[0].tensor]).sum()
-                                + apply_primitive("tanh", [ps[0].tensor]).sum()
-                                + relu(ps[0].tensor).sum()), [x])
+        self._check(lambda ps: (apply_primitive("sigmoid", [ps[0]]).sum()
+                                + apply_primitive("tanh", [ps[0]]).sum()
+                                + relu(ps[0]).sum()), [x])
 
     def test_softmax_axis(self):
         rng = np.random.default_rng(10)
 
         def fn(ps):
-            y = softmax(ps[0].tensor, axis=1)
+            y = softmax(ps[0], axis=1)
             w = Tensor(np.linspace(0.1, 1.0, 12).reshape(3, 4))
             return (y * w).sum()
 
@@ -854,55 +850,71 @@ class TestGradCheckPrimitives:
     def test_l2norm(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(-2, 2, (4, 3))
-        self._check(lambda ps: l2_norm(ps[0].tensor, axis=1).sum(), [x])
+        self._check(lambda ps: l2_norm(ps[0], axis=1).sum(), [x])
 
     def test_sum_axis(self):
         rng = np.random.default_rng(12)
-        self._check(lambda ps: apply_primitive("tanh", [ps[0].tensor.sum(axis=0)]).sum(),
+        self._check(lambda ps: apply_primitive("tanh", [ps[0].sum(axis=0)]).sum(),
                     [rng.uniform(-2, 2, (3, 4))])
 
     def test_exp_log(self):
         rng = np.random.default_rng(13)
-        self._check(lambda ps: (apply_primitive("exp", [ps[0].tensor]).sum()
-                                + log(ps[1].tensor).sum()),
+        self._check(lambda ps: (apply_primitive("exp", [ps[0]]).sum()
+                                + log(ps[1]).sum()),
                     [rng.uniform(-2, 2, (3,)), rng.uniform(0.5, 2, (3,))])
 
 
 class TestGradCheckHarness:
     def test_quadratic(self):
-        p = Parameter(Tensor([3.0]), "theta")
-        err = grad_check(lambda ps: (ps[0].tensor * ps[0].tensor).sum(),
+        p = Parameter([3.0])
+        err = grad_check(lambda ps: (ps[0] * ps[0]).sum(),
                          [p], epsilon=1e-5, sample_count=5)
         assert err < 1e-8
 
     def test_constant_function(self):
-        p = Parameter(Tensor([1.0, 2.0]), "theta")
-        err = grad_check(lambda ps: ps[0].tensor.sum().scale(0.0),
+        p = Parameter([1.0, 2.0])
+        err = grad_check(lambda ps: ps[0].sum().scale(0.0),
                          [p], epsilon=1e-5, sample_count=5)
         assert err == 0.0
 
     def test_nan_error_is_reported(self):
         # log(-1) is NaN, so every finite difference is NaN
-        p = Parameter(Tensor([-1.0]), "theta")
+        p = Parameter([-1.0])
         with np.errstate(invalid="ignore"):
-            err = grad_check(lambda ps: log(ps[0].tensor).sum(), [p], sample_count=3)
+            err = grad_check(lambda ps: log(ps[0]).sum(), [p], sample_count=3)
         assert np.isnan(err)
 
     def test_epsilon_validation(self):
-        p = Parameter(Tensor([1.0]), "theta")
+        p = Parameter([1.0])
         with pytest.raises(ValueError):
-            grad_check(lambda ps: ps[0].tensor.sum(), [p], epsilon=0.5)
+            grad_check(lambda ps: ps[0].sum(), [p], epsilon=0.5)
         with pytest.raises(ValueError):
-            grad_check(lambda ps: ps[0].tensor.sum(), [p], sample_count=0)
+            grad_check(lambda ps: ps[0].sum(), [p], sample_count=0)
 
     def test_grads_cleared_between_uses(self):
-        p = Parameter(Tensor([2.0]), "theta")
-        grad_check(lambda ps: (ps[0].tensor * ps[0].tensor).sum(), [p])
-        assert p.tensor.grad is None
+        p = Parameter([2.0])
+        grad_check(lambda ps: (ps[0] * ps[0]).sum(), [p])
+        assert p.grad is None
         clear_grads([p])
+
+    def test_each_parameter_reads_its_own_gradient(self):
+        # sizes 3 and 2 with different gradients (2a and 3b^2): an entry of b
+        # checked against a's gradient fails, and one past a's size indexes out
+        a, b = Parameter([0.5, -1.0, 2.0]), Parameter([1.5, -0.5])
+        err = grad_check(lambda ps: (ps[0] * ps[0]).sum() + (ps[1] * ps[1] * ps[1]).sum(),
+                         [a, b], epsilon=1e-5, sample_count=40)
+        assert err < 1e-6, f"relative error {err:.3e}"
 
 
 class TestPublicSurface:
+    def test_a_parameter_is_a_tensor(self):
+        p = Parameter(np.ones(2))
+        assert isinstance(p, Tensor) and p.needs_grad
+        assert not Tensor(np.ones(2)).needs_grad
+        for name in ("tensor", "name"):
+            assert not hasattr(p, name), name
+        assert Parameter.__slots__ == ()
+
     def test_no_sugar_for_kinds_no_model_runs(self):
         # no model runs these kinds, so neither the engine nor Tensor wraps
         # them; they stay registered only because perfbench counts the calls

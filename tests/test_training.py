@@ -151,7 +151,7 @@ class TestBceLoss:
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
     def test_differentiable(self):
-        p = Parameter(Tensor([[0.4, 0.6]]), "p").tensor  # already a distribution for this check
+        p = Parameter([[0.4, 0.6]])  # already a distribution for this check
         with Tape() as tape:
             loss = bce_loss_batch(p, np.array([1]))
         backward(loss, tape)
@@ -192,7 +192,7 @@ class TestBceMatchesReference:
         probs, labels = _bce_cases()[case]
         results = []
         for loss_fn in (bce_loss_batch, reference_bce_loss_batch):
-            p = Parameter(Tensor(probs), "p").tensor
+            p = Parameter(probs)
             with Tape() as tape:
                 loss = loss_fn(p, labels)
             backward(loss, tape)
@@ -217,44 +217,43 @@ class ReferenceAdamState:
 
 
 def reference_adam_step(params, state: ReferenceAdamState, lr: float) -> None:
-    items = sorted(params.values() if isinstance(params, dict) else params,
-                   key=lambda p: p.name)
     state.step_count += 1
     t = state.step_count
-    for p in items:
-        grad = p.tensor.grad
+    for name in sorted(params):
+        p = params[name]
+        grad = p.grad
         if grad is None:
-            raise MissingGradientError(f"parameter {p.name!r} has no gradient")
-        m = state.m.get(p.name)
-        v = state.v.get(p.name)
+            raise MissingGradientError(f"parameter {name!r} has no gradient")
+        m = state.m.get(name)
+        v = state.v.get(name)
         if m is None:
-            m = np.zeros_like(p.tensor.values)
-            v = np.zeros_like(p.tensor.values)
+            m = np.zeros_like(p.values)
+            v = np.zeros_like(p.values)
         m = training._BETA1 * m + (1.0 - training._BETA1) * grad
         v = training._BETA2 * v + (1.0 - training._BETA2) * grad * grad
-        state.m[p.name] = m
-        state.v[p.name] = v
+        state.m[name] = m
+        state.v[name] = v
         m_hat = m / (1.0 - training._BETA1 ** t)
         v_hat = v / (1.0 - training._BETA2 ** t)
-        p.tensor.values -= lr * m_hat / (np.sqrt(v_hat) + training._EPSILON)
-        p.tensor.grad = None
+        p.values -= lr * m_hat / (np.sqrt(v_hat) + training._EPSILON)
+        p.grad = None
 
 
 def reference_train_step(params, state: ReferenceAdamState, lr: float) -> None:
     """The reference step, then the parameters rebound as views of one
     vector, the layout that train's best-epoch snapshot copies."""
     reference_adam_step(params, state, lr)
-    state.values = np.concatenate([p.tensor.values for p in params.values()], axis=None)
+    state.values = np.concatenate([p.values for p in params.values()], axis=None)
     offset = 0
     for p in params.values():
-        p.tensor.values = state.values[offset:offset + p.tensor.size].reshape(p.tensor.shape)
-        offset += p.tensor.size
+        p.values = state.values[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
 
 
 def _slot_offsets(params, state) -> list:
     """Each parameter's element offset into state.values."""
     base = state.values.__array_interface__["data"][0]
-    return [(p.tensor.values.__array_interface__["data"][0] - base) // state.values.itemsize
+    return [(p.values.__array_interface__["data"][0] - base) // state.values.itemsize
             for p in params.values()]
 
 
@@ -272,51 +271,51 @@ def _mixed_grads(rng, shape) -> np.ndarray:
 
 class TestAdam:
     def test_first_step_hand_arithmetic(self):
-        p = Parameter(Tensor(np.zeros(3)), "w")
-        p.tensor.grad = np.ones(3)
+        p = Parameter(np.zeros(3))
+        p.grad = np.ones(3)
         state = AdamState()
         adam_step({"w": p}, state, lr=0.1)
         # t=1: m_hat = v_hat = 1, update = -0.1 / (1 + 1e-8)
         expected = -0.1 / (1.0 + 1e-8)
-        np.testing.assert_allclose(p.tensor.values, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.values, expected, rtol=0, atol=1e-12)
         assert state.step_count == 1
-        assert p.tensor.grad is None
+        assert p.grad is None
 
     def test_zero_gradient_keeps_parameters(self):
-        p = Parameter(Tensor(np.array([1.0, -2.0])), "w")
-        p.tensor.grad = np.zeros(2)
+        p = Parameter(np.array([1.0, -2.0]))
+        p.grad = np.zeros(2)
         adam_step({"w": p}, AdamState(), lr=0.1)
-        np.testing.assert_array_equal(p.tensor.values, [1.0, -2.0])
+        np.testing.assert_array_equal(p.values, [1.0, -2.0])
 
     def test_missing_gradient_names_parameter(self):
-        p = Parameter(Tensor(np.zeros(2)), "encoder.gru.w_z")
+        p = Parameter(np.zeros(2))
         with pytest.raises(MissingGradientError) as exc:
             adam_step({"encoder.gru.w_z": p}, AdamState(), lr=0.1)
         assert "encoder.gru.w_z" in str(exc.value)
 
     def test_determinism(self):
         def run():
-            p = Parameter(Tensor(np.linspace(-1, 1, 4)), "w")
+            p = Parameter(np.linspace(-1, 1, 4))
             state = AdamState()
             for step in range(5):
-                p.tensor.grad = np.sin(np.arange(4) + step)
+                p.grad = np.sin(np.arange(4) + step)
                 adam_step({"w": p}, state, lr=0.05)
-            return p.tensor.values.tobytes()
+            return p.values.tobytes()
 
         assert run() == run()
 
     def test_missing_gradient_changes_nothing(self):
         # dict order z, a, b; a has a gradient and sorts before the missing b
-        a = Parameter(Tensor(np.ones(2)), "a")
-        a.tensor.grad = np.full(2, 0.5)
-        params = {"z": Parameter(Tensor(np.zeros(2)), "z"), "a": a,
-                  "b": Parameter(Tensor(np.zeros(2)), "b")}
+        a = Parameter(np.ones(2))
+        a.grad = np.full(2, 0.5)
+        params = {"z": Parameter(np.zeros(2)), "a": a,
+                  "b": Parameter(np.zeros(2))}
         state = AdamState()
         with pytest.raises(MissingGradientError, match=r"^parameter 'b' has no gradient$"):
             adam_step(params, state, lr=0.1)
         assert state.step_count == 0 and state.values is None
-        np.testing.assert_array_equal(a.tensor.values, [1.0, 1.0])
-        np.testing.assert_array_equal(a.tensor.grad, [0.5, 0.5])
+        np.testing.assert_array_equal(a.values, [1.0, 1.0])
+        np.testing.assert_array_equal(a.grad, [0.5, 0.5])
 
     @settings(max_examples=100, deadline=None)
     @given(shapes=st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple),
@@ -327,19 +326,19 @@ class TestAdam:
         # names sort in the reverse of params order
         init = {f"w{len(shapes) - i}": rng.standard_normal(shape)
                 for i, shape in enumerate(shapes)}
-        flat = {name: Parameter(Tensor(values.copy()), name) for name, values in init.items()}
-        ref = {name: Parameter(Tensor(values.copy()), name) for name, values in init.items()}
+        flat = {name: Parameter(values.copy()) for name, values in init.items()}
+        ref = {name: Parameter(values.copy()) for name, values in init.items()}
         state, ref_state = AdamState(), ReferenceAdamState()
         with np.errstate(all="ignore"):
             for _ in range(steps):
                 for name, values in init.items():
                     grad = _mixed_grads(rng, values.shape)
-                    flat[name].tensor.grad = grad.copy()
-                    ref[name].tensor.grad = grad.copy()
+                    flat[name].grad = grad.copy()
+                    ref[name].grad = grad.copy()
                 adam_step(flat, state, lr)
                 reference_adam_step(ref, ref_state, lr)
         assert state.step_count == ref_state.step_count == steps
-        for got, want in [(state.values, {n: p.tensor.values for n, p in ref.items()}),
+        for got, want in [(state.values, {n: p.values for n, p in ref.items()}),
                           (state.m, ref_state.m), (state.v, ref_state.v)]:
             assert got.tobytes() == np.concatenate([want[n] for n in init], axis=None).tobytes()
 
@@ -414,7 +413,7 @@ class TestTrainLoop:
 
         def run():
             params, history = train(config, docs, _toy_table())
-            payload = b"".join(params[n].tensor.values.tobytes() for n in sorted(params))
+            payload = b"".join(params[n].values.tobytes() for n in sorted(params))
             stats = [(r.train.loss, r.valid.accuracy) for r in history]
             return payload, stats
 
@@ -474,7 +473,7 @@ class TestTrainLoop:
 
         def run():
             params, history = train(config, docs, _toy_table())
-            payload = b"".join(params[n].tensor.values.tobytes() for n in sorted(params))
+            payload = b"".join(params[n].values.tobytes() for n in sorted(params))
             return payload, [(r.train.loss, r.valid.loss) for r in history]
 
         first = run()
@@ -587,7 +586,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("kind", ["cnn", "bigru"])
     def test_only_parameters_get_gradients(self, monkeypatch, kind):
         # every train step: the input block, the label weights and the BCE
-        # floor constant get no grad; every parameter tensor gets one
+        # floor constant get no grad; every parameter gets one
         config = _toy_config(encoder=EncoderConfig(kind=kind, kernel_sizes=(2,),
                                                    filters_per_kernel=3, hidden_dim=3),
                              epochs=1)
@@ -605,7 +604,7 @@ class TestTrainLoop:
             tensors[id(last["x"])] = last["x"]
             constants = [t for t in tensors.values() if not t.needs_grad]
             with_grad = {key for key, t in tensors.items() if t.grad is not None}
-            steps.append((with_grad == {id(p.tensor) for p in last["params"].values()},
+            steps.append((with_grad == {id(p) for p in last["params"].values()},
                           len(constants), any(t.grad is not None for t in constants)))
 
         monkeypatch.setattr(training, "forward_batch", recording_forward)
@@ -653,7 +652,7 @@ class TestTrainLoop:
         assert history == ref_history
         assert list(params) == list(ref_params)
         for name, p in params.items():
-            assert p.tensor.values.tobytes() == ref_params[name].tensor.values.tobytes()
+            assert p.values.tobytes() == ref_params[name].values.tobytes()
 
     def test_returns_best_epoch_parameters(self, monkeypatch):
         states = []
@@ -675,9 +674,9 @@ class TestTrainLoop:
         assert replace(evaluate(params, valid_docs, table, config), split="valid") == best.valid
         state = states[0]
         assert all(s is state for s in states)
-        sizes = [p.tensor.size for p in params.values()]
+        sizes = [p.size for p in params.values()]
         assert _slot_offsets(params, state) == list(np.cumsum([0] + sizes[:-1]))
-        assert all(p.tensor.values.base is state.values for p in params.values())
+        assert all(p.values.base is state.values for p in params.values())
 
 
 class TestAblation:
@@ -855,8 +854,8 @@ class TestNonFiniteGuard:
         def poisoned_step(params, state, lr):
             step(params, state, lr)
             if state.step_count == 3:
-                params["head.routing.w"].tensor.values[0, 0, 0, 0] = np.inf
-                params["head.primary.w"].tensor.values[0, 0] = np.nan
+                params["head.routing.w"].values[0, 0, 0, 0] = np.inf
+                params["head.primary.w"].values[0, 0] = np.nan
 
         monkeypatch.setattr(training, "adam_step", poisoned_step)
         with pytest.raises(NonFiniteLossError,
@@ -885,7 +884,7 @@ class TestTapeShape:
         with Tape() as tape:
             out = forward_batch(config.encoder, config.head, params, x)
             bce_loss_batch(out.probs, np.array([0, 1]))
-        weights = {id(p.tensor) for p in params.values()}
+        weights = {id(p) for p in params.values()}
         for node in tape.nodes:
             if node.kind in ("reshape", "transpose") and id(node.inputs[0]) in weights:
                 weights.add(id(node.out))

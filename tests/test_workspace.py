@@ -72,7 +72,7 @@ def _case(name, seed):
 
 def _run(fn, arrays, g):
     """A taped application and its pullback's raw gradients, not copies."""
-    tensors = [Parameter(Tensor(a), f"p{i}").tensor for i, a in enumerate(arrays)]
+    tensors = [Parameter(a) for a in arrays]
     with Tape() as tape:
         out = fn(tensors)
     return out.values, tape.nodes[-1].backward_fn(g)
@@ -102,12 +102,12 @@ def test_grad_check_inside_a_workspace(name):
     # grad_check's taped pass and its tape-free central differences all run
     # on reused work arrays
     _, arrays, fn = _case(name, 5)
-    params = [Parameter(Tensor(a), f"p{i}") for i, a in enumerate(arrays)]
-    shape = fn([p.tensor for p in params]).shape
+    params = [Parameter(a) for a in arrays]
+    shape = fn(params).shape
     weights = Tensor(np.random.default_rng(6).uniform(-1, 1, shape))
     with Workspace():
         err = grad_check(
-            lambda ps: (apply_primitive("tanh", [fn([p.tensor for p in ps])]) * weights).sum(),
+            lambda ps: (apply_primitive("tanh", [fn(ps)]) * weights).sum(),
             params, epsilon=1e-5, sample_count=40, rng=np.random.default_rng(7))
     assert err < 1e-6, f"relative error {err:.3e}"
 
