@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .adversarial import PerturbationPolicy, augment_dataset
 from .capsule import mean_pool
-from .model import check_parameters, forward_batch, parameter_shapes
+from .model import check_parameters, first_nonfinite, forward_batch, parameter_shapes
 from .serialize import (
     ModelFormatError,
     build_manifest,
@@ -125,9 +125,9 @@ def _rebuild_from_checkpoint(model_path):
         raise ModelFormatError(f"{model_path}: metadata describes no buildable model: {exc}")
     except ShapeMismatchError as exc:
         raise ModelFormatError(f"{model_path}: {exc}")
-    for name in sorted(params):
-        if not np.isfinite(params[name].values).all():
-            raise ModelFormatError(f"{model_path}: parameter {name!r} holds non-finite values")
+    first = first_nonfinite(params)
+    if first is not None:
+        raise ModelFormatError(f"{model_path}: parameter {first!r} holds non-finite values")
     return params, config, e_d
 
 

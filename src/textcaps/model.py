@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .adversarial import SeededRng
 from .capsule import (
     CapsuleHeadConfig,
@@ -60,6 +62,13 @@ def check_parameters(params: Dict[str, Parameter],
         shape, want = params[name].shape, shapes[name]
         if shape != want:
             raise ShapeMismatchError(f"parameter {name!r} has shape {shape}, expected {want}")
+
+
+def first_nonfinite(params: Dict[str, Parameter]) -> Optional[str]:
+    """The first parameter name, in name order, whose values hold a NaN or an
+    infinity; None when every parameter is finite."""
+    return next((name for name in sorted(params)
+                 if not np.isfinite(params[name].values).all()), None)
 
 
 def init_model(encoder: EncoderConfig, head: Optional[CapsuleHeadConfig],

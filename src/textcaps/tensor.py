@@ -550,11 +550,15 @@ def _prim_log(arrays, kw, needs):
 # same F. Kernel i reads the windows x[:, p:p + k] flattened position-major,
 # so its output rows are relu(windows @ w + b), written to its block of the
 # (B, sum_i (T - k_i + 1), F) output in operand order. Each kernel's windows
-# are one strided copy of x, (B, T - k + 1, k * E) (Chellapilla et al. 2006),
-# multiplied by the same numpy product as the composed slice-concat-matmul
-# graph, and the pullback forms dw and db with that graph's reductions, so
-# outputs and weight gradients equal its bytes. The pullback keeps only the
-# windows and the output, whose sign is the ReLU mask.
+# are one copy of an ``as_strided`` view of x, (B, T - k + 1, k * E)
+# (Chellapilla et al. 2006), multiplied by the same numpy product as the
+# composed slice-concat-matmul graph into its rows of the map. Then one pass
+# adds every kernel's bias, through a (1, L, F) table holding each output
+# row's bias, and one more applies the ReLU to the whole contiguous map: each
+# element still takes the product, the bias add and the ReLU in that order.
+# The pullback forms dw and db with that graph's reductions, so outputs and
+# weight gradients equal its bytes. It keeps only the windows and the output,
+# whose sign is the ReLU mask.
 
 
 def _check_conv1d(arrays, kw):
@@ -581,22 +585,30 @@ def _prim_conv1d(arrays, kw, needs):
     b, t, e = x.shape
     f = arrays[1].shape[1]
     sizes = [w.shape[0] // e for w in arrays[1::2]]
-    out = _work((b, sum(t - k + 1 for k in sizes), f))
+    length = sum(t - k + 1 for k in sizes)
+    out = _work((b, length, f))
+    biases = _work((1, length, f))  # row r holds the bias of the kernel that wrote it
+    s_b, s_t, s_e = x.strides
     banks = []   # (windows, w, first output row, row count) per kernel
     start = 0
     for k, w, bias in zip(sizes, arrays[1::2], arrays[2::2]):
         rows = t - k + 1
-        # the strided view's rows overlap; copied, the product runs in BLAS
-        view = np.lib.stride_tricks.sliding_window_view(x, k, axis=1).swapaxes(2, 3)
+        # window p is x[:, p:p + k]; the view's rows overlap, so the product
+        # runs in BLAS on a copy (at F = 1, numpy multiplies the view itself
+        # by another path, with other bytes than the composed graph's)
+        view = np.lib.stride_tricks.as_strided(x, (b, rows, k, e), (s_b, s_t, s_t, s_e),
+                                               writeable=False)
         windows = _work((b, rows, k * e))
         np.copyto(windows.reshape(b, rows, k, e), view)
         # the product rounded before the bias is added, as the composed graph
         # formed it; each item's rows of the block stay one BLAS product
-        block = np.matmul(windows, w, out=out[:, start:start + rows])
-        np.add(block, bias, out=block)
-        np.maximum(block, 0.0, out=block)
+        np.matmul(windows, w, out=out[:, start:start + rows])
+        biases[0, start:start + rows] = bias
         banks.append((windows, w, start, rows))
         start += rows
+    # every kernel's bias add and ReLU in one pass over the contiguous map
+    np.add(out, biases, out=out)
+    np.maximum(out, 0.0, out=out)
 
     def pullback(g):
         dx = None

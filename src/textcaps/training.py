@@ -28,7 +28,7 @@ import numpy as np
 from .adversarial import PerturbationPolicy, SeededRng, augment_dataset, seed_sequence
 from .capsule import CapsuleHeadConfig
 from .encoders import ENCODER_KINDS, EncoderConfig
-from .model import forward_batch, init_model
+from .model import first_nonfinite, forward_batch, init_model
 from .tensor import Parameter, Tape, Tensor, Workspace, backward, clear_grads, log, relu
 from .text import Document, EmbeddingTable, encode_batch
 
@@ -280,8 +280,7 @@ def _forward_metrics(encoder, head, params, table, ids, labels, batch_size, spli
 
 
 def _diverged(params: Dict[str, Parameter], what: str) -> NonFiniteLossError:
-    first = next((name for name in sorted(params)
-                  if not np.isfinite(params[name].values).all()), None)
+    first = first_nonfinite(params)
     culprit = (f"first non-finite parameter {first!r}" if first is not None
                else "every parameter is finite")
     return NonFiniteLossError(f"{what}; {culprit}")

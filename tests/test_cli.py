@@ -307,6 +307,26 @@ class TestMalformedInputs:
         assert _assert_one_line_error(capsys, fragment) == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "export-repr"])
+    def test_non_finite_checkpoint(self, trained, workspace, tmp_path, capsys, command):
+        # the scan runs in name order, not the draw order that puts
+        # head.primary.w first, so the infinity is named rather than the NaN
+        params, meta = load_model(trained / "model.caps")
+        params["head.primary.w"].values.flat[0] = np.nan
+        params["head.compress.w"].values.flat[-1] = np.inf
+        model = tmp_path / "m.caps"
+        save_model(model, params, meta)
+        out = tmp_path / "repr.csv"
+        argv = [command, "--model", str(model),
+                "--data", str(workspace / "corpus.jsonl"),
+                "--embeddings", str(workspace / "emb.txt")]
+        if command == "export-repr":
+            argv += ["--stage", "class", "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert _assert_one_line_error(
+            capsys, f"error: {model}: parameter 'head.compress.w' holds non-finite values\n") == ""
+        assert not out.exists()
+
     def test_three_class_checkpoint(self, trained, workspace, tmp_path, capsys):
         params, meta = load_model(trained / "model.caps")
         n_cc, _, d, _ = params["head.routing.w"].shape

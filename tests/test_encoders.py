@@ -284,7 +284,8 @@ class TestFusedConvReference:
 
     # (B, T, E, kernel_sizes, F, zero-padded tail): the train-cnn-caps and
     # score-adv encoders, k = 1, k = T (one position), one kernel, unsorted
-    # kernels, a padded tail
+    # kernels, a padded tail, and one filter, where a product of the
+    # overlapping window view instead of its copy would give other bytes
     CASES = {
         "train-cnn-caps": (32, 60, 16, (3, 4, 5), 64, 0),
         "score-adv": (32, 60, 16, (3, 4, 5), 16, 0),
@@ -293,6 +294,7 @@ class TestFusedConvReference:
         "one-kernel": (2, 6, 3, (3,), 4, 0),
         "unsorted": (2, 9, 3, (5, 3), 2, 0),
         "padded": (3, 8, 2, (2, 3), 3, 4),
+        "one-filter": (3, 7, 2, (3, 1, 5), 1, 2),
     }
 
     @pytest.mark.parametrize("kind", CNN_KINDS)
