@@ -6,6 +6,14 @@ pool, the other half on a small set of class-exclusive high-frequency
 marker tokens, which makes the corpus linearly separable by bag-of-words
 while keeping plenty of lexical overlap. Documents have 2-5 sentences of
 4-12 words. Embeddings are unit-norm Gaussian vectors, one per token.
+
+The corpus stream draws, in order: the shuffle of the labels; then per
+document ``integers(2, 6)`` sentences; then per sentence ``integers(4, 13)``
+words, followed by ``random(n_words)`` mapped through the class's cumulative
+distribution by ``searchsorted(side="right")``, which is what
+``Generator.choice(p=...)`` computes. Like every ``Generator`` method stream
+(:class:`~textcaps.adversarial.SeededRng`), a corpus repeats for one numpy
+version.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ def generate_synthetic_corpus(
         markers = np.arange(label * n_markers, (label + 1) * n_markers)
         class_probs[label, markers] = (1.0 - SHARED_MASS) / n_markers
         class_probs[label, shared_ids] = SHARED_MASS / len(shared_ids)
+    cdfs = class_probs.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
 
     rng = SeededRng(seed, _TAG_CORPUS)
     n_pos = n_docs // 2
@@ -49,15 +59,15 @@ def generate_synthetic_corpus(
     rng.shuffle(labels)
 
     docs: List[Document] = []
-    for label in labels:
+    for label in labels.tolist():
         n_sentences = int(rng.integers(2, 6))
         sentences = []
         for _ in range(n_sentences):
             n_words = int(rng.integers(4, 13))
-            ids = rng.choice(vocab_size, size=n_words, p=class_probs[label])
-            sentences.append([vocab[i] for i in ids])
+            ids = cdfs[label].searchsorted(rng.random(n_words), side="right")
+            sentences.append([vocab[i] for i in ids.tolist()])
         docs.append(Document(raw_text=render_document(sentences),
-                             sentences=sentences, label=int(label)))
+                             sentences=sentences, label=label))
     return docs, vocab
 
 

@@ -88,7 +88,10 @@ def tokenize(raw_text: str) -> List[List[str]]:
     """
     sentences: List[List[str]] = []
     for segment in _SENTENCE_END.split(raw_text.lower()):
-        tokens = [token for token in map(_strip_edge_punct, segment.split()) if token]
+        tokens = segment.split()
+        # All-alphanumeric tokens have no punctuation edge to strip.
+        if not "".join(tokens).isalnum():
+            tokens = [token for token in map(_strip_edge_punct, tokens) if token]
         if tokens:
             sentences.append(tokens)
     return sentences

@@ -84,6 +84,17 @@ class TestFlagValidation:
                      "--out", "x", "--embeddings-out", "y"])
         assert exc.value.code == 2
 
+    def test_two_word_vocabulary_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        out, emb = tmp_path / "corpus.jsonl", tmp_path / "emb.txt"
+        code = run_cli(["gen-synth", "--docs", "10", "--vocab", "2", "--seed", "1",
+                        "--out", str(out), "--embeddings-out", str(emb)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "vocab_size must be >= 3" in lines[0]
+        assert not out.exists() and not emb.exists()
+
     def test_sweep_default_grid(self):
         parser = build_parser()
         args = parser.parse_args(["sweep", "--config", "c", "--data", "d",

@@ -174,8 +174,16 @@ class TestTokenize:
     def test_matches_reference_on_terminators_and_whitespace(self, text):
         assert tokenize(text) == tokenize_reference(text)
 
+    @pytest.mark.parametrize("text", ["a_b c", "_x y_", "e\u0301 z", "x\u00a0y",
+                                      "\u021aar\u0103 12", "   "],
+                             ids=["inner-underscore", "edge-underscore", "combining-mark",
+                                  "nbsp", "romanian-and-digits", "blank"])
+    def test_matches_reference_at_the_alphanumeric_shortcut_boundary(self, text):
+        assert tokenize(text) == tokenize_reference(text)
+
     def test_no_alphanumeric_character_is_punctuation(self):
-        # _strip_edge_punct returns a token with alphanumeric ends unchanged.
+        # _strip_edge_punct returns a token with alphanumeric ends unchanged, and
+        # tokenize keeps the tokens of an all-alphanumeric segment as split.
         offenders = [hex(cp) for cp in range(sys.maxunicode + 1)
                      if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
         assert offenders == []
