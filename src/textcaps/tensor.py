@@ -635,6 +635,11 @@ def _prim_conv1d(arrays, kw, needs):
     return out, pullback
 
 
+# Elements in a block of a blocked pullback's work arrays, 256 KiB of float64:
+# squash's rows and each Jacobian factor of a scan's steps.
+_CHUNK = 1 << 15
+
+
 # Fused recurrent scans: every direction of an encoder in one loop over time.
 # Operands: the (B, T, E) input, then for each of D = 1 or 2 directions,
 # forward first, the per-gate input weights w_* (E, H), recurrent weights
@@ -647,8 +652,14 @@ def _prim_conv1d(arrays, kw, needs):
 # per direction are (D, T, B, .). The output is the (B, T, D*H) feature map in
 # position order, direction d in columns d*H:(d+1)*H. The pullback is
 # hand-written BPTT over the gate activations and states the forward kept, in
-# the same stacked layout. It transposes the recurrent weights as views: a
-# contiguous copy takes another BLAS path, whose summation order differs.
+# the same stacked layout. It walks the steps last to first in blocks of
+# min(T, _CHUNK // (D*B*H)) steps, at least one, and forms each block's
+# Jacobian factors into (block, D, B, H) work arrays just before the block's
+# steps read them, so no factor spans the sequence. Once the loop has read the
+# map's (T, D, B, H) gradient, that buffer holds each du product's left
+# operand in turn, (D, T, B, H) in its memory: the states before each step,
+# then for the GRU r times them. It transposes the recurrent weights as views:
+# a contiguous copy takes another BLAS path, whose summation order differs.
 
 _GRU_GATES = ("z", "r", "n")
 _LSTM_GATES = ("i", "f", "o", "g")
@@ -700,12 +711,20 @@ def _to_steps(g: np.ndarray, dirs: int) -> np.ndarray:
     return steps
 
 
-def _by_direction(steps: np.ndarray) -> np.ndarray:
-    """(T, D, B, k) -> contiguous (D, T*B, k): one block of rows per direction."""
+def _step_blocks(t: int, step: int) -> tuple:
+    """The length of a block of steps whose Jacobian factors a scan's pullback
+    forms at once, about _CHUNK elements each for ``step`` elements a step,
+    and each block's (start, stop), last block first."""
+    span = min(t, max(1, _CHUNK // max(1, step)))
+    return span, [(max(0, stop - span), stop) for stop in range(t, 0, -span)]
+
+
+def _staging(steps: np.ndarray) -> tuple:
+    """A contiguous (T, D, B, k) buffer's memory read as (D, T, B, k), to be
+    filled, and as the transposed (D, k, T*B) rows of a du product: one block
+    of rows per direction."""
     t, dirs, b, k = steps.shape
-    rows = _work((dirs, t * b, k))
-    np.copyto(rows.reshape(dirs, t, b, k), np.swapaxes(steps, 0, 1))
-    return rows
+    return steps.reshape(dirs, t, b, k), np.swapaxes(steps.reshape(dirs, t * b, k), 1, 2)
 
 
 def _scan_inputs(arrays, n_gates):
@@ -775,31 +794,37 @@ def _prim_gru_scan(arrays, kw, needs):
         carry = np.zeros((dirs, b, h))
         prev = states[:-1]
         z, r = zr[..., :h], zr[..., h:]
-        # per-step Jacobian factors, formed for every step at once, each
-        # product in the order (1 - z) * (1 - n * n), (prev - n) * z * (1 - z)
-        # and prev * r * (1 - r)
-        tmp = np.subtract(1.0, z, out=_work(n.shape))
-        dn_dh = np.multiply(n, n, out=_work(n.shape))     # dh -> d n_pre
-        np.subtract(1.0, dn_dh, out=dn_dh)
-        np.multiply(tmp, dn_dh, out=dn_dh)
-        dz_dh = np.subtract(prev, n, out=_work(n.shape))  # dh -> d z_pre
-        dz_dh *= z
-        dz_dh *= tmp
-        dr_drh = np.multiply(prev, r, out=_work(n.shape))  # d(r * h) -> d r_pre
-        dr_drh *= np.subtract(1.0, r, out=tmp)
-        for s in range(t - 1, -1, -1):
-            dh = g[s] + carry
-            d = dsteps[s]
-            np.multiply(dh, dn_dh[s], out=d[..., 2 * h:])
-            drh = d[..., 2 * h:] @ u_n_t
-            np.multiply(dh, dz_dh[s], out=d[..., :h])
-            np.multiply(drh, dr_drh[s], out=d[..., h:2 * h])
-            carry = dh * z[s] + drh * r[s] + d[..., :2 * h] @ u_zr_t
+        span, blocks = _step_blocks(t, n[0].size)
+        factors = _work((4, span, dirs, b, h))
+        for start, stop in blocks:
+            # this block's Jacobian factors, each product in the order
+            # (1 - z) * (1 - n * n), (prev - n) * z * (1 - z) and prev * r * (1 - r)
+            tmp, dn_dh, dz_dh, dr_drh = factors[:, :stop - start]
+            blk = slice(start, stop)
+            np.subtract(1.0, z[blk], out=tmp)
+            np.multiply(n[blk], n[blk], out=dn_dh)  # dh -> d n_pre
+            np.subtract(1.0, dn_dh, out=dn_dh)
+            np.multiply(tmp, dn_dh, out=dn_dh)
+            np.subtract(prev[blk], n[blk], out=dz_dh)  # dh -> d z_pre
+            dz_dh *= z[blk]
+            dz_dh *= tmp
+            np.multiply(prev[blk], r[blk], out=dr_drh)  # d(r * h) -> d r_pre
+            dr_drh *= np.subtract(1.0, r[blk], out=tmp)
+            for s in range(stop - 1, start - 1, -1):
+                j = s - start
+                dh = g[s] + carry
+                d = dsteps[s]
+                np.multiply(dh, dn_dh[j], out=d[..., 2 * h:])
+                drh = d[..., 2 * h:] @ u_n_t
+                np.multiply(dh, dz_dh[j], out=d[..., :h])
+                np.multiply(drh, dr_drh[j], out=d[..., h:2 * h])
+                carry = dh * z[s] + drh * r[s] + d[..., :2 * h] @ u_zr_t
         flat = dproj.reshape(dirs, t * b, 3 * h)
-        du = np.concatenate([
-            np.matmul(np.swapaxes(_by_direction(prev), 1, 2), flat[..., :2 * h]),
-            np.matmul(np.swapaxes(_by_direction(np.multiply(r, prev, out=tmp)), 1, 2),
-                      flat[..., 2 * h:])], axis=2)
+        staged, rows = _staging(g)
+        np.copyto(staged, np.swapaxes(prev, 0, 1))
+        du_zr = np.matmul(rows, flat[..., :2 * h])
+        np.multiply(np.swapaxes(r, 0, 1), np.swapaxes(prev, 0, 1), out=staged)
+        du = np.concatenate([du_zr, np.matmul(rows, flat[..., 2 * h:])], axis=2)
         return _scan_grads(dproj, xs, w, du, 3, needs[0])
 
     return _from_steps(states[1:]), pullback
@@ -827,40 +852,45 @@ def _prim_lstm_scan(arrays, kw, needs):
     def pullback(g):
         g = _to_steps(g, dirs)
         i, f, o, gg = (gates[..., k * h:(k + 1) * h] for k in range(4))
-        shape = (t, dirs, b, h)
-        tc = np.tanh(cells[1:], out=_work(shape))
-        tmp = _work(shape)
-        # per-step Jacobian factors, formed for every step at once, each
-        # product in the order of the formula beside it
-        dc_dh = np.multiply(tc, tc, out=_work(shape))  # dh -> dc: o * (1 - tc^2)
-        np.subtract(1.0, dc_dh, out=dc_dh)
-        np.multiply(o, dc_dh, out=dc_dh)
-        do_dh = np.multiply(tc, o, out=_work(shape))  # d o_pre: tc * o * (1 - o)
-        do_dh *= np.subtract(1.0, o, out=tmp)
-        di_dc = np.multiply(gg, i, out=_work(shape))  # d i_pre: gg * i * (1 - i)
-        di_dc *= np.subtract(1.0, i, out=tmp)
-        df_dc = np.multiply(cells[:-1], f, out=_work(shape))  # c * f * (1 - f)
-        df_dc *= np.subtract(1.0, f, out=tmp)
-        dg_dc = np.multiply(gg, gg, out=_work(shape))  # d g_pre: i * (1 - gg^2)
-        np.subtract(1.0, dg_dc, out=dg_dc)
-        np.multiply(i, dg_dc, out=dg_dc)
         u_t = np.swapaxes(u, 1, 2)
         dproj = _work((dirs, t, b, 4 * h))
         dsteps = np.swapaxes(dproj, 0, 1)
         carry_h = np.zeros((dirs, b, h))
         carry_c = np.zeros((dirs, b, h))
-        for s in range(t - 1, -1, -1):
-            dh = g[s] + carry_h
-            dc = dh * dc_dh[s] + carry_c
-            d = dsteps[s]
-            np.multiply(dc, di_dc[s], out=d[..., :h])
-            np.multiply(dc, df_dc[s], out=d[..., h:2 * h])
-            np.multiply(dh, do_dh[s], out=d[..., 2 * h:3 * h])
-            np.multiply(dc, dg_dc[s], out=d[..., 3 * h:])
-            carry_c = dc * f[s]
-            carry_h = d @ u_t
-        du = np.matmul(np.swapaxes(_by_direction(states[:-1]), 1, 2),
-                       dproj.reshape(dirs, t * b, 4 * h))
+        span, blocks = _step_blocks(t, states[0].size)
+        factors = _work((7, span, dirs, b, h))
+        for start, stop in blocks:
+            # this block's Jacobian factors, each product in the order of the
+            # formula beside it
+            tc, tmp, dc_dh, do_dh, di_dc, df_dc, dg_dc = factors[:, :stop - start]
+            blk = slice(start, stop)
+            np.tanh(cells[start + 1:stop + 1], out=tc)
+            np.multiply(tc, tc, out=dc_dh)  # dh -> dc: o * (1 - tc^2)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            np.multiply(o[blk], dc_dh, out=dc_dh)
+            np.multiply(tc, o[blk], out=do_dh)  # d o_pre: tc * o * (1 - o)
+            do_dh *= np.subtract(1.0, o[blk], out=tmp)
+            np.multiply(gg[blk], i[blk], out=di_dc)  # d i_pre: gg * i * (1 - i)
+            di_dc *= np.subtract(1.0, i[blk], out=tmp)
+            np.multiply(cells[blk], f[blk], out=df_dc)  # c * f * (1 - f)
+            df_dc *= np.subtract(1.0, f[blk], out=tmp)
+            np.multiply(gg[blk], gg[blk], out=dg_dc)  # d g_pre: i * (1 - gg^2)
+            np.subtract(1.0, dg_dc, out=dg_dc)
+            np.multiply(i[blk], dg_dc, out=dg_dc)
+            for s in range(stop - 1, start - 1, -1):
+                j = s - start
+                dh = g[s] + carry_h
+                dc = dh * dc_dh[j] + carry_c
+                d = dsteps[s]
+                np.multiply(dc, di_dc[j], out=d[..., :h])
+                np.multiply(dc, df_dc[j], out=d[..., h:2 * h])
+                np.multiply(dh, do_dh[j], out=d[..., 2 * h:3 * h])
+                np.multiply(dc, dg_dc[j], out=d[..., 3 * h:])
+                carry_c = dc * f[s]
+                carry_h = d @ u_t
+        staged, rows = _staging(g)
+        np.copyto(staged, np.swapaxes(states[:-1], 0, 1))
+        du = np.matmul(rows, dproj.reshape(dirs, t * b, 4 * h))
         return _scan_grads(dproj, xs, w, du, 4, needs[0])
 
     return _from_steps(states[1:]), pullback
@@ -882,10 +912,6 @@ def _squash_factor(x: np.ndarray) -> tuple:
     """|x| and |x| / (1 + |x|^2) along the last axis, both kept as size-1 axes."""
     norm = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
     return norm, norm / (1.0 + norm * norm)
-
-
-# Elements in a block of squash's pullback (256 KiB of float64).
-_CHUNK = 1 << 15
 
 
 def _squash_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray,

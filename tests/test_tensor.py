@@ -606,6 +606,35 @@ class TestConv1dBank:
         assert held < kept + 0.25 * output, f"held {held / 2**20:.2f} MiB"
 
 
+class TestScanPullback:
+    """What a taped recurrent scan's forward plus backward keeps alive."""
+
+    @pytest.mark.parametrize("scan, gates, bound", [(gru_scan, 3, 12), (lstm_scan, 4, 16)],
+                             ids=["gru", "lstm"])
+    def test_peak_memory(self, scan, gates, bound):
+        # train-bigru-desk encoder, outside a Workspace. numpy reports its
+        # buffers to tracemalloc. The pullback forms its Jacobian factors a
+        # block of steps at a time and stages each du operand in the buffer of
+        # the map's gradient, so no factor and no copy of the states spans the
+        # whole sequence. Measured, in (T, D, B, H) arrays: 10.9 (GRU) and
+        # 14.7 (LSTM) at the peak; 14.7 and 20.8 with whole-sequence factors.
+        b, t, e, h, dirs = 32, 60, 16, 32, 2
+        x, *weights = _scan_arrays(np.random.default_rng(33), gates, b, t, e, h, dirs)
+        x, weights = Tensor(x), [Parameter(w) for w in weights]
+        unit = t * dirs * b * h * 8
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            with Tape() as tape:
+                loss = scan(x, weights).sum()
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert all(w.grad.shape == w.shape for w in weights)
+        assert peak < bound * unit, f"peak {peak / unit:.2f} (T, D, B, H) arrays"
+
+
 class TestCapsuleZeroExtents:
     """``routing`` and ``squash`` run forward and backward over an empty batch,
     an empty capsule axis or zero-length vectors, with every shape kept."""
