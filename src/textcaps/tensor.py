@@ -9,10 +9,10 @@ pullback, the closure mapping an output gradient to operand gradients (the
 vector-Jacobian product). A forward pass executed under an active
 :class:`Tape` records one node, holding that pullback, per primitive
 application that has such an operand; work on constants alone (input
-blocks, labels) is never recorded. :func:`backward` replays the tape in
-reverse, calls each node's pullback, accumulates gradients by summation
-wherever a tensor fans out into several consumers, and writes ``grad`` on
-parameters only.
+blocks, labels) is never recorded. :func:`backward` replays the tape once,
+in reverse, calls each node's pullback and then drops it, accumulates
+gradients by summation wherever a tensor fans out into several consumers,
+and writes ``grad`` on parameters only.
 
 Broadcasting is deliberately narrow: ``add``/``sub``/``mul``/``div`` take
 operands of equal rank whose extents are pairwise equal or 1, ``matmul``
@@ -742,7 +742,7 @@ def _scan_inputs(arrays, n_gates):
     proj = np.matmul(xs.reshape(dirs, t * b, e), w,
                      out=_work((dirs, t * b, w.shape[2])))
     proj += bias
-    return xs, w, u, np.swapaxes(proj.reshape(dirs, t, b, -1), 0, 1)
+    return xs, w, u, np.swapaxes(proj.reshape(dirs, t, b, w.shape[2]), 0, 1)
 
 
 def _scan_grads(dproj, xs, w, du, n_gates, need_x):
@@ -751,7 +751,7 @@ def _scan_grads(dproj, xs, w, du, n_gates, need_x):
     projection grads and the (D, ., G*H) du."""
     dirs, t, b, width = dproj.shape
     flat = dproj.reshape(dirs, t * b, width)
-    dw = np.matmul(np.swapaxes(xs.reshape(dirs, t * b, -1), 1, 2), flat)
+    dw = np.matmul(np.swapaxes(xs.reshape(dirs, t * b, xs.shape[3]), 1, 2), flat)
     db = flat.sum(axis=1, keepdims=True)
     dx = None
     if need_x:
@@ -825,6 +825,7 @@ def _prim_gru_scan(arrays, kw, needs):
         du_zr = np.matmul(rows, flat[..., :2 * h])
         np.multiply(np.swapaxes(r, 0, 1), np.swapaxes(prev, 0, 1), out=staged)
         du = np.concatenate([du_zr, np.matmul(rows, flat[..., 2 * h:])], axis=2)
+        del g, staged, rows  # the buffer goes back to the pool for _scan_grads
         return _scan_grads(dproj, xs, w, du, 3, needs[0])
 
     return _from_steps(states[1:]), pullback
@@ -891,6 +892,7 @@ def _prim_lstm_scan(arrays, kw, needs):
         staged, rows = _staging(g)
         np.copyto(staged, np.swapaxes(states[:-1], 0, 1))
         du = np.matmul(rows, dproj.reshape(dirs, t * b, 4 * h))
+        del g, staged, rows  # the buffer goes back to the pool for _scan_grads
         return _scan_grads(dproj, xs, w, du, 4, needs[0])
 
     return _from_steps(states[1:]), pullback
@@ -1102,6 +1104,14 @@ def backward(loss: Tensor, tape: Tape) -> None:
     Gradients of tensors consumed by several nodes are accumulated by
     summation. Grads already present on parameters (e.g. from an earlier
     backward call before an optimizer step) are added to, not replaced.
+
+    The replay consumes the tape: each node's pullback is dropped once it has
+    run, or once the replay has passed a node that no gradient reaches, and
+    each incoming gradient before its contributions are summed, so that the
+    arrays only a finished pullback held go back to the innermost
+    :class:`Workspace` before an earlier pullback asks for work arrays. The
+    nodes keep their ``kind``, ``out`` and ``inputs``. A second call on the
+    same tape raises :class:`TensorError` before it writes any gradient.
     Raises :class:`EmptyTapeError` when the tape recorded nothing, which is
     also the case when nothing computed under it depends on a Parameter.
     """
@@ -1110,15 +1120,21 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if not tape.nodes:
         raise EmptyTapeError("tape recorded no nodes: nothing computed under it "
                              "depends on a Parameter")
+    # a replay drops the last node's pullback first
+    if tape.nodes[-1].backward_fn is None:
+        raise TensorError("tape was already replayed by backward: record a new one")
 
     # Gradients of recorded outputs, keyed by id; sums are formed out of place,
     # because a rule may hand the same array to several operands.
     grads: dict = {id(loss): np.ones_like(loss.values)}
     for node in reversed(tape.nodes):
+        pullback, node.backward_fn = node.backward_fn, None
         g = grads.pop(id(node.out), None)
         if g is None:
             continue
-        for tensor, contribution in zip(node.inputs, node.backward_fn(g)):
+        contributions = pullback(g)
+        del pullback, g
+        for tensor, contribution in zip(node.inputs, contributions):
             if not tensor.needs_grad:
                 continue
             if tensor.node_id is not None:

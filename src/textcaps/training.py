@@ -11,8 +11,8 @@ epoch on ties), with validation always computed on clean data.
 
 Adam keeps the parameter values and both moments as flat float64 vectors
 in ``AdamState``. From the first step on, every parameter's values are a
-view into ``AdamState.values``, so the update runs over whole vectors and
-the best-epoch snapshot is one vector copy.
+view into ``AdamState.values``, so the update runs over the flat vectors, a
+cache-sized block at a time, and the best-epoch snapshot is one vector copy.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .adversarial import PerturbationPolicy, SeededRng, augment_dataset, seed_se
 from .capsule import CapsuleHeadConfig
 from .encoders import ENCODER_KINDS, EncoderConfig
 from .model import first_nonfinite, forward_batch, init_model
-from .tensor import Parameter, Tape, Tensor, Workspace, backward, clear_grads, log, relu
+from .tensor import (_CHUNK, Parameter, Tape, Tensor, Workspace, backward, clear_grads, log,
+                     relu)
 from .text import Document, EmbeddingTable, encode_batch
 
 # Seed-mix tags keeping the independent random streams distinct.
@@ -198,10 +199,12 @@ class AdamState:
     """Adam's step count and its flat float64 vectors.
 
     The first ``adam_step`` allocates ``values``, the moments ``m`` and
-    ``v`` and the two ``work`` buffers, each with one slot per parameter
-    element in ``params`` order, copies every parameter into ``values`` and
-    rebinds each parameter's ``values`` to a view of its slot. One state
-    serves one ``params`` dict, always passed in the same order.
+    ``v`` and the first ``work`` buffer, which gathers the gradients, each
+    with one slot per parameter element in ``params`` order, plus the second
+    ``work`` buffer, one block of at most ``_CHUNK`` elements that the update
+    runs through. It copies every parameter into ``values`` and rebinds each
+    parameter's ``values`` to a view of its slot. One state serves one
+    ``params`` dict, always passed in the same order.
     """
     step_count: int = 0
     values: Optional[np.ndarray] = None
@@ -214,7 +217,7 @@ def _bind_arena(params: Dict[str, Parameter], state: AdamState) -> None:
     size = sum(p.size for p in params.values())
     state.values = np.empty(size)
     state.m, state.v = np.zeros(size), np.zeros(size)
-    state.work = (np.empty(size), np.empty(size))
+    state.work = (np.empty(size), np.empty(min(size, _CHUNK)))
     offset = 0
     for p in params.values():
         slot = state.values[offset:offset + p.size].reshape(p.shape)
@@ -224,37 +227,42 @@ def _bind_arena(params: Dict[str, Parameter], state: AdamState) -> None:
 
 
 def adam_step(params: Dict[str, Parameter], state: AdamState, lr: float) -> None:
-    """Standard bias-corrected Adam update over the whole flat vectors;
-    clears grads afterward. Raises MissingGradientError, before changing
-    anything, when some parameter has no gradient."""
+    """Standard bias-corrected Adam update over the flat vectors, a block of
+    ``_CHUNK`` elements at a time; clears grads afterward. Raises
+    MissingGradientError, before changing anything, when some parameter has
+    no gradient."""
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
         raise MissingGradientError(f"parameter {min(missing)!r} has no gradient")
     if state.values is None:
         _bind_arena(params, state)
-    g, work = state.work
-    np.concatenate([p.grad for p in params.values()], axis=None, out=g)
+    grad, block = state.work
+    np.concatenate([p.grad for p in params.values()], axis=None, out=grad)
     clear_grads(params.values())
     state.step_count += 1
     t = state.step_count
-    m, v = state.m, state.v
-    # Each expression keeps the per-element order of the per-name form, which
-    # fixes the bytes: m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g.
-    m *= _BETA1
-    np.multiply(g, 1.0 - _BETA1, out=work)
-    m += work
-    v *= _BETA2
-    np.multiply(g, 1.0 - _BETA2, out=work)
-    work *= g
-    v += work
-    # values -= (lr * m_hat) / (sqrt(v_hat) + eps)
-    np.divide(m, 1.0 - _BETA1 ** t, out=g)
-    g *= lr
-    np.divide(v, 1.0 - _BETA2 ** t, out=work)
-    np.sqrt(work, out=work)
-    work += _EPSILON
-    g /= work
-    state.values -= g
+    correction1, correction2 = 1.0 - _BETA1 ** t, 1.0 - _BETA2 ** t
+    for start in range(0, grad.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        g, m, v = grad[part], state.m[part], state.v[part]
+        work = block[:g.size]
+        # Each expression keeps the per-element order of the per-name form,
+        # which fixes the bytes: m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g.
+        m *= _BETA1
+        np.multiply(g, 1.0 - _BETA1, out=work)
+        m += work
+        v *= _BETA2
+        np.multiply(g, 1.0 - _BETA2, out=work)
+        work *= g
+        v += work
+        # values -= (lr * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(m, correction1, out=g)
+        g *= lr
+        np.divide(v, correction2, out=work)
+        np.sqrt(work, out=work)
+        work += _EPSILON
+        g /= work
+        state.values[part] -= g
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:

@@ -21,6 +21,7 @@ from textcaps.tensor import (
     ShapeMismatchError,
     Tape,
     Tensor,
+    TensorError,
     UnknownPrimitiveError,
     apply_primitive,
     backward,
@@ -338,6 +339,33 @@ class TestBackward:
         out = x + x
         assert out.node_id is None and x.grad is None
 
+    def _consumed_tape(self):
+        # the node of x.sum() is recorded but no gradient reaches it
+        x = Parameter([0.5, -1.5, 2.0])
+        w = Parameter(np.ones((3, 2)))
+        with Tape() as tape:
+            x.sum()
+            loss = ((x.reshape((1, 3)) @ w) * Tensor([[1.0, -2.0]])).sum()
+        recorded = [(node.kind, node.out, node.inputs) for node in tape.nodes]
+        backward(loss, tape)
+        return x, w, loss, tape, recorded
+
+    def test_backward_drops_every_pullback_and_keeps_the_nodes(self):
+        _, _, _, tape, recorded = self._consumed_tape()
+        assert [node.kind for node in tape.nodes] == ["sum", "reshape", "matmul", "mul", "sum"]
+        assert all(node.backward_fn is None for node in tape.nodes)
+        assert [(node.kind, node.out, node.inputs) for node in tape.nodes] == recorded
+
+    def test_a_second_backward_raises_and_writes_no_gradient(self):
+        x, w, loss, tape, _ = self._consumed_tape()
+        grads = [x.grad, w.grad]
+        kept = [g.tobytes() for g in grads]
+        with pytest.raises(TensorError, match="already replayed") as exc:
+            backward(loss, tape)
+        assert "\n" not in str(exc.value)
+        assert x.grad is grads[0] and w.grad is grads[1]
+        assert [g.tobytes() for g in grads] == kept
+
 
 def _forward_cases():
     """One (arrays, kw) application per primitive kind."""
@@ -607,20 +635,26 @@ class TestConv1dBank:
 
 
 class TestScanPullback:
-    """What a taped recurrent scan's forward plus backward keeps alive."""
+    """What a taped recurrent scan's forward plus backward keeps alive, and
+    the scans over an empty batch."""
 
-    @pytest.mark.parametrize("scan, gates, bound", [(gru_scan, 3, 12), (lstm_scan, 4, 16)],
-                             ids=["gru", "lstm"])
-    def test_peak_memory(self, scan, gates, bound):
+    @pytest.mark.parametrize("scan, gates, bound, need_x",
+                             [(gru_scan, 3, 11.3, False), (lstm_scan, 4, 15.1, False),
+                              (gru_scan, 3, 11.3, True), (lstm_scan, 4, 15.1, True)],
+                             ids=["gru", "lstm", "gru-x-param", "lstm-x-param"])
+    def test_peak_memory(self, scan, gates, bound, need_x):
         # train-bigru-desk encoder, outside a Workspace. numpy reports its
         # buffers to tracemalloc. The pullback forms its Jacobian factors a
         # block of steps at a time and stages each du operand in the buffer of
         # the map's gradient, so no factor and no copy of the states spans the
-        # whole sequence. Measured, in (T, D, B, H) arrays: 10.9 (GRU) and
-        # 14.7 (LSTM) at the peak; 14.7 and 20.8 with whole-sequence factors.
+        # whole sequence, and it drops that buffer before it forms dw, db and
+        # dx. Measured, in (T, D, B, H) arrays: 10.9 (GRU) and 14.7 (LSTM) at
+        # the peak, whether x needs a gradient or not; 11.6 and 15.5 with x
+        # needing one while the staging buffer was still held, and 14.7 and
+        # 20.8 with whole-sequence factors.
         b, t, e, h, dirs = 32, 60, 16, 32, 2
         x, *weights = _scan_arrays(np.random.default_rng(33), gates, b, t, e, h, dirs)
-        x, weights = Tensor(x), [Parameter(w) for w in weights]
+        x, weights = (Parameter if need_x else Tensor)(x), [Parameter(w) for w in weights]
         unit = t * dirs * b * h * 8
         tracemalloc.start()
         try:
@@ -633,6 +667,22 @@ class TestScanPullback:
             tracemalloc.stop()
         assert all(w.grad.shape == w.shape for w in weights)
         assert peak < bound * unit, f"peak {peak / unit:.2f} (T, D, B, H) arrays"
+
+    @pytest.mark.parametrize("need_x", [False, True], ids=["x-const", "x-param"])
+    @pytest.mark.parametrize("dirs", [1, 2])
+    @pytest.mark.parametrize("scan, gates", [(gru_scan, 3), (lstm_scan, 4)],
+                             ids=["gru", "lstm"])
+    def test_empty_batch(self, scan, gates, dirs, need_x):
+        x, *weights = _scan_arrays(np.random.default_rng(34), gates, b=0, directions=dirs)
+        x, weights = (Parameter if need_x else Tensor)(x), [Parameter(w) for w in weights]
+        with Tape() as tape:
+            out = scan(x, weights)
+            loss = (out * out).sum()
+        assert out.shape == (0, 5, dirs * 4)
+        backward(loss, tape)
+        assert (x.grad is not None and x.grad.shape == x.shape) == need_x
+        for w in weights:
+            assert w.grad.shape == w.shape and not np.any(w.grad)
 
 
 class TestCapsuleZeroExtents:

@@ -18,7 +18,7 @@ from textcaps.adversarial import PerturbationPolicy, SeededRng, augment_dataset
 from textcaps.capsule import CapsuleHeadConfig
 from textcaps.encoders import EncoderConfig
 from textcaps.model import forward_batch, init_model
-from textcaps.tensor import Tape, Tensor, backward, log, Parameter, relu
+from textcaps.tensor import _CHUNK, Tape, Tensor, backward, log, Parameter, relu
 from textcaps.synth import generate_embeddings, generate_synthetic_corpus
 from textcaps.text import Document, EmbeddingTable, encode_batch
 from textcaps.training import (
@@ -239,6 +239,52 @@ def reference_adam_step(params, state: ReferenceAdamState, lr: float) -> None:
         p.grad = None
 
 
+# The whole-vector adam_step and its arena binding that the blocked update
+# replaced, kept as the reference: the same bytes of values, m and v.
+def _whole_vector_bind_arena(params, state: AdamState) -> None:
+    size = sum(p.size for p in params.values())
+    state.values = np.empty(size)
+    state.m, state.v = np.zeros(size), np.zeros(size)
+    state.work = (np.empty(size), np.empty(size))
+    offset = 0
+    for p in params.values():
+        slot = state.values[offset:offset + p.size].reshape(p.shape)
+        slot[...] = p.values
+        p.values = slot
+        offset += slot.size
+
+
+def whole_vector_adam_step(params, state: AdamState, lr: float) -> None:
+    missing = [name for name, p in params.items() if p.grad is None]
+    if missing:
+        raise MissingGradientError(f"parameter {min(missing)!r} has no gradient")
+    if state.values is None:
+        _whole_vector_bind_arena(params, state)
+    g, work = state.work
+    np.concatenate([p.grad for p in params.values()], axis=None, out=g)
+    training.clear_grads(params.values())
+    state.step_count += 1
+    t = state.step_count
+    m, v = state.m, state.v
+    # Each expression keeps the per-element order of the per-name form, which
+    # fixes the bytes: m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g.
+    m *= training._BETA1
+    np.multiply(g, 1.0 - training._BETA1, out=work)
+    m += work
+    v *= training._BETA2
+    np.multiply(g, 1.0 - training._BETA2, out=work)
+    work *= g
+    v += work
+    # values -= (lr * m_hat) / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - training._BETA1 ** t, out=g)
+    g *= lr
+    np.divide(v, 1.0 - training._BETA2 ** t, out=work)
+    np.sqrt(work, out=work)
+    work += training._EPSILON
+    g /= work
+    state.values -= g
+
+
 def reference_train_step(params, state: ReferenceAdamState, lr: float) -> None:
     """The reference step, then the parameters rebound as views of one
     vector, the layout that train's best-epoch snapshot copies."""
@@ -341,6 +387,27 @@ class TestAdam:
         for got, want in [(state.values, {n: p.values for n, p in ref.items()}),
                           (state.m, ref_state.m), (state.v, ref_state.v)]:
             assert got.tobytes() == np.concatenate([want[n] for n in init], axis=None).tobytes()
+
+    @pytest.mark.parametrize("sizes", [(40_000, 30_001, 7), (5,)], ids=["blocks", "small"])
+    def test_matches_whole_vector_reference_bytes(self, sizes):
+        # 40,000 + 30,001 + 7 elements span three blocks, the last one ragged
+        rng = np.random.default_rng(41)
+        init = {f"w{i}": rng.standard_normal(size) for i, size in enumerate(sizes)}
+        blocked = {name: Parameter(values.copy()) for name, values in init.items()}
+        whole = {name: Parameter(values.copy()) for name, values in init.items()}
+        state, whole_state = AdamState(), AdamState()
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                for name, values in init.items():
+                    grad = _mixed_grads(rng, values.shape)
+                    blocked[name].grad = grad.copy()
+                    whole[name].grad = grad.copy()
+                adam_step(blocked, state, 1e-3)
+                whole_vector_adam_step(whole, whole_state, 1e-3)
+        assert state.work[1].size == min(sum(sizes), _CHUNK)
+        for got, want in [(state.values, whole_state.values), (state.m, whole_state.m),
+                          (state.v, whole_state.v)]:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLrSchedule:
