@@ -73,7 +73,7 @@ class Tensor:
     between passes.
     """
 
-    __slots__ = ("values", "grad", "node_id", "needs_grad")
+    __slots__ = ("values", "grad", "needs_grad")
 
     def __init__(self, values) -> None:
         arr = np.asarray(values, dtype=np.float64)
@@ -81,7 +81,6 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         self.values: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
-        self.node_id: Optional[int] = None
         # True for a Parameter and for recorded outputs computed from one
         self.needs_grad = False
 
@@ -164,11 +163,6 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _TAPES.pop()
-
-    def _record(self, kind: str, out: Tensor, inputs: Sequence[Tensor],
-                backward_fn: Callable) -> None:
-        out.node_id = len(self.nodes)
-        self.nodes.append(_Node(kind, out, inputs, backward_fn))
 
 
 _WORKSPACES: list = []  # entered workspaces, innermost last
@@ -254,12 +248,11 @@ def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Primitive definitions. Each entry: (count, check, fn). count is a tuple of
-# the operand counts the primitive accepts, each written as a tuple of group
-# sizes that sum to it, so that a message can show the groups (a scan takes
-# its input plus 3 weights per gate for each of its 1 or 2 directions), or
-# None for one or more; apply_primitive checks it first. check(arrays, kw),
-# or None, raises on operands the primitive does not accept. fn(arrays, kw, needs)
+# Primitive definitions. Each entry: (count, check, fn). count is the number of
+# operands the primitive takes, which apply_primitive checks first, or None
+# for a kind that takes a variable number (concat, conv1d, the scans), whose
+# check counts them before it reads any. check(arrays, kw), or None, raises on
+# operands the primitive does not accept. fn(arrays, kw, needs)
 # returns the output array and its pullback, a callable g_out -> per-operand
 # gradient contributions (ndarray, or None). ``needs`` holds one bool per operand
 # telling whether it needs a gradient: a pullback may skip the work for an
@@ -352,8 +345,8 @@ def _prim_matmul(arrays, kw, needs):
     def pullback(g):
         if a.ndim == 2 and b.ndim > 2:
             # The same fold for both gradients. gb is handed on axis-swapped,
-            # as a view: a C-ordered copy cost more than the consumer's
-            # strided elementwise backward saves.
+            # as a view: a C-ordered copy for the consumer's elementwise
+            # backward measured level end to end.
             cols = _work((m, size))
             np.copyto(cols.reshape((m,) + batch), np.moveaxis(g, -2, 0))
             ga = (np.matmul(cols, (folded() if bt is None else bt).T,
@@ -394,11 +387,10 @@ def _check_axis(kind):
     return check
 
 
-_check_concat_axis = _check_axis("concat")
-
-
 def _check_concat(arrays, kw):
-    _check_concat_axis(arrays, kw)
+    if not arrays:
+        raise _shape_error("concat", "expects one or more operands, got 0")
+    _check_axis("concat")(arrays, kw)
     first = arrays[0]
     axis = kw["axis"] % first.ndim
     for arr in arrays[1:]:
@@ -635,9 +627,16 @@ def _prim_conv1d(arrays, kw, needs):
     return out, pullback
 
 
-# Elements in a block of a blocked pullback's work arrays, 256 KiB of float64:
-# squash's rows and each Jacobian factor of a scan's steps.
+# Elements in a block of a blocked loop's work arrays, 256 KiB of float64:
+# squash's rows, each Jacobian factor of a scan's steps and Adam's update.
 _CHUNK = 1 << 15
+
+
+def _blocks(count: int, item: int) -> list:
+    """Slices covering range(count) in order, each of max(1, _CHUNK // item)
+    items of ``item`` elements but the last, which may be shorter."""
+    span = max(1, _CHUNK // max(1, item))
+    return [slice(start, min(start + span, count)) for start in range(0, count, span)]
 
 
 # Fused recurrent scans: every direction of an encoder in one loop over time.
@@ -670,6 +669,9 @@ def _check_scan(kind, gates):
     n = len(gates)
 
     def check(arrays, kw):
+        if len(arrays) not in (1 + 3 * n, 1 + 6 * n):
+            raise _shape_error(kind, f"expects 1 + {3 * n} or 1 + {3 * n} + {3 * n} operands, "
+                                     f"got {len(arrays)}")
         x, u0 = arrays[0], arrays[1 + n]
         if x.ndim != 3 or x.shape[1] < 1:
             raise _shape_error(kind, "input must be (B, T >= 1, E)", x.shape)
@@ -684,11 +686,6 @@ def _check_scan(kind, gates):
                         raise _shape_error(kind, f"direction {d} {piece}_{gate} must be {want}",
                                            arr.shape)
     return check
-
-
-def _scan_counts(n_gates):
-    """A scan's operand counts: the input, then 3 weights per gate per direction."""
-    return tuple((1,) + (3 * n_gates,) * dirs for dirs in (1, 2))
 
 
 def _from_steps(steps: np.ndarray) -> np.ndarray:
@@ -709,14 +706,6 @@ def _to_steps(g: np.ndarray, dirs: int) -> np.ndarray:
     for d, order in zip(range(dirs), _SCAN_ORDER):
         steps[:, d] = np.swapaxes(g[:, order, d * h:(d + 1) * h], 0, 1)
     return steps
-
-
-def _step_blocks(t: int, step: int) -> tuple:
-    """The length of a block of steps whose Jacobian factors a scan's pullback
-    forms at once, about _CHUNK elements each for ``step`` elements a step,
-    and each block's (start, stop), last block first."""
-    span = min(t, max(1, _CHUNK // max(1, step)))
-    return span, [(max(0, stop - span), stop) for stop in range(t, 0, -span)]
 
 
 def _staging(steps: np.ndarray) -> tuple:
@@ -794,13 +783,13 @@ def _prim_gru_scan(arrays, kw, needs):
         carry = np.zeros((dirs, b, h))
         prev = states[:-1]
         z, r = zr[..., :h], zr[..., h:]
-        span, blocks = _step_blocks(t, n[0].size)
-        factors = _work((4, span, dirs, b, h))
-        for start, stop in blocks:
+        blocks = _blocks(t, n[0].size)
+        factors = _work((4, blocks[0].stop, dirs, b, h))
+        for blk in reversed(blocks):
+            start, stop = blk.start, blk.stop
             # this block's Jacobian factors, each product in the order
             # (1 - z) * (1 - n * n), (prev - n) * z * (1 - z) and prev * r * (1 - r)
             tmp, dn_dh, dz_dh, dr_drh = factors[:, :stop - start]
-            blk = slice(start, stop)
             np.subtract(1.0, z[blk], out=tmp)
             np.multiply(n[blk], n[blk], out=dn_dh)  # dh -> d n_pre
             np.subtract(1.0, dn_dh, out=dn_dh)
@@ -858,13 +847,13 @@ def _prim_lstm_scan(arrays, kw, needs):
         dsteps = np.swapaxes(dproj, 0, 1)
         carry_h = np.zeros((dirs, b, h))
         carry_c = np.zeros((dirs, b, h))
-        span, blocks = _step_blocks(t, states[0].size)
-        factors = _work((7, span, dirs, b, h))
-        for start, stop in blocks:
+        blocks = _blocks(t, states[0].size)
+        factors = _work((7, blocks[0].stop, dirs, b, h))
+        for blk in reversed(blocks):
+            start, stop = blk.start, blk.stop
             # this block's Jacobian factors, each product in the order of the
             # formula beside it
             tc, tmp, dc_dh, do_dh, di_dc, df_dc, dg_dc = factors[:, :stop - start]
-            blk = slice(start, stop)
             np.tanh(cells[start + 1:stop + 1], out=tc)
             np.multiply(tc, tc, out=dc_dh)  # dh -> dc: o * (1 - tc^2)
             np.subtract(1.0, dc_dh, out=dc_dh)
@@ -930,12 +919,10 @@ def _squash_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray,
     grad = np.multiply(x, radial, out=_work(x.shape))
     # g * factor is added a block of leading rows at a time, through a work
     # array of about _CHUNK elements, not a second gradient-sized one
-    step = max(1, _CHUNK // max(1, x[:1].size))
-    part = _work((min(step, len(x)),) + x.shape[1:])
-    for start in range(0, len(x), step):
-        stop = min(start + step, len(x))
-        grad[start:stop] += np.multiply(g[start:stop], factor[start:stop],
-                                        out=part[:stop - start])
+    blocks = _blocks(len(x), x[:1].size)
+    part = _work(x[blocks[0]].shape) if blocks else None
+    for rows in blocks:
+        grad[rows] += np.multiply(g[rows], factor[rows], out=part[:rows.stop - rows.start])
     return grad
 
 
@@ -1032,36 +1019,32 @@ def _prim_routing(arrays, kw, needs):
     return v, pullback
 
 
-_ONE, _TWO = ((1,),), ((2,),)
-
 # No model runs sigmoid, tanh, exp, div, concat, transpose or slice; they stay
 # registered because the benchmark counts every one of them.
 _PRIMITIVES: dict = {
-    "matmul": (_TWO, _check_matmul, _prim_matmul),
-    "add": (_TWO, _check_broadcast("add"), _prim_add),
-    "sub": (_TWO, _check_broadcast("sub"), _prim_sub),
-    "mul": (_TWO, _check_broadcast("mul"), _prim_mul),
-    "div": (_TWO, _check_broadcast("div"), _prim_div),
-    "scale": (_ONE, _check_scale, _prim_scale),
+    "matmul": (2, _check_matmul, _prim_matmul),
+    "add": (2, _check_broadcast("add"), _prim_add),
+    "sub": (2, _check_broadcast("sub"), _prim_sub),
+    "mul": (2, _check_broadcast("mul"), _prim_mul),
+    "div": (2, _check_broadcast("div"), _prim_div),
+    "scale": (1, _check_scale, _prim_scale),
     "concat": (None, _check_concat, _prim_concat),
-    "slice": (_ONE, _check_slice, _prim_slice),
-    "reshape": (_ONE, _check_reshape, _prim_reshape),
-    "transpose": (_ONE, _check_transpose, _prim_transpose),
-    "sigmoid": (_ONE, None, _prim_sigmoid),
-    "tanh": (_ONE, None, _prim_tanh),
-    "relu": (_ONE, None, _prim_relu),
-    "softmax": (_ONE, _check_axis("softmax"), _prim_softmax),
-    "l2norm": (_ONE, _check_axis("l2norm"), _prim_l2norm),
-    "sum": (_ONE, _check_sum, _prim_sum),
-    "exp": (_ONE, None, _prim_exp),
-    "log": (_ONE, None, _prim_log),
-    "conv1d": (None, _check_conv1d, _prim_conv1d),  # the check counts its operands
-    "gru_scan": (_scan_counts(len(_GRU_GATES)), _check_scan("gru_scan", _GRU_GATES),
-                 _prim_gru_scan),
-    "lstm_scan": (_scan_counts(len(_LSTM_GATES)), _check_scan("lstm_scan", _LSTM_GATES),
-                  _prim_lstm_scan),
-    "squash": (_ONE, _check_squash, _prim_squash),
-    "routing": (_TWO, _check_routing, _prim_routing),
+    "slice": (1, _check_slice, _prim_slice),
+    "reshape": (1, _check_reshape, _prim_reshape),
+    "transpose": (1, _check_transpose, _prim_transpose),
+    "sigmoid": (1, None, _prim_sigmoid),
+    "tanh": (1, None, _prim_tanh),
+    "relu": (1, None, _prim_relu),
+    "softmax": (1, _check_axis("softmax"), _prim_softmax),
+    "l2norm": (1, _check_axis("l2norm"), _prim_l2norm),
+    "sum": (1, _check_sum, _prim_sum),
+    "exp": (1, None, _prim_exp),
+    "log": (1, None, _prim_log),
+    "conv1d": (None, _check_conv1d, _prim_conv1d),
+    "gru_scan": (None, _check_scan("gru_scan", _GRU_GATES), _prim_gru_scan),
+    "lstm_scan": (None, _check_scan("lstm_scan", _LSTM_GATES), _prim_lstm_scan),
+    "squash": (1, _check_squash, _prim_squash),
+    "routing": (2, _check_routing, _prim_routing),
 }
 
 
@@ -1081,10 +1064,8 @@ def apply_primitive(kind: str, operands: Sequence[Tensor], **kw) -> Tensor:
             f"unknown primitive {kind!r}; known: {sorted(_PRIMITIVES)}")
     count, check, fn = entry
     arrays = [t.values for t in operands]
-    if (not arrays) if count is None else all(len(arrays) != sum(c) for c in count):
-        want = ("one or more" if count is None
-                else " or ".join(" + ".join(map(str, c)) for c in count))
-        raise _shape_error(kind, f"expects {want} operand{'' if want == '1' else 's'}, "
+    if count is not None and len(arrays) != count:
+        raise _shape_error(kind, f"expects {count} operand{'' if count == 1 else 's'}, "
                                  f"got {len(arrays)}")
     if check is not None:
         check(arrays, kw)
@@ -1094,7 +1075,7 @@ def apply_primitive(kind: str, operands: Sequence[Tensor], **kw) -> Tensor:
     tape = active_tape()
     if tape is not None and any(needs):
         out.needs_grad = True
-        tape._record(kind, out, tuple(operands), pullback)
+        tape.nodes.append(_Node(kind, out, tuple(operands), pullback))
     return out
 
 
@@ -1137,13 +1118,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
         for tensor, contribution in zip(node.inputs, contributions):
             if not tensor.needs_grad:
                 continue
-            if tensor.node_id is not None:
+            if not isinstance(tensor, Parameter):
                 key = id(tensor)
                 grads[key] = grads[key] + contribution if key in grads else contribution
             elif tensor.grad is None:
                 tensor.grad = np.array(contribution, order="C")
             else:
                 tensor.grad = tensor.grad + contribution
+        # what the pullback handed back is released before the next one runs
+        del contributions, contribution
 
 
 def clear_grads(params: Iterable[Tensor]) -> None:

@@ -158,12 +158,12 @@ def load_embeddings(path) -> EmbeddingTable:
     The file may start with a "vocab_count dimension" header line; otherwise
     the dimension is inferred from the first data line. Trailing whitespace,
     which word2vec writes, is dropped. Duplicate tokens keep their first
-    occurrence; unknown tokens embed as zeros. Every loaded value must be
-    finite: ``nan``, ``inf`` and overflowing literals such as ``1e999`` raise
-    :class:`UnparseableNumberError`. Diagnostics read ``<path>: line <n>: ...``.
+    occurrence; unknown tokens embed as zeros. Every value, a duplicate's
+    too, must be finite: ``nan``, ``inf`` and overflowing literals such as
+    ``1e999`` raise :class:`UnparseableNumberError`. Diagnostics read
+    ``<path>: line <n>: ...``.
     """
     entries: Dict[str, np.ndarray] = {}
-    entry_lines: List[int] = []  # line number of each entry, in table order
     dimension = None
     for lineno, line in read_lines(path):
         fields = line.rstrip().split(" ")
@@ -188,19 +188,15 @@ def load_embeddings(path) -> EmbeddingTable:
                     raise RaggedLineError("token without values")
             if len(raw_values) != dimension:
                 raise RaggedLineError(f"expected {dimension} values, found {len(raw_values)}")
+            if not np.isfinite(vector).all():
+                raise UnparseableNumberError("embedding values must be finite")
         except EmbeddingFileError as exc:
             raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
         if token not in entries:
             entries[token] = vector
-            entry_lines.append(lineno)
     if dimension is None or not entries:
         raise EmptyEmbeddingsError(f"{path}: no embedding vectors found")
-    table = EmbeddingTable(dimension=dimension, entries=entries)
-    finite = np.isfinite(table.matrix).all(axis=1)
-    if not finite.all():
-        raise UnparseableNumberError(f"{path}: line {entry_lines[int(np.argmin(finite))]}: "
-                                     "embedding values must be finite")
-    return table
+    return EmbeddingTable(dimension=dimension, entries=entries)
 
 
 def encode_batch(

@@ -29,8 +29,8 @@ from .adversarial import PerturbationPolicy, SeededRng, augment_dataset, seed_se
 from .capsule import CapsuleHeadConfig
 from .encoders import ENCODER_KINDS, EncoderConfig
 from .model import first_nonfinite, forward_batch, init_model
-from .tensor import (_CHUNK, Parameter, Tape, Tensor, Workspace, backward, clear_grads, log,
-                     relu)
+from .tensor import (_CHUNK, Parameter, Tape, Tensor, Workspace, _blocks, backward, clear_grads,
+                     log, relu)
 from .text import Document, EmbeddingTable, encode_batch
 
 # Seed-mix tags keeping the independent random streams distinct.
@@ -242,8 +242,7 @@ def adam_step(params: Dict[str, Parameter], state: AdamState, lr: float) -> None
     state.step_count += 1
     t = state.step_count
     correction1, correction2 = 1.0 - _BETA1 ** t, 1.0 - _BETA2 ** t
-    for start in range(0, grad.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
+    for part in _blocks(grad.size, 1):
         g, m, v = grad[part], state.m[part], state.v[part]
         work = block[:g.size]
         # Each expression keeps the per-element order of the per-name form,

@@ -6,6 +6,7 @@ central finite differences, which act as the independent oracle.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import textcaps.capsule
 import textcaps.tensor
 from textcaps.tensor import (
+    _CHUNK,
     _PRIMITIVES,
     FOLD_MIN_ROWS,
     EmptyTapeError,
@@ -23,6 +25,7 @@ from textcaps.tensor import (
     Tensor,
     TensorError,
     UnknownPrimitiveError,
+    _blocks,
     apply_primitive,
     backward,
     clear_grads,
@@ -254,7 +257,7 @@ class TestErrors:
         w = Tensor(np.ones((2, 3)))
         with Tape() as tape:
             loss = apply_primitive("tanh", [x @ w]).sum()
-        assert tape.nodes == [] and loss.node_id is None and not loss.needs_grad
+        assert tape.nodes == [] and not loss.needs_grad
         with pytest.raises(EmptyTapeError, match="depends on a Parameter"):
             backward(loss, tape)
 
@@ -337,7 +340,7 @@ class TestBackward:
     def test_no_tape_records_nothing(self):
         x = Tensor([1.0, 2.0])
         out = x + x
-        assert out.node_id is None and x.grad is None
+        assert not out.needs_grad and x.grad is None
 
     def _consumed_tape(self):
         # the node of x.sum() is recorded but no gradient reaches it
@@ -355,6 +358,32 @@ class TestBackward:
         assert [node.kind for node in tape.nodes] == ["sum", "reshape", "matmul", "mul", "sum"]
         assert all(node.backward_fn is None for node in tape.nodes)
         assert [(node.kind, node.out, node.inputs) for node in tape.nodes] == recorded
+
+    def test_backward_releases_what_a_pullback_returned_before_the_next(self, monkeypatch):
+        # the parameter's contribution is only copied into .grad, so nothing
+        # but backward holds it once it has been summed
+        handed = []
+
+        def outer(arrays, kw, needs):
+            def pullback(g):
+                contribution = g * arrays[0]
+                handed.append(weakref.ref(contribution))
+                return g * arrays[1], contribution
+            return arrays[0] * arrays[1], pullback
+
+        def inner(arrays, kw, needs):
+            def pullback(g):
+                assert handed[0]() is None, "the last pullback's contribution is still held"
+                return (g,)
+            return arrays[0] + 0.0, pullback
+
+        monkeypatch.setitem(_PRIMITIVES, "probe_outer", (2, None, outer))
+        monkeypatch.setitem(_PRIMITIVES, "probe_inner", (1, None, inner))
+        x, w = Parameter([2.0]), Parameter([3.0])
+        with Tape() as tape:
+            loss = apply_primitive("probe_outer", [apply_primitive("probe_inner", [x]), w])
+        backward(loss, tape)
+        assert len(handed) == 1 and x.grad.tolist() == [3.0] and w.grad.tolist() == [2.0]
 
     def test_a_second_backward_raises_and_writes_no_gradient(self):
         x, w, loss, tape, _ = self._consumed_tape()
@@ -411,7 +440,7 @@ class TestForwardIndependentOfTape:
     def test_output_bytes(self, kind):
         arrays, kw = _forward_cases()[kind]  # a new primitive needs a case here
         plain = apply_primitive(kind, [Tensor(a) for a in arrays], **kw)
-        assert plain.node_id is None and not plain.needs_grad
+        assert not plain.needs_grad
         outputs = [plain.values.tobytes()]
         for first_constant in (False, True):
             operands = [Tensor(a) if i == 0 and first_constant else Parameter(a)
@@ -993,6 +1022,24 @@ class TestPublicSurface:
         for name in ("tensor", "name"):
             assert not hasattr(p, name), name
         assert Parameter.__slots__ == ()
+
+    def test_a_parameter_is_the_only_leaf(self):
+        # a tensor keeps no record of its node; backward tells a leaf by its type
+        assert Tensor.__slots__ == ("values", "grad", "needs_grad")
+        assert not hasattr(Tape, "_record")
+
+    def test_an_operand_count_is_one_number(self):
+        for kind, (count, _, _) in _PRIMITIVES.items():
+            assert count is None or type(count) is int, kind
+
+    @pytest.mark.parametrize("count, item", [(0, 8), (5, 0), (6, _CHUNK // 2),
+                                             (7, _CHUNK // 2), (3, 1), (3, 2 * _CHUNK)])
+    def test_blocks_cover_the_range_in_order(self, count, item):
+        blocks = _blocks(count, item)
+        covered = [i for block in blocks for i in range(count)[block]]
+        assert covered == list(range(count))
+        span = max(1, _CHUNK // max(1, item))
+        assert all(0 < block.stop - block.start <= span for block in blocks)
 
     def test_no_sugar_for_kinds_no_model_runs(self):
         # no model runs these kinds, so neither the engine nor Tensor wraps

@@ -251,6 +251,14 @@ class TestEmbeddings:
         with pytest.raises(UnparseableNumberError, match="line 3: .*finite"):
             load_embeddings(self._write(tmp_path, f"2 2\na 1 2\nb 0 {value}\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "1e999"])
+    def test_non_finite_value_on_a_duplicate_line_names_the_line(self, tmp_path, value):
+        # the duplicate's vector is not kept, but its values are still checked
+        path = self._write(tmp_path, f"a 1 2\nb 3 4\na {value} 5\n")
+        with pytest.raises(UnparseableNumberError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{path}: line 3: embedding values must be finite"
+
     def test_header_dimension_must_be_positive(self, tmp_path):
         with pytest.raises(RaggedLineError, match="line 1: header dimension"):
             load_embeddings(self._write(tmp_path, "2 0\na\nb\n"))

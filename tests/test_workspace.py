@@ -151,7 +151,7 @@ def test_pool_is_fixed_after_the_first_step(monkeypatch, body, mib):
     # backward drops each pullback once it has run, so the arrays that only
     # its closure held, such as the compression's batch copy, serve the
     # earlier pullbacks. Measured: 15 arrays of 31.1 MiB (cnn-caps), 20 of
-    # 15.4 MiB (bigru-desk), 26 of 56.2 MiB (cnn-bilstm). The bounds sit
+    # 15.4 MiB (bigru-desk), 25 of 56.1 MiB (cnn-bilstm). The bounds sit
     # below the 36.5 and 57.4 MiB read while every pullback lived as long as
     # its tape and the scans held their staging buffer to the end.
     docs, vocab = synth.generate_synthetic_corpus(300, 200, 5)
